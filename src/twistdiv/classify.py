@@ -20,7 +20,6 @@ a real root with a Sturm certificate.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -287,22 +286,8 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED, grid_bound=3):
         )
     candidates = enumerate_candidates(group, convention, mode)
     rejected, survivors, undetermined, psd_notes = [], [], [], {}
-
-    def work(item):
-        idx, cand = item
-        return idx, cand, _classify_one(cand, grid_bound)
-
-    items = list(enumerate(candidates))
-    threads = int(os.environ.get("TWISTDIV_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(it) for it in items]
-    results.sort(key=lambda r: r[0])
-    for idx, cand, (verdict, payload, psd) in results:
+    for idx, cand in enumerate(candidates):
+        verdict, payload, psd = _classify_one(cand, grid_bound)
         if psd is not None:
             psd_notes[idx] = psd
         if verdict == "rejected":

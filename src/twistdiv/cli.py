@@ -74,7 +74,7 @@ def _load_algebra(selector):
 def _parse_components(text, n=4):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise SystemExit(f"expected {n} comma-separated components, got {len(parts)}")
+        raise ValueError(f"expected {n} comma-separated components, got {len(parts)}")
     return [int(p) for p in parts]
 
 
@@ -160,7 +160,7 @@ def cmd_cohomology(args):
     failures = 0
     if args.check:
         if q is None:
-            raise SystemExit("checks on q require an abelian grading group")
+            raise ValueError("checks on q require an abelian grading group")
         results = {}
         if "cocycle" in args.check:
             results["cocycle"] = coh.is_2cocycle(q, constant.group)
@@ -445,7 +445,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # malformed input: unknown selector, bad JSON or table, bad parameter
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

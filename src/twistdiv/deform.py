@@ -28,7 +28,7 @@ from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
 from .classify import det_polynomials
 from .groups import LEFT_STANDARD, group_by_name
-from .poly import MultiPoly, find_sign_change, symbolic_det
+from .poly import MultiPoly, _fraction_sqrt, find_sign_change, symbolic_det
 from .structure import commutator_algebra
 
 PARAM_NAMES = ("alpha", "beta", "delta", "epsilon", "phi", "omega")
@@ -207,12 +207,6 @@ def structure_constant_from_generator(algebra, w):
         return StructureConstant(algebra.group, values, LEFT_STANDARD)
     except ValueError:
         return None
-
-
-def _fraction_sqrt(x):
-    from .poly import _fraction_sqrt as root
-
-    return root(x)
 
 
 def k_inverse_isomorphism(k):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import _linalg
-from .poly import MultiPoly
+from .poly import MultiPoly, nonzero_point
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -159,22 +159,41 @@ def combination_value(expander, combo):
     return total
 
 
-def verify_identity(algebra, combo):
-    """True iff the coefficient combination vanishes identically."""
+def identity_residual(algebra, combo):
+    """Component polynomials of the combination over generic elements.
+
+    The combination is an identity of the algebra iff every component is
+    the zero polynomial; otherwise ``poly.nonzero_point`` reads a
+    counterexample off a nonzero component.
+    """
     if not combo:
-        return True
-    patterns = set()
-    for _, tree in combo:
-        leaves = tree.leaves()
-        patterns.add(tuple(sorted(leaves)))
+        return []
+    patterns = {tuple(sorted(tree.leaves())) for _, tree in combo}
     if len(patterns) > 1:
         raise ValueError("all monomials must share one degree pattern")
     nvars = max(max(p) for p in patterns) + 1
-    expander = Expander(algebra, nvars)
-    value = combination_value(expander, combo)
-    return all(
-        c.is_zero if isinstance(c, MultiPoly) else c == 0 for c in value.coeffs
-    )
+    return list(combination_value(Expander(algebra, nvars), combo).coeffs)
+
+
+def _is_zero(c):
+    return c.is_zero if isinstance(c, MultiPoly) else c == 0
+
+
+def verify_identity(algebra, combo):
+    """True iff the coefficient combination vanishes identically."""
+    return all(_is_zero(c) for c in identity_residual(algebra, combo))
+
+
+def _residual_witness(algebra, residual):
+    """Elements at which a nonzero residual does not vanish.
+
+    ``nonzero_point`` gives an integer point of the first nonzero
+    component; its coordinates split into one element per variable, in
+    the (variable, component) order of ``Expander``.
+    """
+    point = nonzero_point(next(c for c in residual if not _is_zero(c)))
+    n = algebra.group.order
+    return tuple(algebra.element(point[i:i + n]) for i in range(0, len(point), n))
 
 
 @dataclass
@@ -293,90 +312,38 @@ def _power4_laws():
     ]
 
 
-_SAMPLE_COORDS = (0, 1, -1, 2)
-
-
-def _sample_elements(algebra, count=3):
-    """Small deterministic pool of elements for counterexample hunting."""
-    from itertools import product as iproduct
-
-    n = algebra.group.order
-    pool = [algebra.basis_element(g) for g in range(n)]
-    for coeffs in iproduct(_SAMPLE_COORDS, repeat=n):
-        if any(coeffs):
-            pool.append(algebra.element(coeffs))
-        if len(pool) >= 40:
-            break
-    return pool
-
-
-def _find_counterexample(algebra, combo, nvars):
-    pool = _sample_elements(algebra)
-    from itertools import product as iproduct
-
-    def eval_tree(tree, args):
-        if isinstance(tree, Leaf):
-            return args[tree.var]
-        return eval_tree(tree.left, args) * eval_tree(tree.right, args)
-
-    for args in iproduct(pool, repeat=nvars):
-        total = None
-        for coeff, tree in combo:
-            term = eval_tree(tree, args) * coeff
-            total = term if total is None else total + term
-        if not total.is_zero():
-            return args
-    return None
-
-
 def loop_property_suite(algebra):
-    """Symbolic verdicts for the standard loop laws, with counterexamples.
+    """Exact verdicts for the standard loop laws, with counterexamples.
 
-    Each law is decided exactly over generic components; a failed law is
-    accompanied by a concrete rational counterexample found on a small
-    deterministic sample pool.
+    Each law is decided by its residual over generic components: it holds
+    iff the residual is the zero polynomial.  A failed law carries the
+    counterexample read off that same residual by ``poly.nonzero_point``,
+    so every failed law has one.
     """
-    combos = _law_combos()
-    results = {}
     examples = {}
 
-    def check(name, combo, nvars):
-        ok = verify_identity(algebra, combo)
-        if not ok:
-            ce = _find_counterexample(algebra, combo, nvars)
-            if ce is not None:
-                examples[name] = ce
-        results[name] = ok
-        return ok
+    def holds(name, combo):
+        residual = identity_residual(algebra, combo)
+        if all(_is_zero(c) for c in residual):
+            return True
+        examples[name] = _residual_witness(algebra, residual)
+        return False
 
-    flexible = check("flexible", combos["flexible"], 2)
-    left_alt = check("left_alternative", combos["left_alternative"], 2)
-    right_alt = check("right_alternative", combos["right_alternative"], 2)
-    commutative = check("commutative", combos["commutative"], 2)
-    associative = check("associative", combos["associative"], 3)
-    left_bol = check("left_bol", combos["left_bol"], 3)
-    right_bol = check("right_bol", combos["right_bol"], 3)
-    moufang = check("moufang", combos["moufang"], 3)
-    cube = check("cube", combos["cube"], 1)
-    power4 = all(verify_identity(algebra, c) for c in _power4_laws())
-    if not (cube and power4):
-        if "cube" in examples:
-            examples["power_associative"] = examples["cube"]
-        else:
-            for c in _power4_laws():
-                ce = _find_counterexample(algebra, c, 1)
-                if ce is not None:
-                    examples["power_associative"] = ce
-                    break
+    laws = {name: holds(name, combo) for name, combo in _law_combos().items()}
+    power_associative = laws["cube"] and all(
+        holds("power_associative", c) for c in _power4_laws()
+    )
+    if not laws["cube"]:
+        examples["power_associative"] = examples["cube"]
     return LoopProperties(
-        flexible=flexible,
-        power_associative=cube and power4,
-        alternative=left_alt and right_alt,
-        left_bol=left_bol,
-        right_bol=right_bol,
-        moufang=moufang,
-        commutative=commutative,
-        associative=associative,
+        flexible=laws["flexible"],
+        power_associative=power_associative,
+        alternative=laws["left_alternative"] and laws["right_alternative"],
+        left_bol=laws["left_bol"],
+        right_bol=laws["right_bol"],
+        moufang=laws["moufang"],
+        commutative=laws["commutative"],
+        associative=laws["associative"],
         counterexamples=examples,
     )
 

@@ -318,6 +318,26 @@ def specialize(p, bindings):
     return p.specialize(bindings)
 
 
+def nonzero_point(p):
+    """Integer point at which the polynomial ``p`` does not vanish.
+
+    Combinatorial Nullstellensatz (Alon 1999): if prod x_i^t_i is a
+    monomial of maximal total degree with a nonzero coefficient, ``p`` is
+    nonzero somewhere on the box prod {0..t_i}.  The smallest such box is
+    searched (coordinates outside the monomial stay 0; on the others the
+    values 1..t_i come before 0), so at most 2^deg(p) exact evaluations
+    are made.
+    Raises ValueError on the zero polynomial.
+    """
+    if p.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    top = max(p.terms, key=lambda e: (sum(e), -math.prod(t + 1 for t in e), e))
+    for point in itertools.product(*((*range(1, t + 1), 0) for t in top)):
+        if p.evaluate(point) != 0:
+            return point
+    raise AssertionError("no nonzero point on the Nullstellensatz box")
+
+
 # -- sum-of-squares certificates --------------------------------------
 
 

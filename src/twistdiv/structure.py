@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .poly import MultiPoly, symbolic_det
+from .poly import MultiPoly, nonzero_point, symbolic_det
 
 
 class BilinearAlgebra:
@@ -111,15 +111,25 @@ def _vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
+def _is_zero(c):
+    return c.is_zero if isinstance(c, MultiPoly) else c == 0
+
+
 def _all_zero(vec):
-    return all(c.is_zero if isinstance(c, MultiPoly) else c == 0 for c in vec)
+    return all(_is_zero(c) for c in vec)
+
+
+def _witness_point(residual):
+    """Integer point at which the first nonzero component is nonzero."""
+    return nonzero_point(next(c for c in residual if not _is_zero(c)))
 
 
 def jacobi_check(L):
     """Symbolic Jacobi identity for an antisymmetric product.
 
-    Returns (holds, counterexample_triple_or_None); the counterexample is
-    a triple of basis indices when the defect is visible on basis vectors.
+    Returns (holds, None) or (False, (i, j, k)): the residual is
+    trilinear, so ``nonzero_point`` reads a basis triple (e_i, e_j, e_k)
+    off it at which the Jacobi defect is nonzero.
     """
     if not L.is_antisymmetric():
         raise ValueError("jacobi_check requires an antisymmetric tensor")
@@ -131,24 +141,13 @@ def jacobi_check(L):
             L.product(L.product(x, y), z), L.product(y, L.product(x, z))
         )
     ]
-    if _all_zero(_vec_sub(lhs, rhs)):
+    residual = _vec_sub(lhs, rhs)
+    if _all_zero(residual):
         return True, None
+    # the residual is trilinear, so its nonzero box point is (e_i, e_j, e_k)
+    point = _witness_point(residual)
     n = L.dimension
-    basis = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                a, b, c = basis[i], basis[j], basis[k]
-                lv = L.product(a, L.product(b, c))
-                rv = [
-                    p + q
-                    for p, q in zip(
-                        L.product(L.product(a, b), c), L.product(b, L.product(a, c))
-                    )
-                ]
-                if not _all_zero(_vec_sub(lv, rv)):
-                    return False, (i, j, k)
-    return False, None
+    return False, tuple(point[b * n:(b + 1) * n].index(1) for b in range(3))
 
 
 def jordan_residual(J):
@@ -163,26 +162,17 @@ def jordan_residual(J):
 
 
 def jordan_check(J):
-    """(holds, counterexample) for the Jordan identity."""
+    """(holds, counterexample) for the Jordan identity.
+
+    A failure carries integer vectors (x, y) at which the residual of
+    ``jordan_residual`` is nonzero, read off it by ``nonzero_point``.
+    """
     residual = jordan_residual(J)
     if _all_zero(residual):
         return True, None
+    point = _witness_point(residual)
     n = J.dimension
-    # scan small rational vectors for a concrete violation
-    from itertools import product as iproduct
-
-    for x in iproduct((0, 1, -1), repeat=n):
-        if not any(x):
-            continue
-        xx = J.product(list(x), list(x))
-        for y in iproduct((0, 1, -1), repeat=n):
-            if not any(y):
-                continue
-            lhs = J.product(J.product(list(x), list(y)), xx)
-            rhs = J.product(list(x), J.product(list(y), xx))
-            if not _all_zero(_vec_sub(lhs, rhs)):
-                return False, (list(x), list(y))
-    return False, None
+    return False, (list(point[:n]), list(point[n:]))
 
 
 DERIVED = "derived"
@@ -318,7 +308,8 @@ def chiral_inverse_check(algebra):
     Solves M^L LI = e0 and M^R RI = e0 by adjugates over generic
     components; inverses are two-sided iff LI det^R = RI det^L as
     polynomial vectors.  For the chiral case returns a witness element
-    whose left and right inverses differ.
+    whose left and right inverses both exist and differ: an integer point
+    where diff_i det^L det^R is nonzero, read off by ``nonzero_point``.
     """
     n = algebra.group.order
     names = tuple(f"x{i}" for i in range(n))
@@ -332,18 +323,6 @@ def chiral_inverse_check(algebra):
     diff = [a * det_r - b * det_l for a, b in zip(li_num, ri_num)]
     if all(p.is_zero for p in diff):
         return TWO_SIDED, None
-    # hunt a rational witness
-    from itertools import product as iproduct
-
-    for coeffs in iproduct((0, 1, -1, 2), repeat=n):
-        if not any(coeffs):
-            continue
-        e = algebra.element(coeffs)
-        try:
-            li = algebra.left_inverse(e)
-            ri = algebra.right_inverse(e)
-        except ZeroDivisionError:
-            continue
-        if li != ri:
-            return CHIRAL, e
-    return CHIRAL, None
+    # both inverses exist and differ wherever diff_i det^L det^R != 0
+    d = next(p for p in diff if not p.is_zero)
+    return CHIRAL, algebra.element(nonzero_point(d * det_l * det_r))

@@ -274,22 +274,3 @@ def test_odd_order_rejects_power_of_two():
     constant = StructureConstant(G, [[1] * 4 for _ in range(4)], LEFT_STANDARD)
     with pytest.raises(ValueError):
         odd_order_zero_divisor(constant)
-
-
-def test_threaded_classification_is_deterministic(monkeypatch):
-    rep_seq = classify("Z2xZ2", RIGHT_STANDARD, SHAPED)
-    monkeypatch.setenv("TWISTDIV_THREADS", "4")
-    rep_par = classify("Z2xZ2", RIGHT_STANDARD, SHAPED)
-    assert rep_par.counts() == rep_seq.counts()
-    assert [c.parameters for c, _ in rep_par.rejected] == [
-        c.parameters for c, _ in rep_seq.rejected
-    ]
-    assert [
-        (w.positive_point, w.nonpositive_point)
-        for _, w in rep_par.rejected
-        if isinstance(w, SignChangeWitness)
-    ] == [
-        (w.positive_point, w.nonpositive_point)
-        for _, w in rep_seq.rejected
-        if isinstance(w, SignChangeWitness)
-    ]

@@ -210,6 +210,33 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--algebra", "nosuch"],
+        ["analyze", "--algebra", "{short_table}"],
+        ["analyze", "--algebra", "{not_json}"],
+        ["identities", "--algebra", "tes", "--pattern", "9"],
+        ["deform", "--family", "1", "--k", "0"],
+        ["encrypt", "--p", "4", "--key", "1,1,0,0", "--msg", "1,2,3,4"],
+        ["encrypt", "--p", "7", "--key", "1,2", "--msg", "1,2,3,4"],
+    ],
+    ids=["unknown-selector", "short-table", "not-json", "pattern-9", "k-0", "p-4",
+         "short-key"],
+)
+def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
+    short = {"group": "Z4", "basis": "left-standard", "ring": "rational",
+             "C": [[1, 1, 1], [1, 1, 1, -1]]}
+    (tmp_path / "short.json").write_text(json.dumps(short))
+    (tmp_path / "not.json").write_text("{C: [[1")
+    argv = [a.format(short_table=tmp_path / "short.json", not_json=tmp_path / "not.json")
+            for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_algebra_json_file_selector(capsys, tmp_path):
     spec = {
         "group": "Z4",

@@ -20,7 +20,12 @@ from twistdiv.deform import (
     witness_search,
 )
 from twistdiv.identities import loop_property_suite
-from twistdiv.structure import CHIRAL, chiral_inverse_check
+from twistdiv.structure import (
+    CHIRAL,
+    anticommutator_algebra,
+    chiral_inverse_check,
+    jordan_check,
+)
 
 FROZEN_TES = tuple(tuple(Fraction(v) for v in row) for row in TABLE_TESSERANION)
 
@@ -277,3 +282,16 @@ def test_family1_members_keep_chirality_and_fingerprint():
         assert li * witness == A.one() and witness * ri == A.one()
         props = loop_property_suite(A)
         assert not props.power_associative and not props.flexible
+
+
+def test_jordan_and_chirality_witnesses_on_a_deformation_member():
+    A = family_constant(5, 3).algebra()
+    Ap = anticommutator_algebra(A)
+    holds, (x, y) = jordan_check(Ap)
+    xx = Ap.product(x, x)
+    assert not holds
+    assert Ap.product(Ap.product(x, y), xx) != Ap.product(x, Ap.product(y, xx))
+    kind, w = chiral_inverse_check(A)
+    li, ri = A.left_inverse(w), A.right_inverse(w)
+    assert kind == CHIRAL and li != ri
+    assert li * w == A.one() and w * ri == A.one()

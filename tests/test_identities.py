@@ -9,7 +9,7 @@ from twistdiv.algebra import (
     quaternion_algebra,
     tesseranion_algebra,
 )
-from twistdiv.deform import structure_constant_from_generator
+from twistdiv.deform import family_constant, structure_constant_from_generator
 from twistdiv.identities import (
     Expander,
     L,
@@ -211,6 +211,60 @@ def test_loop_properties_tesseranion():
     # the power-associativity witness is the generator's cube ambiguity
     w = T.element([0, 1, 0, 0])
     assert w * (w * w) == -((w * w) * w)
+
+
+# each law as the difference of its two sides at concrete elements
+LAW_RESIDUALS = {
+    "flexible": lambda x, y, z: (x * y) * x - x * (y * x),
+    "left_alternative": lambda x, y, z: x * (x * y) - (x * x) * y,
+    "right_alternative": lambda x, y, z: (y * x) * x - y * (x * x),
+    "commutative": lambda x, y, z: x * y - y * x,
+    "associative": lambda x, y, z: (x * y) * z - x * (y * z),
+    "left_bol": lambda x, y, z: x * (y * (x * z)) - (x * (y * x)) * z,
+    "right_bol": lambda x, y, z: ((z * x) * y) * x - z * ((x * y) * x),
+    "moufang": lambda x, y, z: (x * y) * (z * x) - (x * (y * z)) * x,
+    "cube": lambda x, y, z: x * (x * x) - (x * x) * x,
+}
+
+LOOP_VERDICTS = {
+    "flexible": ("flexible",),
+    "power_associative": ("power_associative",),
+    "alternative": ("left_alternative", "right_alternative"),
+    "left_bol": ("left_bol",),
+    "right_bol": ("right_bol",),
+    "moufang": ("moufang",),
+    "commutative": ("commutative",),
+    "associative": ("associative",),
+}
+
+
+def _violates(law, args):
+    if law == "power_associative":
+        (x,) = args
+        xx = x * x
+        powers = {((xx * x) * x).coeffs, ((x * xx) * x).coeffs, (xx * xx).coeffs,
+                  (x * (xx * x)).coeffs, (x * (x * xx)).coeffs}
+        return len(powers) > 1 or not LAW_RESIDUALS["cube"](x, x, x).is_zero()
+    x, y, z = (list(args) + [None, None])[:3]
+    return not LAW_RESIDUALS[law](x, y, z).is_zero()
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [complex_algebra(), quaternion_algebra(), T]
+    + [family_constant(f, 2).algebra() for f in range(1, 9)],
+    ids=["C", "H", "T"] + [f"family{f}" for f in range(1, 9)],
+)
+def test_every_failed_loop_law_carries_an_exact_counterexample(algebra):
+    props = loop_property_suite(algebra)
+    for verdict, laws in LOOP_VERDICTS.items():
+        if getattr(props, verdict):
+            assert not any(law in props.counterexamples for law in laws)
+            continue
+        failed = [law for law in laws if law in props.counterexamples]
+        assert failed, verdict
+        for law in failed:
+            assert _violates(law, props.counterexamples[law]), law
 
 
 def test_loop_properties_quaternion_and_complex():

@@ -13,6 +13,7 @@ from twistdiv.poly import (
     find_psd_sos,
     find_sign_change,
     isolate_real_root,
+    nonzero_point,
     perfect_square_root,
     squarefree_part,
     structured_probes,
@@ -241,3 +242,26 @@ def test_homogeneous_determinant_degree():
         det_l, det_r = det_polynomials(cand.constant)
         assert det_l.is_homogeneous() and det_l.degree() == 4
         assert det_r.is_homogeneous() and det_r.degree() == 4
+
+
+def test_nonzero_point_reaches_past_the_roots():
+    """x^3 - x vanishes on {0, 1, -1}; the box {0..3} must reach 2."""
+    (x,) = MultiPoly.variables(("x",))
+    p = x**3 - x
+    point = nonzero_point(p)
+    assert point == (2,) and p.evaluate(point) != 0
+
+
+def test_nonzero_point_multivariate_residual():
+    y0, y1, y2, y3 = _ys()
+    # vanishes on {0, 1}^4 and wherever y0 = y1, yet is nonzero
+    p = (y0 - y1) * (y0**2 - y0) * y2 * (y3 + 5)
+    point = nonzero_point(p)
+    assert p.evaluate(point) != 0
+    top = max(sum(e) for e in p.terms)
+    assert all(0 <= v <= top for v in point)
+
+
+def test_nonzero_point_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError):
+        nonzero_point(MultiPoly.zero(YVARS))

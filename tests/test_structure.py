@@ -87,6 +87,22 @@ def test_jacobi():
         jacobi_check(anticommutator_algebra(T))
 
 
+def test_jacobi_failure_carries_a_basis_triple():
+    # antisymmetric [e0,e1] = e2, [e1,e2] = e1, [e0,e2] = e0: not a Lie algebra
+    n = 3
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), vec in {(0, 1): (0, 0, 1), (1, 2): (0, 1, 0), (0, 2): (1, 0, 0)}.items():
+        tensor[i][j] = list(vec)
+        tensor[j][i] = [-v for v in vec]
+    L = BilinearAlgebra(tensor)
+    holds, (i, j, k) = jacobi_check(L)
+    a, b, c = ([int(m == t) for m in range(n)] for t in (i, j, k))
+    lhs = L.product(a, L.product(b, c))
+    rhs = [p + q for p, q in zip(L.product(L.product(a, b), c),
+                                 L.product(b, L.product(a, c)))]
+    assert not holds and lhs != rhs
+
+
 def test_jordan():
     Tp = anticommutator_algebra(T)
     ok, ce = jordan_check(Tp)
