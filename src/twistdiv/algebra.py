@@ -215,6 +215,52 @@ class StructureConstant:
         return "\n".join(lines)
 
 
+# -- the structure-tensor kernel ------------------------------------------
+#
+# An algebra is compiled once into sparse entries (i, j, k, c), meaning
+# "e_i * e_j has coefficient c on e_k"; a twisted group algebra has the
+# n^2 entries (a, b, ab, C(a, b)).  Every product and multiplication
+# matrix is read off these entries by the two functions below.
+
+
+def _scalar_zero(f):
+    # polynomial factors are never skipped, so a product of polynomial
+    # vectors keeps polynomial components (zero polynomials included)
+    return not isinstance(f, MultiPoly) and f == 0
+
+
+def tensor_product(entries, x, y, zero):
+    """Components of x*y: each entry adds x_i c y_j to component k.
+
+    Zero scalar factors are skipped; a component that receives no term
+    is ``zero``.
+    """
+    out = [None] * len(x)
+    for i, j, k, c in entries:
+        xi, yj = x[i], y[j]
+        if _scalar_zero(xi) or _scalar_zero(yj):
+            continue
+        term = xi * c * yj
+        acc = out[k]
+        out[k] = term if acc is None else acc + term
+    return [zero if v is None else v for v in out]
+
+
+def mult_matrix(entries, v, left, zero):
+    """Matrix of x -> x*v (``left``) or of y -> v*y, as a list of rows.
+
+    Each entry adds c v_j to cell (k, i) of the left matrix and v_i c to
+    cell (k, j) of the right one; a cell that receives no term is ``zero``.
+    """
+    n = len(v)
+    rows = [[None] * n for _ in range(n)]
+    for i, j, k, c in entries:
+        col, term = (i, c * v[j]) if left else (j, v[i] * c)
+        acc = rows[k][col]
+        rows[k][col] = term if acc is None else acc + term
+    return [[zero if t is None else t for t in row] for row in rows]
+
+
 class AlgebraElement:
     """Element of a twisted group algebra: a coefficient per group element."""
 
@@ -229,10 +275,7 @@ class AlgebraElement:
     def _check(self, other):
         if not isinstance(other, AlgebraElement):
             raise TypeError("expected an algebra element")
-        if other.algebra.ring != self.algebra.ring or (
-            other.algebra.constant != self.algebra.constant
-        ):
-            raise ValueError("elements belong to different algebras")
+        self.algebra._check_member(other)
 
     def __add__(self, other):
         self._check(other)
@@ -290,6 +333,13 @@ class TwistedAlgebra:
         self.constant = constant
         self.group = constant.group
         self.ring = ring
+        n = self.group.order
+        self.entries = tuple(
+            (a, b, self.group.mul(a, b), constant(a, b))
+            for a in range(n)
+            for b in range(n)
+        )
+        self._zero = ring.coerce(0)
 
     # -- element construction -------------------------------------------
 
@@ -318,50 +368,27 @@ class TwistedAlgebra:
 
     # -- products --------------------------------------------------------
 
+    def _check_member(self, x):
+        if x.algebra is not self and (
+            x.algebra.ring != self.ring or x.algebra.constant != self.constant
+        ):
+            raise ValueError("elements belong to different algebras")
+
     def product(self, x, y):
         """x*y with components sum_a x_a C(a, a^-1 c) y_{a^-1 c} on v_c."""
-        if x.algebra.ring != self.ring or y.algebra.ring != self.ring:
-            raise ValueError("ring mismatch")
-        n = self.group.order
-        inv = [self.group.inverse(a) for a in range(n)]
-        out = []
-        for c in range(n):
-            acc = None
-            for a in range(n):
-                xa = x.coeffs[a]
-                if isinstance(xa, (int, Fraction)) and xa == 0:
-                    continue
-                b = self.group.mul(inv[a], c)
-                term = xa * self.constant(a, b) * y.coeffs[b]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = self.zero().coeffs[0]
-            out.append(acc)
-        return AlgebraElement(self, out)
+        self._check_member(x)
+        self._check_member(y)
+        return AlgebraElement(
+            self, tensor_product(self.entries, x.coeffs, y.coeffs, self._zero)
+        )
 
     def mult_matrix_left(self, y):
         """Matrix M with M_{c,a} = C(a, a^-1 c) y_{a^-1 c}, so M x = x*y."""
-        n = self.group.order
-        return [
-            [
-                self.constant(a, self.group.mul(self.group.inverse(a), c))
-                * y.coeffs[self.group.mul(self.group.inverse(a), c)]
-                for a in range(n)
-            ]
-            for c in range(n)
-        ]
+        return mult_matrix(self.entries, y.coeffs, True, self._zero)
 
     def mult_matrix_right(self, x):
         """Matrix M with M_{c,b} = x_{c b^-1} C(c b^-1, b), so M y = x*y."""
-        n = self.group.order
-        return [
-            [
-                x.coeffs[self.group.mul(c, self.group.inverse(b))]
-                * self.constant(self.group.mul(c, self.group.inverse(b)), b)
-                for b in range(n)
-            ]
-            for c in range(n)
-        ]
+        return mult_matrix(self.entries, x.coeffs, False, self._zero)
 
     # -- involutions -------------------------------------------------
 

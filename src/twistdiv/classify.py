@@ -45,6 +45,20 @@ RAW = "raw"
 PARAM_NAMES = ("alpha", "beta", "delta", "epsilon", "phi", "omega")
 
 
+def cyclic4_table(alpha, beta, delta, epsilon, phi, omega):
+    """The order-4 cyclic table shape in the left-standard basis.
+
+    The power cells keep their normalized value 1 and the half-order
+    square v2*v2 is -1; the six other cells are the named parameters.
+    """
+    return [
+        [1, 1, 1, 1],
+        [1, 1, 1, alpha],
+        [1, beta, -1, delta],
+        [1, epsilon, phi, omega],
+    ]
+
+
 @dataclass(frozen=True)
 class CandidateConstant:
     constant: StructureConstant
@@ -166,15 +180,9 @@ def enumerate_candidates(group, convention, mode=SHAPED):
             out.append(CandidateConstant(constant, params))
         return out
     if group.name == "Z4":
-        for alpha, beta, delta, epsilon, phi, omega in _sign_options(6):
-            values = [
-                [1, 1, 1, 1],
-                [1, 1, 1, alpha],
-                [1, beta, -1, delta],
-                [1, epsilon, phi, omega],
-            ]
-            params = tuple(zip(PARAM_NAMES, (alpha, beta, delta, epsilon, phi, omega)))
-            constant = StructureConstant(group, values, LEFT_STANDARD)
+        for signs in _sign_options(6):
+            params = tuple(zip(PARAM_NAMES, signs))
+            constant = StructureConstant(group, cyclic4_table(*signs), LEFT_STANDARD)
             if convention == RIGHT_STANDARD:
                 constant = constant.transpose()
             out.append(CandidateConstant(constant, params))
@@ -402,19 +410,13 @@ def odd_order_zero_divisor(constant):
     while x != 0:
         subgroup.append(x)
         x = group.mul(x, g)
-    index = {h: i for i, h in enumerate(subgroup)}
     var = ("s",)
-    s = MultiPoly.variable("s", var)
     one = MultiPoly.constant(var, 1)
-    rows = []
-    for c in subgroup:
-        row = []
-        for a in subgroup:
-            b = group.mul(group.inverse(a), c)
-            coeff = constant(a, b)
-            row.append(coeff * (s if b == 0 else one))
-        rows.append(row)
-    det = symbolic_det(rows)
+    algebra = TwistedAlgebra(constant, RATIONALS)
+    # y = s v_0 + sum of the other v_h; only the subgroup block is used
+    y = algebra.element([MultiPoly.variable("s", var)] + [one] * (n - 1))
+    ml = algebra.mult_matrix_left(y)
+    det = symbolic_det([[ml[c][a] for a in subgroup] for c in subgroup])
     coeffs = uni_coeffs(det, "s")
     if (len(coeffs) - 1) % 2 == 0:
         raise AssertionError("restricted determinant should have odd degree")

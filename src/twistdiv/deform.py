@@ -26,12 +26,10 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
-from .classify import det_polynomials
+from .classify import PARAM_NAMES, cyclic4_table, det_polynomials
 from .groups import LEFT_STANDARD, group_by_name
 from .poly import MultiPoly, _fraction_sqrt, find_sign_change, symbolic_det
 from .structure import commutator_algebra
-
-PARAM_NAMES = ("alpha", "beta", "delta", "epsilon", "phi", "omega")
 
 TES_PARAMS = {"alpha": -1, "beta": -1, "delta": 1, "epsilon": 1, "phi": -1, "omega": 1}
 
@@ -48,12 +46,7 @@ def parametric_constant(params):
         raise ValueError(f"need exactly the parameters {PARAM_NAMES}")
     if any(v == 0 for v in p.values()):
         raise ValueError("parameters must be nonzero")
-    values = [
-        [1, 1, 1, 1],
-        [1, 1, 1, p["alpha"]],
-        [1, p["beta"], -1, p["delta"]],
-        [1, p["epsilon"], p["phi"], p["omega"]],
-    ]
+    values = cyclic4_table(*(p[name] for name in PARAM_NAMES))
     return StructureConstant(group_by_name("Z4"), values, LEFT_STANDARD)
 
 
@@ -243,17 +236,14 @@ def commutator_rescaling(k):
     if u is None:
         return False, False
     member = family_constant(1, k)
-    deformed = commutator_algebra(member.algebra())
-    reference = commutator_algebra(tesseranion_algebra())
+    deformed = commutator_algebra(member.algebra()).coefficients()
+    reference = commutator_algebra(tesseranion_algebra()).coefficients()
     scale = (Fraction(1), u, Fraction(1), u)
-    n = 4
-    for i in range(n):
-        for j in range(n):
-            for t in range(n):
-                lhs = deformed.tensor[i][j][t] * scale[i] * scale[j] / scale[t]
-                if lhs != reference.tensor[i][j][t]:
-                    return True, False
-    return True, True
+    rescaled = {
+        (i, j, t): c * scale[i] * scale[j] / scale[t]
+        for (i, j, t), c in deformed.items()
+    }
+    return True, rescaled == reference
 
 
 def _rational_pairs(height):
@@ -321,23 +311,13 @@ GENERIC_VARS = PARAM_NAMES + ("y0", "y1", "y2", "y3")
 
 def generic_det_ml():
     """det M^L with all six parameters and all four components symbolic."""
-    gens = {name: MultiPoly.variable(name, GENERIC_VARS) for name in GENERIC_VARS}
-    one = MultiPoly.constant(GENERIC_VARS, 1)
-    values = [
-        [one, one, one, one],
-        [one, one, one, gens["alpha"]],
-        [one, gens["beta"], -one, gens["delta"]],
-        [one, gens["epsilon"], gens["phi"], gens["omega"]],
-    ]
-    ys = [gens[f"y{i}"] for i in range(4)]
-    rows = []
-    for c in range(4):
-        row = []
-        for a in range(4):
-            b = (c - a) % 4
-            row.append(values[a][b] * ys[b])
-        rows.append(row)
-    return symbolic_det(rows)
+    params = MultiPoly.variables(GENERIC_VARS)[: len(PARAM_NAMES)]
+    constant = StructureConstant(
+        group_by_name("Z4"), cyclic4_table(*params), LEFT_STANDARD
+    )
+    algebra = TwistedAlgebra(constant, RATIONALS)
+    y = algebra.generic_element("y", GENERIC_VARS)
+    return symbolic_det(algebra.mult_matrix_left(y))
 
 
 def generic_det_ml_reference():

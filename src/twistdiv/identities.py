@@ -14,10 +14,11 @@ algebra product is evaluated over the polynomial ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
 from . import _linalg
-from .poly import MultiPoly, nonzero_point
+from .poly import _is_zero, nonzero_point
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -175,10 +176,6 @@ def identity_residual(algebra, combo):
     return list(combination_value(Expander(algebra, nvars), combo).coeffs)
 
 
-def _is_zero(c):
-    return c.is_zero if isinstance(c, MultiPoly) else c == 0
-
-
 def verify_identity(algebra, combo):
     """True iff the coefficient combination vanishes identically."""
     return all(_is_zero(c) for c in identity_residual(algebra, combo))
@@ -214,16 +211,10 @@ class IdentitySpace:
             "monomials": [t.serialize() for t in self.monomials],
             "dimension": self.dimension,
             "basis": [
-                [[v.numerator, v.denominator] for v in map(_as_frac, vec)]
+                [[v.numerator, v.denominator] for v in map(Fraction, vec)]
                 for vec in self.nullspace_basis
             ],
         }
-
-
-def _as_frac(x):
-    from fractions import Fraction
-
-    return Fraction(x)
 
 
 def identity_space(algebra, pattern):

@@ -258,6 +258,11 @@ class MultiPoly:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def _is_zero(c):
+    """Zero test for a scalar or a polynomial that builds no polynomial."""
+    return c.is_zero if isinstance(c, MultiPoly) else c == 0
+
+
 # -- determinants ----------------------------------------------------
 
 
@@ -312,10 +317,6 @@ def symbolic_det(rows):
         minors = new
     full = (1 << n) - 1
     return minors.get(full, MultiPoly.zero(template.vars))
-
-
-def specialize(p, bindings):
-    return p.specialize(bindings)
 
 
 def nonzero_point(p):

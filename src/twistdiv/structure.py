@@ -13,50 +13,51 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .poly import MultiPoly, nonzero_point, symbolic_det
+from .algebra import tensor_product
+from .poly import MultiPoly, _is_zero, nonzero_point, symbolic_det
 
 
 class BilinearAlgebra:
     """Finite-dimensional algebra given by its structure tensor.
 
-    tensor[i][j] is the coefficient vector of e_i * e_j in the basis, so
-    products of arbitrary coefficient vectors extend bilinearly.
+    tensor[i][j] is the coefficient vector of e_i * e_j in the basis.  It
+    is stored as sparse entries (i, j, k, c) with c nonzero, and products
+    of coefficient vectors go through the same kernel as twisted group
+    algebras.
     """
 
     def __init__(self, tensor):
-        self.tensor = tuple(
-            tuple(tuple(Fraction(c) for c in vec) for vec in row) for row in tensor
+        self.dimension = len(tensor)
+        self.entries = tuple(
+            (i, j, k, Fraction(c))
+            for i, row in enumerate(tensor)
+            for j, vec in enumerate(row)
+            for k, c in enumerate(vec)
+            if c != 0
         )
-        self.dimension = len(self.tensor)
 
-    def product(self, x, y):
-        n = self.dimension
-        out = [0] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                f = x[i] * y[j]
-                for k, c in enumerate(self.tensor[i][j]):
-                    if c != 0:
-                        out[k] = out[k] + f * c
+    @classmethod
+    def from_entries(cls, dimension, entries):
+        """Algebra with the given (i, j, k, c) entries, c nonzero, keys unique."""
+        out = cls.__new__(cls)
+        out.dimension = dimension
+        out.entries = tuple(entries)
         return out
 
+    def coefficients(self):
+        """{(i, j, k): c} for the nonzero coefficients of e_i * e_j on e_k."""
+        return {(i, j, k): c for i, j, k, c in self.entries}
+
+    def product(self, x, y):
+        return tensor_product(self.entries, x, y, 0)
+
     def is_antisymmetric(self):
-        n = self.dimension
-        return all(
-            all(a == -b for a, b in zip(self.tensor[i][j], self.tensor[j][i]))
-            for i in range(n)
-            for j in range(n)
-        )
+        coeffs = self.coefficients()
+        return all(coeffs.get((j, i, k), 0) == -c for (i, j, k), c in coeffs.items())
 
     def is_symmetric(self):
-        n = self.dimension
-        return all(
-            self.tensor[i][j] == self.tensor[j][i] for i in range(n) for j in range(n)
-        )
+        coeffs = self.coefficients()
+        return all(coeffs.get((j, i, k), 0) == c for (i, j, k), c in coeffs.items())
 
     def generic(self, prefix, variables):
         return [
@@ -65,36 +66,28 @@ class BilinearAlgebra:
         ]
 
 
+def _symmetrized(algebra, sign):
+    """Bilinear algebra with product (xy + sign yx)/2 over ``algebra``."""
+    coeffs = {}
+    for i, j, k, c in algebra.entries:
+        for key, v in (((i, j, k), c), ((j, i, k), sign * c)):
+            coeffs[key] = coeffs.get(key, 0) + Fraction(v, 2)
+    return BilinearAlgebra.from_entries(
+        algebra.group.order,
+        [(i, j, k, c) for (i, j, k), c in coeffs.items() if c != 0],
+    )
+
+
 def commutator_algebra(algebra):
-    """A^- with [v_i, v_j] = (C(i,j) - C(j,i))/2 v_{ij}."""
-    n = algebra.group.order
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [Fraction(0)] * n
-            vec[algebra.group.mul(i, j)] = Fraction(
-                algebra.constant(i, j) - algebra.constant(j, i), 2
-            )
-            row.append(vec)
-        tensor.append(row)
-    return BilinearAlgebra(tensor)
+    """A^- with [x, y] = (xy - yx)/2; for an abelian grading group
+    [v_i, v_j] = (C(i,j) - C(j,i))/2 v_{ij}."""
+    return _symmetrized(algebra, -1)
 
 
 def anticommutator_algebra(algebra):
-    """A^+ with v_i . v_j = (C(i,j) + C(j,i))/2 v_{ij}."""
-    n = algebra.group.order
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [Fraction(0)] * n
-            vec[algebra.group.mul(i, j)] = Fraction(
-                algebra.constant(i, j) + algebra.constant(j, i), 2
-            )
-            row.append(vec)
-        tensor.append(row)
-    return BilinearAlgebra(tensor)
+    """A^+ with x . y = (xy + yx)/2; for an abelian grading group
+    v_i . v_j = (C(i,j) + C(j,i))/2 v_{ij}."""
+    return _symmetrized(algebra, 1)
 
 
 def _generic_triple(L):
@@ -109,10 +102,6 @@ def _generic_triple(L):
 
 def _vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
-
-
-def _is_zero(c):
-    return c.is_zero if isinstance(c, MultiPoly) else c == 0
 
 
 def _all_zero(vec):

@@ -244,11 +244,21 @@ def test_json_round_trip_table_v_encoding():
     assert json.loads(json.dumps(A.to_json())) == doc
 
 
-def test_ring_mismatch_rejected():
-    T = tesseranion_algebra()
-    Tp = tesseranion_algebra_mod(7)
-    with pytest.raises(ValueError):
-        T.product(T.one(), Tp.one())
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (tesseranion_algebra(), tesseranion_algebra_mod(7)),
+        (tesseranion_algebra(), quaternion_algebra()),
+        (tesseranion_algebra(), complex_algebra()),
+        (complex_algebra(), tesseranion_algebra()),
+    ],
+    ids=["T-T7", "T-H", "T-C", "C-T"],
+)
+def test_ring_mismatch_rejected(left, right):
+    with pytest.raises(ValueError, match="different algebras"):
+        left.basis_element(1) * right.basis_element(1)
+    with pytest.raises(ValueError, match="different algebras"):
+        left.product(left.one(), right.one())
 
 
 def test_structure_constant_validation():
