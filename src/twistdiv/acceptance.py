@@ -57,6 +57,7 @@ from .norms import (
 from .poly import (
     MultiPoly,
     SignChangeWitness,
+    certifies_positive_definite,
     count_real_roots,
     uni_coeffs,
 )
@@ -432,7 +433,12 @@ def criterion_10():
 
 
 def criterion_11():
-    """Fingerprint separation and the pinned raw-mode regression values."""
+    """Fingerprint separation and the pinned raw-mode regression values.
+
+    Raw Z4 is classified one sign-rescaling orbit at a time, so most of
+    its certificates were carried over from another table of the orbit;
+    every one is re-checked here against its own candidate.
+    """
     fp_h = non_isomorphism_fingerprint(quaternion_algebra())
     fp_t = non_isomorphism_fingerprint(tesseranion_algebra())
     ok = fp_h.power_associative and not fp_t.power_associative
@@ -445,6 +451,13 @@ def criterion_11():
     }
     from .algebra import TwistedAlgebra
 
+    verified = sum(_verify_rejection(c, w) for c, w in rep.rejected)
+    for cand, cert in rep.survivors:
+        det_l, det_r = det_polynomials(cand.constant)
+        verified += certifies_positive_definite(det_l, cert.cert_left)
+        verified += certifies_positive_definite(det_r, cert.cert_right)
+    certificates = len(rep.rejected) + 2 * len(rep.survivors)
+    ok = ok and verified == certificates
     fps = [
         non_isomorphism_fingerprint(TwistedAlgebra(c.constant))
         for c, _ in rep.survivors
@@ -452,7 +465,8 @@ def criterion_11():
     ok = ok and all(fp == fp_t for fp in fps)
     return ok, (
         f"H power-assoc={fp_h.power_associative}, T={fp_t.power_associative}; "
-        f"raw Z4 counts={counts}; all {len(fps)} raw survivors share T's fingerprint"
+        f"raw Z4 counts={counts}; {verified}/{certificates} raw certificates "
+        f"re-verified; all {len(fps)} raw survivors share T's fingerprint"
     )
 
 

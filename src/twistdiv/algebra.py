@@ -384,10 +384,12 @@ class TwistedAlgebra:
 
     def mult_matrix_left(self, y):
         """Matrix M with M_{c,a} = C(a, a^-1 c) y_{a^-1 c}, so M x = x*y."""
+        self._check_member(y)
         return mult_matrix(self.entries, y.coeffs, True, self._zero)
 
     def mult_matrix_right(self, x):
         """Matrix M with M_{c,b} = x_{c b^-1} C(c b^-1, b), so M y = x*y."""
+        self._check_member(x)
         return mult_matrix(self.entries, x.coeffs, False, self._zero)
 
     # -- involutions -------------------------------------------------

@@ -28,6 +28,7 @@ from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
     MultiPoly,
+    SignChangeWitness,
     certifies_positive_definite,
     count_real_roots,
     find_diagonal_sos,
@@ -274,6 +275,73 @@ def _classify_one(candidate, grid_bound):
     return "undetermined", None, psd
 
 
+def _rescaled_tables(constant):
+    """(table, s) for every sign vector s with s_0 = 1.
+
+    Rescaling the basis, v_g -> s_g v_g, turns C into the table
+    C^s(a, b) = s_a s_b s_ab C(a, b).  The map w_g -> s_g v_g is a graded
+    isomorphism from the algebra of C^s onto that of C, so
+    det M^L_{C^s}(y) = det M^L_C(s o y), and likewise for M^R.
+    """
+    group = constant.group
+    n = group.order
+    for signs in _sign_options(n - 1):
+        s = (1,) + signs
+        table = tuple(
+            tuple(s[a] * s[b] * s[group.mul(a, b)] * constant(a, b) for b in range(n))
+            for a in range(n)
+        )
+        yield table, s
+
+
+def _transport(result, s, candidate):
+    """The result of C carried to the candidate with table C^s.
+
+    Each certificate is mapped by y -> s o y and re-verified exactly on
+    the candidate's own multiplication matrices; returns None when a
+    check fails or there is no certificate to carry.
+    """
+    verdict, payload, _ = result
+    if payload is None:
+        return None
+
+    def flip(point):
+        return tuple(si * v for si, v in zip(s, point))
+
+    if isinstance(payload, SignChangeWitness):
+        # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
+        algebra = TwistedAlgebra(candidate.constant, RATIONALS)
+        pos, nonpos = flip(payload.positive_point), flip(payload.nonpositive_point)
+        vp, vn = (
+            symbolic_det(algebra.mult_matrix_left(algebra.element(p)))
+            for p in (pos, nonpos)
+        )
+        if not (vp == payload.positive_value > 0 >= vn == payload.nonpositive_value):
+            return None
+        return verdict, SignChangeWitness(pos, nonpos, vp, vn), None
+    det_l, det_r = det_polynomials(candidate.constant)
+    if isinstance(payload, RealRootRejection):
+        # the line y_i = t, y_j = base_j becomes y_i = s_i t, y_j = s_j base_j
+        sign = s[payload.position]
+        lo, hi = payload.interval
+        others = (v for i, v in enumerate(s) if i != payload.position)
+        witness = RealRootRejection(
+            payload.position,
+            tuple(si * v for si, v in zip(others, payload.base)),
+            tuple(c * sign**k for k, c in enumerate(payload.coefficients)),
+            (lo, hi) if sign == 1 else (-hi, -lo),
+            payload.root_count,
+        )
+        if not witness.verify(det_l):
+            return None
+        return verdict, witness, find_psd_sos(det_l)
+    # diagonal SOS bases are sums of squares, unchanged by y -> s o y
+    certified = certifies_positive_definite(
+        det_l, payload.cert_left
+    ) and certifies_positive_definite(det_r, payload.cert_right)
+    return result if certified else None
+
+
 def classify(group, convention=LEFT_STANDARD, mode=SHAPED, grid_bound=3):
     """Full classification run; deterministic given the enumeration order.
 
@@ -282,6 +350,11 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED, grid_bound=3):
     certificates for both determinants.  Candidates with neither land in
     the undetermined bucket; for the shaped runs of the supported groups
     that bucket is empty.
+
+    The first candidate of each sign-rescaling orbit is classified; a
+    later candidate of the same orbit gets that result mapped by
+    y -> s o y, its certificates re-verified on its own determinants,
+    and is classified itself if any check fails.
     """
     if isinstance(group, str):
         group = group_by_name(group)
@@ -294,8 +367,16 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED, grid_bound=3):
         )
     candidates = enumerate_candidates(group, convention, mode)
     rejected, survivors, undetermined, psd_notes = [], [], [], {}
+    orbit_results = {}  # table C^s -> (result for C, s)
     for idx, cand in enumerate(candidates):
-        verdict, payload, psd = _classify_one(cand, grid_bound)
+        known = orbit_results.get(cand.constant.values)
+        outcome = _transport(*known, cand) if known else None
+        if outcome is None:
+            outcome = _classify_one(cand, grid_bound)
+            if known is None:
+                for table, s in _rescaled_tables(cand.constant):
+                    orbit_results.setdefault(table, (outcome, s))
+        verdict, payload, psd = outcome
         if psd is not None:
             psd_notes[idx] = psd
         if verdict == "rejected":

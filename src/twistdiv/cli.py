@@ -112,6 +112,7 @@ def cmd_classify(args):
         ],
         "rejected": [
             {
+                "C": [list(r) for r in cand.constant.values],
                 "parameters": dict(cand.parameters),
                 "witness": _witness_json(w),
             }

@@ -698,18 +698,16 @@ def find_sign_change(p, bound=3, denominators=(1, 2), extra_probes=(), use_grid=
         raise ValueError("polynomial must have at least one indeterminate")
     positive = None
     nonpositive = None
-    probe_sets = (tuple(extra_probes), tuple(structured_probes(len(p.vars))))
-    for probes in probe_sets:
-        for pt in probes:
-            v = p.evaluate(pt)
-            if v > 0 and positive is None:
-                positive = (pt, v)
-            elif v <= 0 and nonpositive is None:
-                nonpositive = (pt, v)
-            if positive and nonpositive:
-                return SignChangeWitness(
-                    positive[0], nonpositive[0], positive[1], nonpositive[1]
-                )
+    for pt in itertools.chain(extra_probes, structured_probes(len(p.vars))):
+        v = p.evaluate(pt)
+        if v > 0 and positive is None:
+            positive = (pt, v)
+        elif v <= 0 and nonpositive is None:
+            nonpositive = (pt, v)
+        if positive and nonpositive:
+            return SignChangeWitness(
+                positive[0], nonpositive[0], positive[1], nonpositive[1]
+            )
     if not use_grid:
         return None
     if nonpositive is None:

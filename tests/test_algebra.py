@@ -261,6 +261,18 @@ def test_ring_mismatch_rejected(left, right):
         left.product(left.one(), right.one())
 
 
+@pytest.mark.parametrize(
+    "method", ["mult_matrix_left", "mult_matrix_right", "left_inverse", "right_inverse"]
+)
+@pytest.mark.parametrize(
+    "foreign", [quaternion_algebra(), complex_algebra()], ids=["T-H", "T-C"]
+)
+def test_matrices_and_inverses_reject_foreign_elements(foreign, method):
+    y = foreign.element([1, 1] + [0] * (foreign.group.order - 2))
+    with pytest.raises(ValueError, match="elements belong to different algebras"):
+        getattr(tesseranion_algebra(), method)(y)
+
+
 def test_structure_constant_validation():
     G = group_by_name("Z2")
     with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import importlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistdiv.algebra import (
     TABLE_COMPLEX,
@@ -23,13 +28,18 @@ from twistdiv.classify import (
     odd_order_zero_divisor,
     opposite_uniqueness_check,
 )
-from twistdiv.groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
+from twistdiv.groups import CONVENTIONS, LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from twistdiv.poly import (
+    MultiPoly,
     SignChangeWitness,
+    certifies_positive_definite,
     count_real_roots,
     uni_eval,
     verify_sos,
 )
+
+# the package re-exports the function ``classify`` under the module's name
+CLASSIFY = importlib.import_module("twistdiv.classify")
 
 
 def test_enumerate_counts():
@@ -190,20 +200,128 @@ def test_raw_mode_pinned_counts():
 def test_raw_survivors_are_the_sign_rescaling_orbit():
     """The raw Z4 survivors are exactly the diagonal sign rescalings of
     the shaped survivor (v_g -> s_g v_g with s_e = 1)."""
-    import itertools
-
     G = group_by_name("Z4")
-    orbit = set()
-    for signs in itertools.product((1, -1), repeat=3):
-        s = (1,) + signs
-        orbit.add(tuple(
-            tuple(s[a] * s[b] * s[G.mul(a, b)] * TABLE_TESSERANION[a][b]
-                  for b in range(4))
-            for a in range(4)
-        ))
+    orbit = {
+        tuple(map(tuple, _rescaled(G, TABLE_TESSERANION, (1,) + signs)))
+        for signs in itertools.product((1, -1), repeat=3)
+    }
     assert len(orbit) == 4  # rescalings act through a 2-element kernel
     rep = classify("Z4", LEFT_STANDARD, RAW)
     assert {c.constant.values for c, _ in rep.survivors} == orbit
+
+
+def _rescaled(group, values, s):
+    """C^s(a, b) = s_a s_b s_ab C(a, b), the table of the basis s_g v_g."""
+    n = group.order
+    return [
+        [s[a] * s[b] * s[group.mul(a, b)] * values[a][b] for b in range(n)]
+        for a in range(n)
+    ]
+
+
+def _flip(p, s):
+    """p with every indeterminate v_b replaced by s_b v_b."""
+    return MultiPoly(
+        p.vars,
+        {e: c * math.prod(si**k for si, k in zip(s, e)) for e, c in p.terms.items()},
+    )
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rescaling_substitutes_signs_into_both_determinants(data):
+    group = group_by_name(data.draw(st.sampled_from(("Z4", "Z2xZ2"))))
+    convention = data.draw(st.sampled_from(CONVENTIONS))
+    signs = st.sampled_from((1, -1))
+    values = [[1] * 4] + [[1] + [data.draw(signs) for _ in range(3)] for _ in range(3)]
+    s = (1,) + tuple(data.draw(signs) for _ in range(3))
+    det_l, det_r = det_polynomials(StructureConstant(group, values, convention))
+    rescaled = StructureConstant(group, _rescaled(group, values, s), convention)
+    assert det_polynomials(rescaled) == (_flip(det_l, s), _flip(det_r, s))
+
+
+def _leibniz_det(m):
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(m[r][c] for r, c in enumerate(perm))
+    return total
+
+
+def _left_det_at(constant, y):
+    """det M^L(y) with M_{c,a} = C(a, a^-1 c) y_{a^-1 c}."""
+    group = constant.group
+    n = group.order
+    rows = []
+    for c in range(n):
+        bs = [group.mul(group.inverse(a), c) for a in range(n)]
+        rows.append([constant(a, b) * Fraction(y[b]) for a, b in enumerate(bs)])
+    return _leibniz_det(rows)
+
+
+def _assert_report_verifies(rep):
+    for cand, w in rep.rejected:
+        if isinstance(w, SignChangeWitness):
+            assert any(w.positive_point) and any(w.nonpositive_point)
+            pos = _left_det_at(cand.constant, w.positive_point)
+            nonpos = _left_det_at(cand.constant, w.nonpositive_point)
+            assert pos == w.positive_value > 0 >= nonpos == w.nonpositive_value
+        else:
+            assert isinstance(w, RealRootRejection)
+            assert w.verify(det_polynomials(cand.constant)[0])
+    for cand, cert in rep.survivors:
+        det_l, det_r = det_polynomials(cand.constant)
+        assert certifies_positive_definite(det_l, cert.cert_left)
+        assert certifies_positive_definite(det_r, cert.cert_right)
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    search = CLASSIFY._classify_one
+
+    def counting(candidate, grid_bound):
+        calls.append(candidate)
+        return search(candidate, grid_bound)
+
+    monkeypatch.setattr(CLASSIFY, "_classify_one", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "group, mode, searches",
+    [("Z2", SHAPED, 2), ("Z2xZ2", SHAPED, 32), ("Z4", SHAPED, 64),
+     ("Z2xZ2", RAW, 256), ("Z4", RAW, 128)],
+)
+def test_one_search_per_rescaling_orbit(monkeypatch, group, mode, searches):
+    """Raw Z4 is 128 orbits of 4 tables and raw Z2xZ2 256 orbits of 2; a
+    shaped enumeration holds one table per orbit.  Every certificate,
+    transported or not, verifies independently of the search code."""
+    calls = _count_searches(monkeypatch)
+    rep = classify(group, LEFT_STANDARD, mode)
+    assert len(calls) == searches
+    assert not rep.undetermined
+    _assert_report_verifies(rep)
+
+
+def test_a_certificate_that_fails_its_check_is_searched_again(monkeypatch):
+    """Pair every table of an orbit with the identity rescaling, so that
+    witness points are carried unflipped: those whose values change fail
+    the exact re-check, and their candidates are classified themselves."""
+
+    def unflipped(constant):
+        n = constant.group.order
+        for table, _ in rescalings(constant):
+            yield table, (1,) * n
+
+    rescalings = CLASSIFY._rescaled_tables
+    monkeypatch.setattr(CLASSIFY, "_rescaled_tables", unflipped)
+    calls = _count_searches(monkeypatch)
+    rep = classify("Z4", LEFT_STANDARD, RAW)
+    assert 128 < len(calls) < 512
+    kinds = [type(w).__name__ for _, w in rep.rejected]
+    assert (kinds.count("SignChangeWitness"), kinds.count("RealRootRejection"),
+            len(rep.survivors)) == (504, 4, 4)
+    _assert_report_verifies(rep)
 
 
 def test_raw_mode_klein_pinned_counts():

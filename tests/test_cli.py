@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
+from twistdiv._linalg import det
+from twistdiv.algebra import StructureConstant, TwistedAlgebra
 from twistdiv.cli import main
+from twistdiv.groups import LEFT_STANDARD, group_by_name
 
 CLASSIFY_SCHEMA = {
     "type": "object",
@@ -22,6 +26,13 @@ CLASSIFY_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["C", "certificate_kind"],
+            },
+        },
+        "rejected": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["C", "witness"],
             },
         },
     },
@@ -55,6 +66,28 @@ def test_classify_json(capsys):
         "examined": 2, "rejected": 1, "survivors": 1, "undetermined": 0,
     }
     assert data["survivors"][0]["C"] == [[1, 1], [1, -1]]
+
+
+def test_classify_raw_json_ties_each_witness_to_its_table(capsys):
+    """Raw rejections have no parameters; the table in each entry is what
+    its witness values are re-evaluated against."""
+    code, out = run_cli(
+        capsys, "classify", "--group", "Z2xZ2", "--basis", "left", "--mode", "raw"
+    )
+    assert code == 0
+    data = json.loads(out)
+    jsonschema.validate(data, CLASSIFY_SCHEMA)
+    tables = [entry["C"] for entry in data["rejected"]]
+    assert len(tables) == 510
+    assert len({json.dumps(t) for t in tables}) == 510
+    group = group_by_name("Z2xZ2")
+    for entry in data["rejected"]:
+        algebra = TwistedAlgebra(StructureConstant(group, entry["C"], LEFT_STANDARD))
+        w = entry["witness"]
+        for point, value in (("positive_point", "positive_value"),
+                             ("nonpositive_point", "nonpositive_value")):
+            y = algebra.element([Fraction(n, d) for n, d in w[point]])
+            assert det(algebra.mult_matrix_left(y)) == Fraction(w[value])
 
 
 def test_classify_markdown_reproduces_table(capsys):
