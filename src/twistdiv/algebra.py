@@ -447,23 +447,40 @@ class TwistedAlgebra:
 
     @classmethod
     def from_json(cls, data):
+        """Inverse of ``to_json``; ValueError on a malformed document."""
+        if not isinstance(data, dict):
+            raise ValueError("algebra JSON must be an object")
+        missing = [key for key in ("group", "C") if key not in data]
+        if missing:
+            raise ValueError(f"algebra JSON lacks {', '.join(missing)}")
         group = group_by_name(data["group"])
         ring_name = data.get("ring", "rational")
         if ring_name == "rational":
             ring = RATIONALS
-        elif ring_name.startswith("mod-"):
+        elif isinstance(ring_name, str) and ring_name.startswith("mod-"):
             ring = IntegersModP(int(ring_name.split("-", 1)[1]))
         else:
             raise ValueError(f"unknown ring {ring_name!r}")
 
-        def scalar(v):
-            if isinstance(v, dict):
-                return Fraction(v["num"], v["den"])
-            return v
+        def is_int(v):
+            return isinstance(v, int) and not isinstance(v, bool)
 
+        def scalar(v):
+            if is_int(v):
+                return v
+            if (isinstance(v, dict) and v.keys() == {"num", "den"}
+                    and is_int(v["num"]) and is_int(v["den"]) and v["den"]):
+                return Fraction(v["num"], v["den"])
+            raise ValueError(
+                f"table entry {v!r} is neither an int nor a {{num, den}} pair"
+            )
+
+        rows = data["C"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("C must be a list of rows")
         constant = StructureConstant(
             group,
-            [[scalar(v) for v in row] for row in data["C"]],
+            [[scalar(v) for v in row] for row in rows],
             data.get("basis", LEFT_STANDARD),
         )
         return cls(constant, ring)

@@ -8,13 +8,16 @@ is either
   for both multiplication-matrix determinants, or
 * left in an explicit "undetermined" bucket (sound incompleteness).
 
-Rejection certificates come in two kinds.  The usual one is a rational
-sign-change pair for det M^L (a point with positive value and a nonzero
-point with nonpositive value).  A handful of sign arrays have positive
-*semi*definite determinants whose nontrivial real zeros are all
-irrational; no rational sign-change pair exists for these, so they are
-rejected by restricting the determinant to a rational line and isolating
-a real root with a Sturm certificate.
+Each table is decided by exact routes, in this order: the structured
+probes look for a rational sign-change pair for det M^L (a point with
+positive value and a nonzero point with nonpositive value); a diagonal
+SOS certificate for both determinants proves a survivor; failing both,
+det M^L is restricted to rational lines until one has a real root,
+isolated with a Sturm certificate (the handful of sign arrays this
+rejects have positive *semi*definite determinants whose nontrivial real
+zeros are all irrational, so no rational sign-change pair exists, and
+``find_psd_sos`` records their PSD evidence); a table no route decides
+is left undetermined.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .poly import (
     isolate_real_root,
     symbolic_det,
     uni_coeffs,
-    univariate_real_root_exists,
 )
 
 SHAPED = "shaped"
@@ -87,10 +89,12 @@ class RealRootRejection:
     root_count: int
 
     def verify(self, det_poly):
-        if not any(self.base):
+        nvars = len(det_poly.vars)
+        if (not 0 <= self.position < nvars or len(self.base) != nvars - 1
+                or not any(self.base)):
             return False
         bindings = {}
-        others = [i for i in range(len(det_poly.vars)) if i != self.position]
+        others = [i for i in range(nvars) if i != self.position]
         for i, v in zip(others, self.base):
             bindings[det_poly.vars[i]] = Fraction(v)
         restricted = det_poly.specialize(bindings)
@@ -227,8 +231,6 @@ def line_root_rejection(det_poly):
             coeffs = uni_coeffs(restricted, det_poly.vars[position])
             if len(coeffs) <= 1:
                 continue
-            if not univariate_real_root_exists(restricted):
-                continue
             interval = isolate_real_root(coeffs)
             if interval is None:
                 continue
@@ -255,19 +257,14 @@ def _certify_survivor(det_l, det_r):
     return SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
 
 
-def _classify_one(candidate, grid_bound):
+def _classify_one(candidate):
     det_l, det_r = det_polynomials(candidate.constant)
-    witness = find_sign_change(det_l, bound=grid_bound, use_grid=False)
+    witness = find_sign_change(det_l, use_grid=False)
     if witness is not None:
         return "rejected", witness, None
-    # a verified positive-definiteness certificate rules witnesses out,
-    # so the dense grid scan is only spent on uncertified candidates
     cert = _certify_survivor(det_l, det_r)
     if cert is not None:
         return "survivor", cert, None
-    witness = find_sign_change(det_l, bound=grid_bound)
-    if witness is not None:
-        return "rejected", witness, None
     root = line_root_rejection(det_l)
     psd = find_psd_sos(det_l)
     if root is not None:
@@ -342,7 +339,7 @@ def _transport(result, s, candidate):
     return result if certified else None
 
 
-def classify(group, convention=LEFT_STANDARD, mode=SHAPED, grid_bound=3):
+def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     """Full classification run; deterministic given the enumeration order.
 
     Every rejected candidate carries a verified zero-divisor certificate
@@ -372,7 +369,7 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED, grid_bound=3):
         known = orbit_results.get(cand.constant.values)
         outcome = _transport(*known, cand) if known else None
         if outcome is None:
-            outcome = _classify_one(cand, grid_bound)
+            outcome = _classify_one(cand)
             if known is None:
                 for table, s in _rescaled_tables(cand.constant):
                     orbit_results.setdefault(table, (outcome, s))

@@ -96,7 +96,7 @@ def _witness_json(w):
 def cmd_classify(args):
     convention = LEFT_STANDARD if args.basis == "left" else RIGHT_STANDARD
     mode = SHAPED if args.mode == "shaped" else RAW
-    report = classify(args.group, convention, mode, grid_bound=args.grid_bound)
+    report = classify(args.group, convention, mode)
     data = {
         "group": report.group_name,
         "basis": report.convention,
@@ -305,7 +305,10 @@ def cmd_norms(args):
 
 
 def cmd_deform(args):
-    k = Fraction(args.k)
+    try:
+        k = Fraction(args.k)
+    except ZeroDivisionError:
+        raise ValueError(f"--k {args.k} has a zero denominator") from None
     member = family_constant(args.family, k)
     checks = args.checks.split(",") if args.checks else ["neccons"]
     data = {
@@ -384,7 +387,6 @@ def build_parser():
     p.add_argument("--group", required=True, choices=["Z1", "Z2", "Z4", "Z2xZ2"])
     p.add_argument("--basis", default="left", choices=["left", "right"])
     p.add_argument("--mode", default="shaped", choices=["shaped", "raw"])
-    p.add_argument("--grid-bound", type=int, default=3)
     p.add_argument("--format", default="json", choices=["json", "md"])
     p.set_defaults(func=cmd_classify)
 

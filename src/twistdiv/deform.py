@@ -154,14 +154,16 @@ def family_constant(family, k):
     )
 
 
-def witness_search(constant, bound=3):
+def witness_search(constant):
     """Sign-change search on det M^L for a parametric constant.
 
-    Returns the witness or None; None is an empirical absence statement,
-    not a positivity proof (reports must label it as such).
+    Walks the structured probes, then the dense grid of halves on
+    [-3, 3] (the one caller of that grid).  Returns the witness or None;
+    None is an empirical absence statement, not a positivity proof
+    (reports must label it as such).
     """
     det_l, _ = det_polynomials(constant)
-    return find_sign_change(det_l, bound=bound)
+    return find_sign_change(det_l)
 
 
 # -- basis rebuilds from a chosen generator -------------------------------

@@ -230,7 +230,7 @@ _CACHE = {}
 def group_by_name(name):
     try:
         factory = _FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unsupported group name {name!r}") from None
     if name not in _CACHE:
         _CACHE[name] = factory()

@@ -9,9 +9,11 @@ This module provides the symbolic backbone of the project:
 * rational sign-change searches used to exhibit zero divisors, and
 * exact univariate real-root machinery (Sturm chains, isolation).
 
-All decisions made here are exact; floating point appears only inside a
-numpy pre-screen of grid evaluations, and every candidate point reported
-by the screen is re-checked in integer/rational arithmetic.
+All decisions made here are exact.  Floating point appears only in the
+numpy pre-screen of the dense grid scan, which only
+``deform.witness_search`` runs (classification walks the structured
+probes alone), and every point the screen reports is re-checked in
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -647,29 +649,24 @@ def structured_probes(nvars):
             yield vals
 
 
-def _grid_points(nvars, bound, denominators):
-    values = []
-    for den in denominators:
-        for num in range(-bound * den, bound * den + 1):
-            v = Fraction(num, den)
-            if v not in values:
-                values.append(v)
-    values.sort()
-    for point in itertools.product(values, repeat=nvars):
+# the dense grid: the 13 halves in [-3, 3], in increasing order
+_GRID_VALUES = tuple(Fraction(k, 2) for k in range(-6, 7))
+
+
+def _grid_points(nvars):
+    for point in itertools.product(_GRID_VALUES, repeat=nvars):
         if any(point):
             yield point
 
 
-def _grid_scan_nonpositive(p, bound, denominators):
+def _grid_scan_nonpositive(p):
     """First grid point (deterministic order) with p <= 0, exactly checked.
 
     A numpy evaluation pre-screens the grid; the polynomial has integer
     values at integer points only after clearing denominators, so every
     float candidate below a safety threshold is re-evaluated exactly.
     """
-    points = list(_grid_points(len(p.vars), bound, denominators))
-    if not points:
-        return None
+    points = list(_grid_points(len(p.vars)))
     arr = np.array([[float(x) for x in pt] for pt in points], dtype=np.float64)
     vals = np.zeros(len(points), dtype=np.float64)
     for e, c in p.terms.items():
@@ -687,18 +684,18 @@ def _grid_scan_nonpositive(p, bound, denominators):
     return None
 
 
-def find_sign_change(p, bound=3, denominators=(1, 2), extra_probes=(), use_grid=True):
+def find_sign_change(p, use_grid=True):
     """Search rational points u, v with p(u) > 0 and p(v) <= 0.
 
-    Probes the structured slices first, then (unless use_grid is False) a
-    dense grid on [-bound, bound] with the given denominators.  Returns a
-    SignChangeWitness or None; absence is *not* a positivity proof.
+    Probes the structured slices first, then (unless use_grid is False)
+    the dense grid of halves on [-3, 3].  Returns a SignChangeWitness or
+    None; absence is *not* a positivity proof.
     """
     if not p.vars:
         raise ValueError("polynomial must have at least one indeterminate")
     positive = None
     nonpositive = None
-    for pt in itertools.chain(extra_probes, structured_probes(len(p.vars))):
+    for pt in structured_probes(len(p.vars)):
         v = p.evaluate(pt)
         if v > 0 and positive is None:
             positive = (pt, v)
@@ -711,11 +708,9 @@ def find_sign_change(p, bound=3, denominators=(1, 2), extra_probes=(), use_grid=
     if not use_grid:
         return None
     if nonpositive is None:
-        hit = _grid_scan_nonpositive(p, bound, denominators)
-        if hit is not None:
-            nonpositive = hit
+        nonpositive = _grid_scan_nonpositive(p)
     if positive is None:
-        for pt in _grid_points(len(p.vars), bound, denominators):
+        for pt in _grid_points(len(p.vars)):
             v = p.evaluate(pt)
             if v > 0:
                 positive = (pt, v)
@@ -765,30 +760,10 @@ def uni_derivative(coeffs):
     return [Fraction(k * c) for k, c in enumerate(coeffs)][1:]
 
 
-def uni_rem(a, b):
-    """Remainder of a by b over the rationals."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        da = len(a) - 1
-        f = a[-1] / lead
-        shift = da - db
-        for i in range(db + 1):
-            a[shift + i] -= f * b[i]
-        a = _trim(a)
-        if len(a) - 1 < db:
-            break
-        if a[-1] == 0:
-            a = _trim(a)
-    return _trim(a)
-
-
 def uni_gcd(a, b):
     a, b = _trim(list(a)), _trim(list(b))
     while any(c != 0 for c in b):
-        a, b = b, uni_rem(a, b)
+        a, b = b, _uni_divmod(a, b)[1]
     if all(c == 0 for c in a):
         return [Fraction(0)]
     lead = a[-1]
@@ -825,7 +800,7 @@ def sturm_chain(coeffs):
     p0 = _trim([Fraction(c) for c in coeffs])
     chain = [p0, uni_derivative(p0)]
     while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        r = uni_rem(chain[-2], chain[-1])
+        r = _uni_divmod(chain[-2], chain[-1])[1]
         if all(c == 0 for c in r):
             break
         chain.append([-c for c in r])

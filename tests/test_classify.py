@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -40,6 +41,7 @@ from twistdiv.poly import (
 
 # the package re-exports the function ``classify`` under the module's name
 CLASSIFY = importlib.import_module("twistdiv.classify")
+POLY = importlib.import_module("twistdiv.poly")
 
 
 def test_enumerate_counts():
@@ -109,6 +111,22 @@ def test_classify_z4_left():
     }
     det_l, _ = det_polynomials(cand.constant)
     assert witness.verify(det_l)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda w: {"base": w.base + (1,)}, lambda w: {"position": -1},
+     lambda w: {"base": w.base[:2]}, lambda w: {"position": 7}],
+    ids=["4-entry-base", "position-minus-1", "2-entry-base", "position-7"],
+)
+def test_line_root_verify_rejects_malformed_witnesses(change):
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    (cand, witness), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
+    det_l, _ = det_polynomials(cand.constant)
+    assert witness.verify(det_l)
+    assert dataclasses.replace(witness, **change(witness)).verify(det_l) is False
 
 
 def test_psd_candidate_sos_identity():
@@ -279,9 +297,9 @@ def _count_searches(monkeypatch):
     calls = []
     search = CLASSIFY._classify_one
 
-    def counting(candidate, grid_bound):
+    def counting(candidate):
         calls.append(candidate)
-        return search(candidate, grid_bound)
+        return search(candidate)
 
     monkeypatch.setattr(CLASSIFY, "_classify_one", counting)
     return calls
@@ -295,7 +313,14 @@ def _count_searches(monkeypatch):
 def test_one_search_per_rescaling_orbit(monkeypatch, group, mode, searches):
     """Raw Z4 is 128 orbits of 4 tables and raw Z2xZ2 256 orbits of 2; a
     shaped enumeration holds one table per orbit.  Every certificate,
-    transported or not, verifies independently of the search code."""
+    transported or not, verifies independently of the search code, and
+    no table is sent to the float grid scan."""
+
+    def no_grid(*args):
+        raise AssertionError("classify ran the grid scan")
+
+    monkeypatch.setattr(POLY, "_grid_scan_nonpositive", no_grid)
+    monkeypatch.setattr(POLY, "_grid_points", no_grid)
     calls = _count_searches(monkeypatch)
     rep = classify(group, LEFT_STANDARD, mode)
     assert len(calls) == searches

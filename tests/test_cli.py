@@ -243,27 +243,44 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+_MALFORMED_DOCS = {
+    "short_table": {"group": "Z4", "basis": "left-standard", "ring": "rational",
+                    "C": [[1, 1, 1], [1, 1, 1, -1]]},
+    "empty_object": {},
+    "not_object": [1],
+    "num_only": {"group": "Z2", "C": [[1, 1], [1, {"num": 1}]]},
+    "string_entry": {"group": "Z2", "C": [[1, 1], [1, "-1"]]},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--algebra", "nosuch"],
         ["analyze", "--algebra", "{short_table}"],
         ["analyze", "--algebra", "{not_json}"],
+        ["analyze", "--algebra", "{empty_object}"],
+        ["analyze", "--algebra", "{not_object}"],
+        ["analyze", "--algebra", "{num_only}"],
+        ["analyze", "--algebra", "{string_entry}"],
         ["identities", "--algebra", "tes", "--pattern", "9"],
         ["deform", "--family", "1", "--k", "0"],
+        ["deform", "--family", "1", "--k", "1/0"],
         ["encrypt", "--p", "4", "--key", "1,1,0,0", "--msg", "1,2,3,4"],
         ["encrypt", "--p", "7", "--key", "1,2", "--msg", "1,2,3,4"],
     ],
-    ids=["unknown-selector", "short-table", "not-json", "pattern-9", "k-0", "p-4",
-         "short-key"],
+    ids=["unknown-selector", "short-table", "not-json", "empty-object",
+         "not-object", "num-only-entry", "string-entry", "pattern-9", "k-0",
+         "k-1-over-0", "p-4", "short-key"],
 )
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
-    short = {"group": "Z4", "basis": "left-standard", "ring": "rational",
-             "C": [[1, 1, 1], [1, 1, 1, -1]]}
-    (tmp_path / "short.json").write_text(json.dumps(short))
-    (tmp_path / "not.json").write_text("{C: [[1")
-    argv = [a.format(short_table=tmp_path / "short.json", not_json=tmp_path / "not.json")
-            for a in argv]
+    paths = {}
+    for name, doc in _MALFORMED_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["not_json"] = tmp_path / "not.json"
+    paths["not_json"].write_text("{C: [[1")
+    argv = [a.format(**paths) for a in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
