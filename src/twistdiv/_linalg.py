@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals (dense, Fraction-based).
 
 Everything here works on plain lists of lists; entries may be ints or
-Fractions and are promoted as needed.  The matrices in this project are
-tiny (at most a few hundred rows, ~40 columns), so simple Gaussian
-elimination with exact pivoting is both fast enough and deterministic.
+Fractions and are promoted as needed.  The matrices in this project have
+at most a few hundred rows and columns (identity spaces reach 420
+columns); plain Gaussian elimination over Fractions with exact pivoting
+keeps every result exact and deterministic.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def solve(rows, rhs):
 
 
 def det(rows):
-    """Exact determinant by fraction-free-ish elimination on a copy."""
+    """Exact determinant by Fraction Gaussian elimination on a copy."""
     n = len(rows)
     m = _as_fraction_rows(rows)
     sign = 1

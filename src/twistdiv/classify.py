@@ -259,7 +259,7 @@ def _certify_survivor(det_l, det_r):
 
 def _classify_one(candidate):
     det_l, det_r = det_polynomials(candidate.constant)
-    witness = find_sign_change(det_l, use_grid=False)
+    witness = find_sign_change(det_l)
     if witness is not None:
         return "rejected", witness, None
     cert = _certify_survivor(det_l, det_r)

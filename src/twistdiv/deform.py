@@ -6,7 +6,8 @@ allowed arbitrary nonzero rational values.  This module provides:
 * the necessary sign conditions for absence of zero divisors,
 * the eight one-parameter families with their exact validity ranges
   (irrational endpoints are handled by exact rational sign predicates),
-* zero-divisor witness searches on the parametric determinants,
+* zero-divisor witness searches on the parametric determinants (the
+  exact rejection route of ``classify``),
 * basis-rebuild machinery: the structure constant generated by a chosen
   element w (basis 1, w, w^2, w*w^2), used for the k <-> 1/k isomorphism
   and for finite nonisomorphism evidence searches, and
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
-from .classify import PARAM_NAMES, cyclic4_table, det_polynomials
+from .classify import PARAM_NAMES, cyclic4_table, det_polynomials, line_root_rejection
 from .groups import LEFT_STANDARD, group_by_name
 from .poly import MultiPoly, _fraction_sqrt, find_sign_change, symbolic_det
 from .structure import commutator_algebra
@@ -155,15 +156,16 @@ def family_constant(family, k):
 
 
 def witness_search(constant):
-    """Sign-change search on det M^L for a parametric constant.
+    """Zero-divisor witness on det M^L for a parametric constant.
 
-    Walks the structured probes, then the dense grid of halves on
-    [-3, 3] (the one caller of that grid).  Returns the witness or None;
-    None is an empirical absence statement, not a positivity proof
-    (reports must label it as such).
+    Runs classify's rejection route: the structured probes for a
+    rational sign change, then rational lines until one restriction has
+    a Sturm-certified real root.  Returns a SignChangeWitness, a
+    RealRootRejection or None; None only says no zero divisor was found,
+    not a positivity proof (reports must label it as such).
     """
     det_l, _ = det_polynomials(constant)
-    return find_sign_change(det_l)
+    return find_sign_change(det_l) or line_root_rejection(det_l)
 
 
 # -- basis rebuilds from a chosen generator -------------------------------

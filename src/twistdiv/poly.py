@@ -9,11 +9,8 @@ This module provides the symbolic backbone of the project:
 * rational sign-change searches used to exhibit zero divisors, and
 * exact univariate real-root machinery (Sturm chains, isolation).
 
-All decisions made here are exact.  Floating point appears only in the
-numpy pre-screen of the dense grid scan, which only
-``deform.witness_search`` runs (classification walks the structured
-probes alone), and every point the screen reports is re-checked in
-rational arithmetic.
+Everything here is exact rational arithmetic; no decision touches a
+float.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import _linalg
 
@@ -649,47 +644,11 @@ def structured_probes(nvars):
             yield vals
 
 
-# the dense grid: the 13 halves in [-3, 3], in increasing order
-_GRID_VALUES = tuple(Fraction(k, 2) for k in range(-6, 7))
-
-
-def _grid_points(nvars):
-    for point in itertools.product(_GRID_VALUES, repeat=nvars):
-        if any(point):
-            yield point
-
-
-def _grid_scan_nonpositive(p):
-    """First grid point (deterministic order) with p <= 0, exactly checked.
-
-    A numpy evaluation pre-screens the grid; the polynomial has integer
-    values at integer points only after clearing denominators, so every
-    float candidate below a safety threshold is re-evaluated exactly.
-    """
-    points = list(_grid_points(len(p.vars)))
-    arr = np.array([[float(x) for x in pt] for pt in points], dtype=np.float64)
-    vals = np.zeros(len(points), dtype=np.float64)
-    for e, c in p.terms.items():
-        term = np.full(len(points), float(c))
-        for i, k in enumerate(e):
-            if k:
-                term = term * arr[:, i] ** k
-        vals += term
-    candidates = np.nonzero(vals < 0.25)[0]
-    for idx in sorted(candidates):
-        pt = points[idx]
-        value = p.evaluate(pt)
-        if value <= 0:
-            return pt, value
-    return None
-
-
-def find_sign_change(p, use_grid=True):
+def find_sign_change(p):
     """Search rational points u, v with p(u) > 0 and p(v) <= 0.
 
-    Probes the structured slices first, then (unless use_grid is False)
-    the dense grid of halves on [-3, 3].  Returns a SignChangeWitness or
-    None; absence is *not* a positivity proof.
+    Walks the structured probes.  Returns a SignChangeWitness or None;
+    absence is *not* a positivity proof.
     """
     if not p.vars:
         raise ValueError("polynomial must have at least one indeterminate")
@@ -705,20 +664,6 @@ def find_sign_change(p, use_grid=True):
             return SignChangeWitness(
                 positive[0], nonpositive[0], positive[1], nonpositive[1]
             )
-    if not use_grid:
-        return None
-    if nonpositive is None:
-        nonpositive = _grid_scan_nonpositive(p)
-    if positive is None:
-        for pt in _grid_points(len(p.vars)):
-            v = p.evaluate(pt)
-            if v > 0:
-                positive = (pt, v)
-                break
-    if positive and nonpositive:
-        return SignChangeWitness(
-            positive[0], nonpositive[0], positive[1], nonpositive[1]
-        )
     return None
 
 
@@ -827,6 +772,13 @@ def _sign_at(coeffs, x):
     return 1 if v > 0 else -1 if v < 0 else 0
 
 
+def _roots_between(chain, lo, hi):
+    """Sturm's theorem: distinct roots in (lo, hi] of the chain's head."""
+    va = _variations([_sign_at(c, lo) for c in chain])
+    vb = _variations([_sign_at(c, hi) for c in chain])
+    return va - vb
+
+
 def count_real_roots(coeffs, lo="-inf", hi="+inf"):
     """Distinct real roots of the polynomial in (lo, hi] via Sturm.
 
@@ -836,10 +788,7 @@ def count_real_roots(coeffs, lo="-inf", hi="+inf"):
     sf = squarefree_part(coeffs)
     if len(sf) == 1:
         return 0
-    chain = sturm_chain(sf)
-    va = _variations([_sign_at(c, lo) for c in chain])
-    vb = _variations([_sign_at(c, hi) for c in chain])
-    return va - vb
+    return _roots_between(sturm_chain(sf), lo, hi)
 
 
 def univariate_real_root_exists(p):
@@ -865,16 +814,20 @@ def isolate_real_root(coeffs, max_width=Fraction(1, 16)):
 
     Returns None when the polynomial has no real roots.  The interval is
     produced by Sturm-guided bisection from the Cauchy bound and is
-    narrowed below max_width.
+    narrowed below max_width.  The Sturm chain is built once and every
+    bisection step counts sign variations against it.
     """
     sf = squarefree_part(coeffs)
-    if len(sf) == 1 or count_real_roots(sf) == 0:
+    if len(sf) == 1:
+        return None
+    chain = sturm_chain(sf)
+    if _roots_between(chain, "-inf", "+inf") == 0:
         return None
     bound = cauchy_bound(sf)
     lo, hi = -bound, bound
-    while count_real_roots(sf, lo, hi) > 1 or hi - lo > max_width:
+    while _roots_between(chain, lo, hi) > 1 or hi - lo > max_width:
         mid = (lo + hi) / 2
-        if count_real_roots(sf, lo, mid) > 0:
+        if _roots_between(chain, lo, mid) > 0:
             hi = mid
         else:
             lo = mid

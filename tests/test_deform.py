@@ -1,11 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twistdiv
 from twistdiv.algebra import TABLE_TESSERANION, tesseranion_algebra
-from twistdiv.classify import det_polynomials
+from twistdiv.classify import RealRootRejection, det_polynomials
 from twistdiv.deform import (
     TES_PARAMS,
     commutator_rescaling,
@@ -206,6 +212,46 @@ def test_neccons_violations_yield_witnesses():
         if found >= 12:
             break
     assert found >= 10
+
+
+def test_witness_search_takes_the_line_root_route():
+    """No structured probe finds a sign change on this table; a rational
+    line restriction of det M^L has a Sturm-certified real root."""
+    names = ("alpha", "beta", "delta", "epsilon", "phi", "omega")
+    values = (Fraction(-1, 5), Fraction(-3, 2), 1, 3, -5, Fraction(1, 3))
+    constant = parametric_constant(dict(zip(names, values)))
+    witness = witness_search(constant)
+    assert isinstance(witness, RealRootRejection)
+    assert witness.verify(det_polynomials(constant)[0])
+
+
+def test_exact_routes_run_without_numpy():
+    """Every submodule imports, and classify and witness_search run, with
+    numpy unimportable.  A subprocess, since hypothesis imports numpy."""
+    script = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+        sys.modules["numpy"] = None  # any import of numpy now fails
+        import twistdiv
+        for info in pkgutil.iter_modules(twistdiv.__path__):
+            importlib.import_module("twistdiv." + info.name)
+        from twistdiv.classify import classify
+        from twistdiv.deform import family_constant, witness_search
+        assert not classify("Z4").undetermined
+        assert witness_search(family_constant(1, 2).constant()) is None
+        assert sys.modules["numpy"] is None
+        """
+    )
+    src = str(Path(twistdiv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_eps_minus_one_probe_slice():

@@ -1,8 +1,11 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistdiv.poly import (
     MultiPoly,
@@ -23,6 +26,8 @@ from twistdiv.poly import (
     univariate_real_root_exists,
     verify_sos,
 )
+
+POLY = importlib.import_module("twistdiv.poly")
 
 YVARS = ("y0", "y1", "y2", "y3")
 
@@ -224,6 +229,48 @@ def test_isolate_real_root_brackets_a_root():
     assert count_real_roots(sf, lo, hi) == 1
     assert uni_eval(sf, lo) * uni_eval(sf, hi) <= 0
     assert isolate_real_root([Fraction(1), Fraction(0), Fraction(1)]) is None
+
+
+def test_isolate_real_root_builds_one_sturm_chain(monkeypatch):
+    """Every bisection step counts sign variations against one chain."""
+    calls = []
+    chain = POLY.sturm_chain
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return chain(coeffs)
+
+    monkeypatch.setattr(POLY, "sturm_chain", counting)
+    interval = isolate_real_root([Fraction(c) for c in (-4, 0, 0, 0, 1)])
+    assert len(calls) == 1
+    assert interval == (Fraction(-185, 128), Fraction(-45, 32))  # -sqrt(2)
+
+
+def _sympy_rational(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=7).filter(
+        lambda c: c[-1] != 0
+    )
+)
+def test_sturm_code_against_sympy_oracle(coeffs):
+    """Distinct real roots agree with sympy's count, and the isolating
+    interval (lo, hi] holds exactly one of them.  sympy counts over the
+    closed interval, so a root at lo is taken off."""
+    oracle = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("s"))
+    coeffs = [Fraction(c) for c in coeffs]
+    assert count_real_roots(coeffs) == oracle.count_roots()
+    interval = isolate_real_root(coeffs)
+    if oracle.count_roots() == 0:
+        assert interval is None
+        return
+    lo, hi = (_sympy_rational(x) for x in interval)
+    at_lo = 1 if oracle.eval(lo) == 0 else 0
+    assert oracle.count_roots(lo, hi) - at_lo == 1
 
 
 def test_uni_coeffs_round_trip():
