@@ -8,16 +8,20 @@ is either
   for both multiplication-matrix determinants, or
 * left in an explicit "undetermined" bucket (sound incompleteness).
 
-Each table is decided by exact routes, in this order: the structured
-probes look for a rational sign-change pair for det M^L (a point with
-positive value and a nonzero point with nonpositive value); a diagonal
-SOS certificate for both determinants proves a survivor; failing both,
-det M^L is restricted to rational lines until one has a real root,
-isolated with a Sturm certificate (the handful of sign arrays this
-rejects have positive *semi*definite determinants whose nontrivial real
-zeros are all irrational, so no rational sign-change pair exists, and
-``find_psd_sos`` records their PSD evidence); a table no route decides
-is left undetermined.
+Each table is decided by exact routes, in this order: a survivor is
+certified when both determinants have only even exponents and positive
+coefficients, with a pure even power of every variable, which makes
+each a positive-definite sum of squares of monomials; otherwise the
+structured probes look for a rational sign-change pair for det M^L (a
+point with positive value and a nonzero point with nonpositive value);
+failing that, det M^L is restricted to rational lines until one has a
+real root, isolated with a Sturm certificate (the handful of sign arrays
+this rejects have positive *semi*definite determinants whose nontrivial
+real zeros are all irrational, so no rational sign-change pair exists,
+and ``find_psd_sos`` records their PSD evidence); a table no route
+decides is left undetermined.  A positive-definite certificate and a
+sign change exclude each other, so the order of the first two routes
+cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -103,6 +107,15 @@ class RealRootRejection:
             return False
         lo, hi = self.interval
         return count_real_roots(coeffs, lo, hi) >= self.root_count >= 1
+
+    def to_json(self):
+        return {
+            "position": self.position,
+            "base": [str(v) for v in self.base],
+            "coefficients": [str(c) for c in self.coefficients],
+            "interval": [str(v) for v in self.interval],
+            "root_count": self.root_count,
+        }
 
 
 @dataclass(frozen=True)
@@ -209,19 +222,17 @@ def det_polynomials(constant):
     )
 
 
-_LINE_BASES = tuple(
-    base
-    for base in itertools.product((1, 0, -1, 2), repeat=3)
-    if any(base)
-)
-
-
 def line_root_rejection(det_poly):
     """First rational-line restriction of the determinant with a real root."""
     nvars = len(det_poly.vars)
+    bases = [
+        base
+        for base in itertools.product((1, 0, -1, 2), repeat=nvars - 1)
+        if any(base)
+    ]
     for position in range(nvars):
         others = [i for i in range(nvars) if i != position]
-        for base in _LINE_BASES:
+        for base in bases:
             bindings = {
                 det_poly.vars[i]: Fraction(v) for i, v in zip(others, base)
             }
@@ -249,22 +260,22 @@ def line_root_rejection(det_poly):
 
 def _certify_survivor(det_l, det_r):
     cert_l = find_diagonal_sos(det_l)
-    if cert_l is None or not certifies_positive_definite(det_l, cert_l):
+    if cert_l is None:
         return None
     cert_r = find_diagonal_sos(det_r)
-    if cert_r is None or not certifies_positive_definite(det_r, cert_r):
+    if cert_r is None:
         return None
     return SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
 
 
 def _classify_one(candidate):
     det_l, det_r = det_polynomials(candidate.constant)
-    witness = find_sign_change(det_l)
-    if witness is not None:
-        return "rejected", witness, None
     cert = _certify_survivor(det_l, det_r)
     if cert is not None:
         return "survivor", cert, None
+    witness = find_sign_change(det_l)
+    if witness is not None:
+        return "rejected", witness, None
     root = line_root_rejection(det_l)
     psd = find_psd_sos(det_l)
     if root is not None:
@@ -332,7 +343,7 @@ def _transport(result, s, candidate):
         if not witness.verify(det_l):
             return None
         return verdict, witness, find_psd_sos(det_l)
-    # diagonal SOS bases are sums of squares, unchanged by y -> s o y
+    # the SOS bases are monomials, whose squares are unchanged by y -> s o y
     certified = certifies_positive_definite(
         det_l, payload.cert_left
     ) and certifies_positive_definite(det_r, payload.cert_right)

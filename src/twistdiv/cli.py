@@ -82,14 +82,7 @@ def _witness_json(w):
     if isinstance(w, SignChangeWitness):
         return {"kind": "sign-change", **w.to_json()}
     if isinstance(w, RealRootRejection):
-        return {
-            "kind": "real-root-on-line",
-            "position": w.position,
-            "base": [str(v) for v in w.base],
-            "coefficients": [str(c) for c in w.coefficients],
-            "interval": [str(w.interval[0]), str(w.interval[1])],
-            "root_count": w.root_count,
-        }
+        return {"kind": "real-root-on-line", **w.to_json()}
     return {"kind": "none"}
 
 

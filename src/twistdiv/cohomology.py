@@ -131,17 +131,9 @@ def find_coboundary_kappa(q, group):
     """
     n = group.order
     for signs in itertools.product((1, -1), repeat=n - 1):
-        kappa = (1,) + signs
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if q(a, b) != kappa[b] * kappa[a] // kappa[group.mul(a, b)]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return SignTable(kappa, 1)
+        kappa = SignTable((1,) + signs, 1)
+        if is_coboundary_witness(q, group, kappa):
+            return kappa
     return None
 
 

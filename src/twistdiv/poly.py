@@ -398,95 +398,39 @@ def _diagonal_support(base):
 def certifies_positive_definite(p, cert):
     """Soundly decide that a verified SOS certificate pins p > 0 off 0.
 
-    Requires every base to be a one-signed diagonal form (pure powers of
-    single variables) and the union of their supports to cover every
-    variable of the ambient ring, so the only common real zero is the
-    origin.
+    Every base is squared with a positive weight, so p(y) = 0 forces each
+    base to vanish at y.  A base that is a one-signed diagonal form (pure
+    powers of single variables) vanishes only where all its variables are
+    0, so it pins them; any other base pins nothing and is skipped.  When
+    the pinned variables cover the ambient ring, the only real zero of p
+    is the origin.
     """
     if not verify_sos(p, cert):
         return False
     covered = set()
     for _, base in cert.parts:
-        support = _diagonal_support(base)
-        if support is None:
-            return False
-        covered |= support
+        covered |= _diagonal_support(base) or set()
     return covered == set(range(len(p.vars)))
 
 
-def find_diagonal_sos(p, max_parts=3):
-    """Search sum(c_S * q_S^2) with q_S a 0/1 diagonal quadratic form.
+def find_diagonal_sos(p):
+    """Positive-definiteness certificate read off p's terms, or None.
 
-    The pattern library consists of the forms sum(v_i^2 for i in S) over
-    nonempty subsets S (plus the bare variables when p is quadratic).
-    Subsets of the library of size <= max_parts are solved exactly for
-    nonnegative coefficients.  Returns a verified certificate or None.
+    When every term c * y^e has even exponents and c > 0, p is the sum of
+    c * (y^(e/2))^2: a sum of squares of monomials, i.e. a diagonal Gram
+    matrix.  The certificate is returned only if it proves p positive
+    definite, which happens exactly when every variable has a pure even
+    power among p's terms.
     """
-    nvars = len(p.vars)
-    deg = p.degree()
-    if deg not in (2, 4) or not p.is_homogeneous():
-        return None
-    # squares of diagonal forms only produce all-even exponents
-    if any(k % 2 for e in p.terms for k in e):
-        return None
-    gens = MultiPoly.variables(p.vars)
-    if deg == 2:
-        bases = list(gens)
-    else:
-        bases = []
-        indices = list(range(nvars))
-        for r in range(1, nvars + 1):
-            for subset in itertools.combinations(indices, r):
-                q = None
-                for i in subset:
-                    sq = gens[i] * gens[i]
-                    q = sq if q is None else q + sq
-                bases.append(q)
-    squares = [b * b for b in bases]
-    monomials = sorted(set().union(*(set(s.terms) for s in squares), set(p.terms)))
-    target = [Fraction(p.terms.get(m, 0)) for m in monomials]
-    columns = [[Fraction(s.terms.get(m, 0)) for m in monomials] for s in squares]
-
-    def try_subset(subset):
-        rows = [[columns[j][i] for j in subset] for i in range(len(monomials))]
-        sol = _linalg.solve(rows, target)
-        if sol is None or any(c < 0 for c in sol):
+    parts = []
+    for e in sorted(p.terms):
+        c = Fraction(p.terms[e])
+        if c <= 0 or any(k % 2 for k in e):
             return None
-        parts = tuple((c, bases[j]) for c, j in zip(sol, subset) if c != 0)
-        cert = SosCertificate(parts)
-        if verify_sos(p, cert) and certifies_positive_definite(p, cert):
-            return cert
-        return None
-
-    # complementary-pair and all-variable shapes first: they are the
-    # certificates the division-algebra determinants actually have
-    priority = []
-    if deg == 4:
-        lookup = {
-            frozenset(b.used_variables()): j for j, b in enumerate(bases)
-        }
-        full = frozenset(range(nvars))
-        if full in lookup:
-            priority.append((lookup[full],))
-        for s, j in lookup.items():
-            comp = frozenset(full - s)
-            if comp in lookup and 0 < len(s) < nvars:
-                priority.append(tuple(sorted((j, lookup[comp]))))
-    seen = set()
-    for subset in priority:
-        if subset not in seen:
-            seen.add(subset)
-            cert = try_subset(subset)
-            if cert is not None:
-                return cert
-    for r in range(1, max_parts + 1):
-        for subset in itertools.combinations(range(len(bases)), r):
-            if subset in seen:
-                continue
-            cert = try_subset(subset)
-            if cert is not None:
-                return cert
-    return None
+        half = tuple(k // 2 for k in e)
+        parts.append((c, MultiPoly(p.vars, {half: 1}, _normalize=False)))
+    cert = SosCertificate(tuple(parts))
+    return cert if certifies_positive_definite(p, cert) else None
 
 
 def perfect_square_root(p):
@@ -549,8 +493,9 @@ def find_psd_sos(p):
     Tries p = (sum eps_i v_i^2)^2 + c * q^2 with eps in {+-1} and q an
     exact square root of the remainder, c in {1, 2, 4}.  This covers the
     positive semidefinite determinants that occur for rejected sign
-    arrays whose real zeros are all irrational.  Certificates returned
-    here verify as SOS but never as positive definite.
+    arrays whose real zeros are all irrational.  Those determinants have
+    nontrivial real zeros, so their certificates verify as SOS but never
+    as positive definite.
     """
     if p.degree() != 4 or not p.is_homogeneous():
         return None
@@ -789,16 +734,6 @@ def count_real_roots(coeffs, lo="-inf", hi="+inf"):
     if len(sf) == 1:
         return 0
     return _roots_between(sturm_chain(sf), lo, hi)
-
-
-def univariate_real_root_exists(p):
-    """Exact decision: does the univariate polynomial have a real root?"""
-    coeffs = uni_coeffs(p) if isinstance(p, MultiPoly) else _trim(list(p))
-    if len(coeffs) == 1:
-        if coeffs[0] == 0:
-            raise ValueError("zero polynomial")
-        return False
-    return count_real_roots(coeffs) > 0
 
 
 def cauchy_bound(coeffs):

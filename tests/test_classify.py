@@ -341,6 +341,37 @@ def test_a_certificate_that_fails_its_check_is_searched_again(monkeypatch):
     _assert_report_verifies(rep)
 
 
+@pytest.mark.parametrize("group, searches", [("Z2", 1), ("Z2xZ2", 31), ("Z4", 63)])
+def test_survivors_are_certified_before_the_probes(monkeypatch, group, searches):
+    """Only the rejected tables reach the sign-change search: a
+    positive-definite certificate and a sign change exclude each other."""
+    calls = []
+    search = CLASSIFY.find_sign_change
+
+    def counting(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(CLASSIFY, "find_sign_change", counting)
+    rep = classify(group, LEFT_STANDARD, SHAPED)
+    assert len(calls) == searches
+    assert len(rep.survivors) == 1
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+def test_line_root_rejection_for_any_number_of_variables(nvars):
+    """(y0^2 - 2 y1^2 - ... )^2 is PSD with only irrational zeros on the
+    line through base (1, ..., 1)."""
+    ys = MultiPoly.variables(tuple(f"y{i}" for i in range(nvars)))
+    q = ys[0] * ys[0]
+    for v in ys[1:]:
+        q = q - 2 * v * v
+    p = q * q
+    witness = CLASSIFY.line_root_rejection(p)
+    assert witness is not None and witness.verify(p)
+    assert len(witness.base) == nvars - 1
+
+
 def test_raw_mode_klein_pinned_counts():
     rep = classify("Z2xZ2", LEFT_STANDARD, RAW)
     assert rep.counts() == {

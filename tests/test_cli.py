@@ -90,6 +90,25 @@ def test_classify_raw_json_ties_each_witness_to_its_table(capsys):
             assert det(algebra.mult_matrix_left(y)) == Fraction(w[value])
 
 
+def test_classify_json_real_root_witness(capsys):
+    code, out = run_cli(
+        capsys, "classify", "--group", "Z4", "--basis", "left", "--mode", "shaped"
+    )
+    assert code == 0
+    roots = [
+        r["witness"] for r in json.loads(out)["rejected"]
+        if r["witness"]["kind"] != "sign-change"
+    ]
+    assert roots == [{
+        "kind": "real-root-on-line",
+        "position": 0,
+        "base": ["1", "0", "-1"],
+        "coefficients": ["4", "0", "-4", "0", "1"],
+        "interval": ["-93/64", "-45/32"],
+        "root_count": 1,
+    }]
+
+
 def test_classify_markdown_reproduces_table(capsys):
     code, out = run_cli(
         capsys, "classify", "--group", "Z4", "--basis", "left",

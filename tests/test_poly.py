@@ -23,7 +23,6 @@ from twistdiv.poly import (
     symbolic_det,
     uni_coeffs,
     uni_eval,
-    univariate_real_root_exists,
     verify_sos,
 )
 
@@ -160,6 +159,68 @@ def test_psd_certificate_is_not_positive_definite():
     assert find_diagonal_sos(p) is None
 
 
+def test_diagonal_sos_reads_off_higher_degrees_and_cross_terms():
+    """(sum of 8 squares)^4 has 330 terms and degree 8; the cross term of
+    y0^4 + 10 y0^2 y1^2 + y1^4 fits no 0/1 diagonal quadratic form."""
+    ys = MultiPoly.variables(tuple(f"y{i}" for i in range(8)))
+    norm = ys[0] * ys[0]
+    for v in ys[1:]:
+        norm = norm + v * v
+    octo = norm**4
+    assert len(octo.terms) == 330
+    y0, y1 = MultiPoly.variables(("y0", "y1"))
+    mixed = y0**4 + 10 * y0 * y0 * y1 * y1 + y1**4
+    for p in (octo, mixed):
+        cert = find_diagonal_sos(p)
+        assert cert is not None and certifies_positive_definite(p, cert)
+        assert all(len(base.terms) == 1 for _, base in cert.parts)
+
+
+def test_positive_definite_needs_every_variable_pinned():
+    """y0^4 + y0^2 y1^2 is a verified SOS but vanishes at (0, 1): the
+    monomial y0*y1 pins no variable, so y1 stays uncovered."""
+    y0, y1 = MultiPoly.variables(("y0", "y1"))
+    p = y0**4 + y0 * y0 * y1 * y1
+    cert = SosCertificate(((Fraction(1), y0 * y0), (Fraction(1), y0 * y1)))
+    assert verify_sos(p, cert)
+    assert p.evaluate((0, 1)) == 0
+    assert not certifies_positive_definite(p, cert)
+    assert find_diagonal_sos(p) is None
+
+
+@st.composite
+def _even_positive_polys(draw):
+    """(p, every variable has a pure even power) for random p with even
+    exponents and positive coefficients."""
+    nvars = draw(st.integers(2, 4))
+    names = tuple(f"y{i}" for i in range(nvars))
+    halves = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = draw(st.dictionaries(halves, st.integers(1, 9), min_size=1, max_size=6))
+    p = MultiPoly(names, {tuple(2 * k for k in h): c for h, c in terms.items()})
+    pure = {
+        next(i for i, k in enumerate(h) if k)
+        for h in terms
+        if sum(1 for k in h if k) == 1
+    }
+    return p, pure == set(range(nvars))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_even_positive_polys(), st.data())
+def test_diagonal_sos_certifies_exactly_the_pinned_polynomials(case, data):
+    p, pinned = case
+    cert = find_diagonal_sos(p)
+    assert (cert is not None) == pinned
+    if cert is None:
+        return
+    assert certifies_positive_definite(p, cert)
+    coord = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    for _ in range(5):
+        point = data.draw(st.tuples(*[coord] * len(p.vars)))
+        if any(point):
+            assert p.evaluate(point) > 0
+
+
 def test_perfect_square_root():
     y0, y1, _, _ = _ys()
     q = y0 * y0 - 2 * y0 * y1 + y1 * y1
@@ -198,11 +259,9 @@ def _uni(coeffs):
 
 
 def test_real_root_decisions():
-    assert univariate_real_root_exists(_uni([-2, 0, 0, 1]))  # s^3 - 2
-    assert not univariate_real_root_exists(_uni([1, 0, 1]))  # s^2 + 1
-    assert univariate_real_root_exists(_uni([-4, 0, 0, 0, 1]))  # s^4 - 4
-    with pytest.raises(ValueError):
-        univariate_real_root_exists(_uni([0]))
+    assert count_real_roots([-2, 0, 0, 1]) == 1  # s^3 - 2
+    assert count_real_roots([1, 0, 1]) == 0  # s^2 + 1
+    assert count_real_roots([-4, 0, 0, 0, 1]) == 2  # s^4 - 4
 
 
 @pytest.mark.parametrize(
