@@ -119,9 +119,3 @@ def in_rowspace(rows, vector):
         return True
     base = rank(rows) if rows else 0
     return rank(list(rows) + [list(vector)]) == base
-
-
-def same_rowspace(rows_a, rows_b):
-    return all(in_rowspace(rows_a, v) for v in rows_b) and all(
-        in_rowspace(rows_b, v) for v in rows_a
-    )

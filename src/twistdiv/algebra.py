@@ -177,9 +177,6 @@ class StructureConstant:
     def __call__(self, a, b):
         return self.values[a][b]
 
-    def is_sign_valued(self):
-        return all(v in (1, -1) for row in self.values for v in row)
-
     def transpose(self):
         flipped = (
             RIGHT_STANDARD if self.convention == LEFT_STANDARD else LEFT_STANDARD
@@ -333,7 +330,7 @@ class TwistedAlgebra:
         self.constant = constant
         self.group = constant.group
         self.ring = ring
-        n = self.group.order
+        self.dimension = n = self.group.order
         self.entries = tuple(
             (a, b, self.group.mul(a, b), constant(a, b))
             for a in range(n)

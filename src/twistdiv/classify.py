@@ -450,7 +450,10 @@ class Fingerprint:
         }
 
 
-def non_isomorphism_fingerprint(algebra, patterns=((2, 1), (4,))):
+FINGERPRINT_PATTERNS = ((2, 1), (4,))
+
+
+def non_isomorphism_fingerprint(algebra):
     """Fingerprint used to separate the order-4 survivors.
 
     The quaternion algebra is power associative while the Z4 survivor is
@@ -461,7 +464,7 @@ def non_isomorphism_fingerprint(algebra, patterns=((2, 1), (4,))):
         raise ValueError("fingerprints are defined for 4-dimensional algebras")
     props = loop_property_suite(algebra)
     dims = tuple(
-        (tuple(p), identity_space(algebra, p).dimension) for p in patterns
+        (p, identity_space(algebra, p).dimension) for p in FINGERPRINT_PATTERNS
     )
     return Fingerprint(
         power_associative=props.power_associative,

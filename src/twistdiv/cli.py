@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, cohomology, identities, analyze, norms, deform,
-encrypt, accept.  Reports are JSON (default, deterministic key order) or
-markdown; exit status is 0 on success, 1 when a requested check fails,
-2 on usage errors.
+encrypt, accept.  Reports are JSON with a deterministic key order
+(``classify --format md`` prints markdown instead); exit status is 0 on
+success, 1 when a requested check fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -56,12 +56,21 @@ from .structure import (
 
 DEFAULT_SEED = 12345
 
+ANALYZE_REPORTS = ("lie", "jordan", "series", "inverses", "properties", "fingerprint")
+DEFORM_CHECKS = ("neccons", "witness", "inverse-iso", "commutator")
 
-def _emit(data, fmt, md_renderer=None):
-    if fmt == "md" and md_renderer is not None:
-        print(md_renderer(data))
-    else:
-        print(json.dumps(data, indent=2, sort_keys=True, default=str))
+
+def _emit(data):
+    print(json.dumps(data, indent=2, sort_keys=True, default=str))
+
+
+def _names(text, known, option):
+    """The comma-separated names of ``option``; ValueError on an unknown one."""
+    names = text.split(",")
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise ValueError(f"unknown {option} name(s): {', '.join(unknown)}")
+    return names
 
 
 def _load_algebra(selector):
@@ -132,7 +141,10 @@ def cmd_classify(args):
             lines.append("")
         return "\n".join(lines)
 
-    _emit(data, args.format, md)
+    if args.format == "md":
+        print(md(data))
+    else:
+        _emit(data)
     return 0 if not report.undetermined else 1
 
 
@@ -169,7 +181,7 @@ def cmd_cohomology(args):
                 )
         data["checks"] = results
         failures = sum(1 for v in results.values() if v is False)
-    _emit(data, args.format)
+    _emit(data)
     return 0 if failures == 0 or not args.fail_on_false else 1
 
 
@@ -195,13 +207,17 @@ def cmd_identities(args):
         with open(args.emit, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         data["emitted"] = args.emit
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
 def cmd_analyze(args):
     algebra = _load_algebra(args.algebra)
-    wanted = args.report.split(",") if args.report else ["lie", "jordan"]
+    wanted = (
+        _names(args.report, ANALYZE_REPORTS, "--report")
+        if args.report
+        else ["lie", "jordan"]
+    )
     data = {"algebra": args.algebra}
     if "lie" in wanted:
         Lm = commutator_algebra(algebra)
@@ -239,7 +255,7 @@ def cmd_analyze(args):
         data["properties"] = loop_property_suite(algebra).to_json()
     if "fingerprint" in wanted:
         data["fingerprint"] = non_isomorphism_fingerprint(algebra).to_json()
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
@@ -291,9 +307,7 @@ def cmd_norms(args):
                 if not ok:
                     failures += 1
         data["triangle"] = results
-    else:
-        raise SystemExit(f"unknown norms check {args.check!r}")
-    _emit(data, args.format)
+    _emit(data)
     return 0 if failures == 0 else 1
 
 
@@ -303,7 +317,9 @@ def cmd_deform(args):
     except ZeroDivisionError:
         raise ValueError(f"--k {args.k} has a zero denominator") from None
     member = family_constant(args.family, k)
-    checks = args.checks.split(",") if args.checks else ["neccons"]
+    checks = (
+        _names(args.checks, DEFORM_CHECKS, "--checks") if args.checks else ["neccons"]
+    )
     data = {
         "family": args.family,
         "k": str(k),
@@ -334,7 +350,7 @@ def cmd_deform(args):
             "rational_rescaling_exists": possible,
             "brackets_match": matched,
         }
-    _emit(data, args.format)
+    _emit(data)
     return 0 if failures == 0 else 1
 
 
@@ -389,7 +405,6 @@ def build_parser():
     p.add_argument("--check", action="append",
                    choices=["cocycle", "coboundary", "separable"], default=[])
     p.add_argument("--fail-on-false", action="store_true")
-    p.add_argument("--format", default="json", choices=["json", "md"])
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("identities", help="identity spaces of bracketed monomials")
@@ -397,29 +412,25 @@ def build_parser():
     p.add_argument("--pattern", required=True,
                    help="per-variable degrees, e.g. 2,2 or 6")
     p.add_argument("--emit", help="write the nullspace basis to a JSON file")
-    p.add_argument("--format", default="json", choices=["json", "md"])
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("analyze", help="commutator/anticommutator structure")
     p.add_argument("--algebra", required=True)
     p.add_argument("--report", default="lie,jordan,series,inverses",
-                   help="comma list: lie,jordan,series,inverses,properties,fingerprint")
-    p.add_argument("--format", default="json", choices=["json", "md"])
+                   help="comma list: " + ",".join(ANALYZE_REPORTS))
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("norms", help="Schwarz defects and iterated norms")
     p.add_argument("--check", required=True, choices=["schwarz", "triangle"])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", default="json", choices=["json", "md"])
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("deform", help="one-parameter deformation families")
     p.add_argument("--family", type=int, required=True, choices=range(1, 9))
     p.add_argument("--k", required=True, help="rational, e.g. 4 or 1/2")
     p.add_argument("--checks", default="neccons,witness",
-                   help="comma list: neccons,witness,inverse-iso,commutator")
-    p.add_argument("--format", default="json", choices=["json", "md"])
+                   help="comma list: " + ",".join(DEFORM_CHECKS))
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("encrypt", help="mod-p linear-equation encryption")
@@ -443,8 +454,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # malformed input: unknown selector, bad JSON or table, bad parameter
+    except (ValueError, OSError) as exc:
+        # malformed input: unknown selector or name, bad JSON or table, bad
+        # parameter, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
 from .classify import PARAM_NAMES, cyclic4_table, det_polynomials, line_root_rejection
 from .groups import LEFT_STANDARD, group_by_name
-from .poly import MultiPoly, _fraction_sqrt, find_sign_change, symbolic_det
+from .poly import MultiPoly, find_sign_change, rational_root, symbolic_det
 from .structure import commutator_algebra
 
 TES_PARAMS = {"alpha": -1, "beta": -1, "delta": 1, "epsilon": 1, "phi": -1, "omega": 1}
@@ -214,7 +214,7 @@ def k_inverse_isomorphism(k):
     family-1 member at 1/k exactly.
     """
     k = Fraction(k)
-    s = _fraction_sqrt(k)
+    s = rational_root(k)
     if s is None:
         raise ValueError("k must be the square of a rational")
     member = family_constant(1, k)
@@ -236,7 +236,7 @@ def commutator_rescaling(k):
     """
     k = Fraction(k)
     target = Fraction(2) / (1 + k)  # u^2
-    u = _fraction_sqrt(target)
+    u = rational_root(target)
     if u is None:
         return False, False
     member = family_constant(1, k)

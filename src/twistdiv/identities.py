@@ -7,8 +7,11 @@ every bracketing (Catalan many), and the *identity space* is the exact
 rational nullspace of the coefficient-matrix whose columns are the
 symbolic expansions of the monomials over generic elements.
 
-Expansion is exact: generic elements have polynomial components, and the
-algebra product is evaluated over the polynomial ring.
+Expansion is exact: generic elements are lists of polynomial components,
+and products go through the structure-tensor kernel over the polynomial
+ring.  Any algebra with a ``dimension`` and structure-tensor ``entries``
+can be expanded: twisted group algebras and the bilinear algebras A^+-
+of ``structure`` alike.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import _linalg
-from .poly import _is_zero, nonzero_point
+from .algebra import tensor_product
+from .poly import MultiPoly, _is_zero, nonzero_point
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -55,10 +59,6 @@ def L(i):
 
 def N(a, b):
     return Node(a, b)
-
-
-def tree_degree(tree):
-    return len(tree.leaves())
 
 
 def normalize_pattern(pattern):
@@ -110,38 +110,40 @@ def enumerate_monomials(pattern):
 class Expander:
     """Caches symbolic expansions of bracket trees over one algebra.
 
+    The algebra needs a ``dimension`` and structure-tensor ``entries``.
     The ambient polynomial ring has one indeterminate per (variable,
-    component) pair; a tree expands to the component vector of its
-    product, computed once per distinct subtree.
+    component) pair, ordered x0.., y0.., z0..; a tree expands to the list
+    of component polynomials of its product, computed once per distinct
+    subtree by one ``tensor_product`` call.
     """
 
     def __init__(self, algebra, nvars):
         if nvars > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} distinct variables")
-        self.algebra = algebra
-        n = algebra.group.order
+        self.entries = algebra.entries
+        n = algebra.dimension
         names = tuple(
             f"{VARIABLE_NAMES[v]}{i}" for v in range(nvars) for i in range(n)
         )
         self.vars = names
         self.generic = [
-            algebra.generic_element(VARIABLE_NAMES[v], names) for v in range(nvars)
+            [MultiPoly.variable(f"{VARIABLE_NAMES[v]}{i}", names) for i in range(n)]
+            for v in range(nvars)
         ]
         self._cache = {}
 
-    def element(self, tree):
+    def expand(self, tree):
         key = tree.serialize()
         got = self._cache.get(key)
         if got is None:
             if isinstance(tree, Leaf):
                 got = self.generic[tree.var]
             else:
-                got = self.element(tree.left) * self.element(tree.right)
+                got = tensor_product(
+                    self.entries, self.expand(tree.left), self.expand(tree.right), 0
+                )
             self._cache[key] = got
         return got
-
-    def expand(self, tree):
-        return list(self.element(tree).coeffs)
 
 
 def expand_monomial(algebra, tree, nvars=None):
@@ -151,20 +153,11 @@ def expand_monomial(algebra, tree, nvars=None):
     return Expander(algebra, nvars).expand(tree)
 
 
-def combination_value(expander, combo):
-    """Sum of coeff * expansion(tree) as an element with polynomial parts."""
-    total = None
-    for coeff, tree in combo:
-        term = expander.element(tree) * coeff
-        total = term if total is None else total + term
-    return total
-
-
 def identity_residual(algebra, combo):
     """Component polynomials of the combination over generic elements.
 
     The combination is an identity of the algebra iff every component is
-    the zero polynomial; otherwise ``poly.nonzero_point`` reads a
+    the zero polynomial; otherwise ``residual_point`` reads a
     counterexample off a nonzero component.
     """
     if not combo:
@@ -173,7 +166,11 @@ def identity_residual(algebra, combo):
     if len(patterns) > 1:
         raise ValueError("all monomials must share one degree pattern")
     nvars = max(max(p) for p in patterns) + 1
-    return list(combination_value(Expander(algebra, nvars), combo).coeffs)
+    expander = Expander(algebra, nvars)
+    residual = [0] * algebra.dimension
+    for coeff, tree in combo:
+        residual = [r + coeff * c for r, c in zip(residual, expander.expand(tree))]
+    return residual
 
 
 def verify_identity(algebra, combo):
@@ -181,15 +178,18 @@ def verify_identity(algebra, combo):
     return all(_is_zero(c) for c in identity_residual(algebra, combo))
 
 
-def _residual_witness(algebra, residual):
-    """Elements at which a nonzero residual does not vanish.
+def residual_point(residual):
+    """Integer point at which the first nonzero component of a residual
+    does not vanish, read off by ``nonzero_point``; its coordinates follow
+    the (variable, component) order of ``Expander``."""
+    return nonzero_point(next(c for c in residual if not _is_zero(c)))
 
-    ``nonzero_point`` gives an integer point of the first nonzero
-    component; its coordinates split into one element per variable, in
-    the (variable, component) order of ``Expander``.
-    """
-    point = nonzero_point(next(c for c in residual if not _is_zero(c)))
-    n = algebra.group.order
+
+def _residual_witness(algebra, residual):
+    """Elements at which a nonzero residual does not vanish: the point of
+    ``residual_point`` split into one element per variable."""
+    point = residual_point(residual)
+    n = algebra.dimension
     return tuple(algebra.element(point[i:i + n]) for i in range(0, len(point), n))
 
 
@@ -289,18 +289,10 @@ def _law_combos():
     }
 
 
-_POWER4_TREES = None
-
-
 def _power4_laws():
     # all five bracketings of x^4 must agree for power associativity
-    global _POWER4_TREES
-    if _POWER4_TREES is None:
-        _POWER4_TREES = _bracketings((0, 0, 0, 0))
-    first = _POWER4_TREES[0]
-    return [
-        [(1, first), (-1, other)] for other in _POWER4_TREES[1:]
-    ]
+    first, *others = _bracketings((0, 0, 0, 0))
+    return [[(1, first), (-1, other)] for other in others]
 
 
 def loop_property_suite(algebra):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import tesseranion_algebra_mod
+from .poly import integer_root, rational_root
 
 
 def quartic_norm4(x):
@@ -149,32 +150,10 @@ def iterated_norm(spec, vec):
     return float(iterated_norm_power(spec, vec)) ** (1.0 / 2**spec.j)
 
 
-def _iroot_floor(n, k):
-    """Floor of the integer k-th root (n >= 0)."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+MAX_ROOT_SCALE = 256
 
 
-def _rational_kth_root(x, k):
-    x = Fraction(x)
-    if x < 0:
-        return None
-    num = _iroot_floor(x.numerator, k)
-    den = _iroot_floor(x.denominator, k)
-    if num**k == x.numerator and den**k == x.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def nth_root_leq(a_power, parts_powers, k, max_scale=256):
+def nth_root_leq(a_power, parts_powers, k):
     """Exact decision of a^(1/k) <= sum_i b_i^(1/k) for rationals >= 0.
 
     Works on scaled integer k-th root enclosures, doubling the scale
@@ -191,16 +170,16 @@ def nth_root_leq(a_power, parts_powers, k, max_scale=256):
         return False
     if len(bs) == 1:
         return a <= bs[0]
-    ratio = _rational_kth_root(bs[1] / bs[0], k)
+    ratio = rational_root(bs[1] / bs[0], k)
     if ratio is not None:
         # b0^(1/k) + b1^(1/k) = ((1 + ratio)^k b0)^(1/k)
         return a <= bs[0] * (1 + ratio) ** k
     scale = 16
-    while scale <= max_scale:
+    while scale <= MAX_ROOT_SCALE:
         shift = 1 << (k * scale)
-        a_lo = _iroot_floor(a.numerator * shift // a.denominator, k)
+        a_lo = integer_root(a.numerator * shift // a.denominator, k)
         a_hi = a_lo + 1
-        b_lo = sum(_iroot_floor(b.numerator * shift // b.denominator, k) for b in bs)
+        b_lo = sum(integer_root(b.numerator * shift // b.denominator, k) for b in bs)
         b_hi = b_lo + len(bs)
         if a_hi <= b_lo:
             return True

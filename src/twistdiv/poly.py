@@ -4,7 +4,7 @@ This module provides the symbolic backbone of the project:
 
 * ``MultiPoly`` -- sparse multivariate polynomials with exact rational
   coefficients (a dict from exponent tuples to coefficients),
-* exact symbolic determinants of small polynomial matrices,
+* exact determinants of small polynomial or scalar matrices,
 * sum-of-squares certificates for determinant positivity,
 * rational sign-change searches used to exhibit zero divisors, and
 * exact univariate real-root machinery (Sturm chains, isolation).
@@ -20,8 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from . import _linalg
 
 
 class MultiPoly:
@@ -165,9 +163,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), 0)
-
     def used_variables(self):
         used = set()
         for e in self.terms:
@@ -264,11 +259,13 @@ def _is_zero(c):
 
 
 def symbolic_det(rows):
-    """Exact determinant of a small square matrix of polynomials.
+    """Exact determinant of a small square matrix of polynomials or scalars.
 
     Uses minor expansion with shared sub-minors over column subsets
-    (O(n * 2^n) polynomial multiplications), which is exact and cheap for
-    the n <= 8 matrices that occur here.
+    (O(n * 2^n) multiplications), which is exact and cheap for the n <= 8
+    matrices that occur here.  The expansion starts from the int 1, so
+    integer entries keep integer coefficients.  The result is a
+    ``MultiPoly`` when some entry is one, else a ``Fraction``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -277,22 +274,8 @@ def symbolic_det(rows):
         raise ValueError("empty matrix")
     if n > 8:
         raise ValueError("matrix larger than 8x8")
-    template = next(
-        (x for row in rows for x in row if isinstance(x, MultiPoly)), None
-    )
-    if template is None:
-        return _linalg.det(rows)
-    coerced = [
-        [
-            x
-            if isinstance(x, MultiPoly)
-            else MultiPoly.constant(template.vars, x)
-            for x in row
-        ]
-        for row in rows
-    ]
     # minors[mask] = det of the submatrix on rows 0..k-1 and column set mask
-    minors = {0: MultiPoly.constant(template.vars, 1)}
+    minors = {0: 1}
     for k in range(n):
         new = {}
         for mask, sub in minors.items():
@@ -302,18 +285,22 @@ def symbolic_det(rows):
                 if mask & bit:
                     pos += 1
                     continue
-                entry = coerced[k][col]
-                if entry.is_zero:
+                entry = rows[k][col]
+                if _is_zero(entry):
                     continue
                 # position of col within the new mask decides the sign
-                sign = 1 if (k - pos) % 2 == 0 else -1
-                term = entry * sub if sign > 0 else -(entry * sub)
+                term = entry * sub if (k - pos) % 2 == 0 else -(entry * sub)
                 key = mask | bit
                 acc = new.get(key)
                 new[key] = term if acc is None else acc + term
         minors = new
-    full = (1 << n) - 1
-    return minors.get(full, MultiPoly.zero(template.vars))
+    det = minors.get((1 << n) - 1, 0)
+    if isinstance(det, MultiPoly):
+        return det
+    template = next(
+        (x for row in rows for x in row if isinstance(x, MultiPoly)), None
+    )
+    return Fraction(det) if template is None else MultiPoly.constant(template.vars, det)
 
 
 def nonzero_point(p):
@@ -447,7 +434,7 @@ def perfect_square_root(p):
     lc = Fraction(p.terms[lead])
     if lc < 0 or any(k % 2 for k in lead):
         return None
-    root_lc = _fraction_sqrt(lc)
+    root_lc = rational_root(lc)
     if root_lc is None:
         return None
     root_lead = tuple(k // 2 for k in lead)
@@ -471,20 +458,30 @@ def perfect_square_root(p):
     return root
 
 
-def _fraction_sqrt(x):
+def integer_root(n, k):
+    """Floor of the integer k-th root of n >= 0."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n == 0:
+        return 0
+    x = 1 << (-(-n.bit_length() // k))
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def rational_root(x, k=2):
+    """Exact rational k-th root of x, or None when x has none."""
     x = Fraction(x)
     if x < 0:
         return None
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    num = integer_root(x.numerator, k)
+    den = integer_root(x.denominator, k)
+    if num**k == x.numerator and den**k == x.denominator:
+        return Fraction(num, den)
+    return None
 
 
 def find_psd_sos(p):
@@ -744,13 +741,16 @@ def cauchy_bound(coeffs):
     return 1 + max((abs(c) / lead for c in coeffs[:-1]), default=Fraction(0))
 
 
-def isolate_real_root(coeffs, max_width=Fraction(1, 16)):
+ROOT_INTERVAL_WIDTH = Fraction(1, 16)
+
+
+def isolate_real_root(coeffs):
     """Rational interval (lo, hi] containing exactly one real root.
 
     Returns None when the polynomial has no real roots.  The interval is
     produced by Sturm-guided bisection from the Cauchy bound and is
-    narrowed below max_width.  The Sturm chain is built once and every
-    bisection step counts sign variations against it.
+    narrowed to at most ``ROOT_INTERVAL_WIDTH``.  The Sturm chain is built
+    once and every bisection step counts sign variations against it.
     """
     sf = squarefree_part(coeffs)
     if len(sf) == 1:
@@ -760,7 +760,7 @@ def isolate_real_root(coeffs, max_width=Fraction(1, 16)):
         return None
     bound = cauchy_bound(sf)
     lo, hi = -bound, bound
-    while _roots_between(chain, lo, hi) > 1 or hi - lo > max_width:
+    while _roots_between(chain, lo, hi) > 1 or hi - lo > ROOT_INTERVAL_WIDTH:
         mid = (lo + hi) / 2
         if _roots_between(chain, lo, mid) > 0:
             hi = mid

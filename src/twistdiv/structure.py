@@ -2,7 +2,8 @@
 
 From a twisted algebra A this builds the bilinear algebras A^- (product
 [x,y] = (xy - yx)/2) and A^+ (product (xy + yx)/2) and analyzes them:
-Jacobi and Jordan identities, derived and lower central series with
+Jacobi and Jordan identities (bracket-tree combinations expanded by
+``identities.identity_residual``), derived and lower central series with
 solvable/nilpotent flags, the Heisenberg ideal of the Z4 survivor, and
 the chirality of inverses in the original algebra.
 """
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import tensor_product
-from .poly import MultiPoly, _is_zero, nonzero_point, symbolic_det
+from .identities import Leaf, Node, identity_residual, residual_point
+from .poly import _is_zero, nonzero_point, symbolic_det
 
 
 class BilinearAlgebra:
@@ -59,12 +61,6 @@ class BilinearAlgebra:
         coeffs = self.coefficients()
         return all(coeffs.get((j, i, k), 0) == c for (i, j, k), c in coeffs.items())
 
-    def generic(self, prefix, variables):
-        return [
-            MultiPoly.variable(f"{prefix}{i}", variables)
-            for i in range(self.dimension)
-        ]
-
 
 def _symmetrized(algebra, sign):
     """Bilinear algebra with product (xy + sign yx)/2 over ``algebra``."""
@@ -90,51 +86,33 @@ def anticommutator_algebra(algebra):
     return _symmetrized(algebra, 1)
 
 
-def _generic_triple(L):
-    n = L.dimension
-    names = tuple(f"{p}{i}" for p in ("x", "y", "z") for i in range(n))
-    return (
-        L.generic("x", names),
-        L.generic("y", names),
-        L.generic("z", names),
-    )
+_X, _Y, _Z = Leaf(0), Leaf(1), Leaf(2)
+_XX = Node(_X, _X)
 
+# x(yz) - (xy)z - y(xz), the Jacobi defect of an antisymmetric product
+JACOBI = (
+    (1, Node(_X, Node(_Y, _Z))),
+    (-1, Node(Node(_X, _Y), _Z)),
+    (-1, Node(_Y, Node(_X, _Z))),
+)
 
-def _vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _all_zero(vec):
-    return all(_is_zero(c) for c in vec)
-
-
-def _witness_point(residual):
-    """Integer point at which the first nonzero component is nonzero."""
-    return nonzero_point(next(c for c in residual if not _is_zero(c)))
+# (xy)(xx) - x(y(xx)), the Jordan defect of a symmetric product
+JORDAN = ((1, Node(Node(_X, _Y), _XX)), (-1, Node(_X, Node(_Y, _XX))))
 
 
 def jacobi_check(L):
     """Symbolic Jacobi identity for an antisymmetric product.
 
-    Returns (holds, None) or (False, (i, j, k)): the residual is
-    trilinear, so ``nonzero_point`` reads a basis triple (e_i, e_j, e_k)
-    off it at which the Jacobi defect is nonzero.
+    Returns (holds, None) or (False, (i, j, k)): the residual of
+    ``JACOBI`` is trilinear, so ``residual_point`` reads a basis triple
+    (e_i, e_j, e_k) off it at which the Jacobi defect is nonzero.
     """
     if not L.is_antisymmetric():
         raise ValueError("jacobi_check requires an antisymmetric tensor")
-    x, y, z = _generic_triple(L)
-    lhs = L.product(x, L.product(y, z))
-    rhs = [
-        a + b
-        for a, b in zip(
-            L.product(L.product(x, y), z), L.product(y, L.product(x, z))
-        )
-    ]
-    residual = _vec_sub(lhs, rhs)
-    if _all_zero(residual):
+    residual = identity_residual(L, JACOBI)
+    if all(_is_zero(c) for c in residual):
         return True, None
-    # the residual is trilinear, so its nonzero box point is (e_i, e_j, e_k)
-    point = _witness_point(residual)
+    point = residual_point(residual)
     n = L.dimension
     return False, tuple(point[b * n:(b + 1) * n].index(1) for b in range(3))
 
@@ -143,23 +121,19 @@ def jordan_residual(J):
     """Symbolic (x.y).(x.x) - x.(y.(x.x)) for a symmetric product."""
     if not J.is_symmetric():
         raise ValueError("jordan_check requires a symmetric tensor")
-    n = J.dimension
-    names = tuple(f"{p}{i}" for p in ("x", "y") for i in range(n))
-    x, y = J.generic("x", names), J.generic("y", names)
-    xx = J.product(x, x)
-    return _vec_sub(J.product(J.product(x, y), xx), J.product(x, J.product(y, xx)))
+    return identity_residual(J, JORDAN)
 
 
 def jordan_check(J):
     """(holds, counterexample) for the Jordan identity.
 
     A failure carries integer vectors (x, y) at which the residual of
-    ``jordan_residual`` is nonzero, read off it by ``nonzero_point``.
+    ``jordan_residual`` is nonzero, read off it by ``residual_point``.
     """
     residual = jordan_residual(J)
-    if _all_zero(residual):
+    if all(_is_zero(c) for c in residual):
         return True, None
-    point = _witness_point(residual)
+    point = residual_point(residual)
     n = J.dimension
     return False, (list(point[:n]), list(point[n:]))
 
@@ -201,11 +175,14 @@ def _span_products(L, rows_a, rows_b):
     return reduced
 
 
-def series(L, kind, max_steps=6):
+SERIES_MAX_STEPS = 6
+
+
+def series(L, kind):
     """Derived or lower central series by exact span closure.
 
     Stops at {0}, at stabilization (span equal to the previous step), or
-    after max_steps.  The Z4 survivor's commutator algebra stabilizes at
+    after ``SERIES_MAX_STEPS`` steps.  The Z4 survivor's commutator algebra stabilizes at
     the 3-dimensional Heisenberg ideal, so stabilization detection is
     required for termination.
     """
@@ -218,7 +195,7 @@ def series(L, kind, max_steps=6):
     dims = [n]
     terminates = False
     stabilizes = False
-    for _ in range(max_steps):
+    for _ in range(SERIES_MAX_STEPS):
         left = current if kind == DERIVED else full
         nxt = _span_products(L, left, current)
         dims.append(len(nxt))
@@ -226,7 +203,8 @@ def series(L, kind, max_steps=6):
         if not nxt:
             terminates = True
             break
-        if len(nxt) == len(current) and _linalg.same_rowspace(nxt, current):
+        # both spans are in reduced row echelon form, which is unique
+        if nxt == current:
             stabilizes = True
             break
         current = nxt
@@ -244,13 +222,16 @@ def is_ideal(L, rows):
     return True
 
 
-def heisenberg_ideal_check(L, span_indices=(0, 1, 3)):
+HEISENBERG_SPAN = (0, 1, 3)
+
+
+def heisenberg_ideal_check(L):
     """Check that span{v0, v1, v3} is an ideal isomorphic to the
     Heisenberg algebra: one independent bracket landing on a central
     element of the ideal."""
     n = L.dimension
     rows = [
-        [Fraction(int(i == k)) for i in range(n)] for k in span_indices
+        [Fraction(int(i == k)) for i in range(n)] for k in HEISENBERG_SPAN
     ]
     if not is_ideal(L, rows):
         return False

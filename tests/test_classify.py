@@ -35,6 +35,7 @@ from twistdiv.poly import (
     SignChangeWitness,
     certifies_positive_definite,
     count_real_roots,
+    symbolic_det,
     uni_eval,
     verify_sos,
 )
@@ -255,6 +256,13 @@ def test_rescaling_substitutes_signs_into_both_determinants(data):
     det_l, det_r = det_polynomials(StructureConstant(group, values, convention))
     rescaled = StructureConstant(group, _rescaled(group, values, s), convention)
     assert det_polynomials(rescaled) == (_flip(det_l, s), _flip(det_r, s))
+
+
+def test_symbolic_det_keeps_int_coefficients_and_fraction_scalars():
+    for det in det_polynomials(tesseranion_algebra().constant):
+        assert all(type(c) is int for c in det.terms.values())
+    zero = symbolic_det([[0, 0], [0, 0]])
+    assert zero == 0 and type(zero) is Fraction
 
 
 def _leibniz_det(m):

@@ -262,6 +262,12 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_format_is_a_classify_option_only():
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--algebra", "tes", "--format", "md"])
+    assert exc.value.code == 2
+
+
 _MALFORMED_DOCS = {
     "short_table": {"group": "Z4", "basis": "left-standard", "ring": "rational",
                     "C": [[1, 1, 1], [1, 1, 1, -1]]},
@@ -287,10 +293,17 @@ _MALFORMED_DOCS = {
         ["deform", "--family", "1", "--k", "1/0"],
         ["encrypt", "--p", "4", "--key", "1,1,0,0", "--msg", "1,2,3,4"],
         ["encrypt", "--p", "7", "--key", "1,2", "--msg", "1,2,3,4"],
+        ["analyze", "--algebra", "{directory}"],
+        ["identities", "--algebra", "tes", "--pattern", "2,1",
+         "--emit", "{missing}/x.json"],
+        ["accept", "--only", "99"],
+        ["analyze", "--algebra", "tes", "--report", "bogus"],
+        ["deform", "--family", "1", "--k", "2", "--checks", "bogus"],
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
          "not-object", "num-only-entry", "string-entry", "pattern-9", "k-0",
-         "k-1-over-0", "p-4", "short-key"],
+         "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
+         "unknown-criterion", "unknown-report", "unknown-check"],
 )
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {}
@@ -299,6 +312,8 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
         paths[name].write_text(json.dumps(doc))
     paths["not_json"] = tmp_path / "not.json"
     paths["not_json"].write_text("{C: [[1")
+    paths["directory"] = tmp_path
+    paths["missing"] = tmp_path / "missing"
     argv = [a.format(**paths) for a in argv]
     code = main(argv)
     err = capsys.readouterr().err

@@ -57,7 +57,7 @@ def test_expand_single_leaf_is_component_map():
 def test_expand_product_tree_matches_product_formula():
     comps = expand_monomial(T, N(L(0), L(1)), nvars=2)
     ex = Expander(T, 2)
-    prod = ex.generic[0] * ex.generic[1]
+    prod = T.generic_element("x", ex.vars) * T.generic_element("y", ex.vars)
     assert all((a - b).is_zero for a, b in zip(comps, prod.coeffs))
 
 

@@ -2,12 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistdiv.algebra import (
+    StructureConstant,
+    TwistedAlgebra,
     complex_algebra,
     quaternion_algebra,
     tesseranion_algebra,
 )
+from twistdiv.groups import group_by_name
+from twistdiv.identities import L as leaf
+from twistdiv.identities import N as node
+from twistdiv.identities import expand_monomial
 from twistdiv.poly import MultiPoly
 from twistdiv.structure import (
     CHIRAL,
@@ -101,6 +109,65 @@ def test_jacobi_failure_carries_a_basis_triple():
     rhs = [p + q for p, q in zip(L.product(L.product(a, b), c),
                                  L.product(b, L.product(a, c)))]
     assert not holds and lhs != rhs
+
+
+@st.composite
+def unital_sign_algebras(draw):
+    """Twisted algebra of a random unital sign table on Z2xZ2, Z4 or D4."""
+    group = group_by_name(draw(st.sampled_from(("Z2xZ2", "Z4", "D4"))))
+    n = group.order
+    signs = st.sampled_from((1, -1))
+    values = [[1] * n] + [
+        [1] + [draw(signs) for _ in range(n - 1)] for _ in range(n - 1)
+    ]
+    return TwistedAlgebra(StructureConstant(group, values))
+
+
+def _generic_lists(n, prefixes):
+    names = tuple(f"{p}{i}" for p in prefixes for i in range(n))
+    return [[MultiPoly.variable(f"{p}{i}", names) for i in range(n)] for p in prefixes]
+
+
+def _jacobi_defect(Lm, i, j, k):
+    """x(yz) - (xy)z - y(xz) at basis vectors, from ``product`` alone."""
+    x, y, z = (e(t, Lm.dimension) for t in (i, j, k))
+    lhs = Lm.product(x, Lm.product(y, z))
+    a = Lm.product(Lm.product(x, y), z)
+    b = Lm.product(y, Lm.product(x, z))
+    return [p - q - r for p, q, r in zip(lhs, a, b)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(unital_sign_algebras())
+def test_jacobi_check_agrees_with_basis_triples(A):
+    Lm = commutator_algebra(A)
+    n = Lm.dimension
+    defective = [
+        (i, j, k)
+        for i in range(n) for j in range(n) for k in range(n)
+        if any(_jacobi_defect(Lm, i, j, k))
+    ]
+    holds, triple = jacobi_check(Lm)
+    assert holds == (not defective)
+    if not holds:
+        assert any(_jacobi_defect(Lm, *triple))
+
+
+@settings(deadline=None, max_examples=30)
+@given(unital_sign_algebras())
+def test_jordan_residual_matches_product_reference(A):
+    Jp = anticommutator_algebra(A)
+    x, y = _generic_lists(Jp.dimension, "xy")
+    xx = Jp.product(x, x)
+    lhs = Jp.product(Jp.product(x, y), xx)
+    rhs = Jp.product(x, Jp.product(y, xx))
+    assert jordan_residual(Jp) == [a - b for a, b in zip(lhs, rhs)]
+
+
+def test_expand_monomial_on_a_bilinear_algebra():
+    Tm = commutator_algebra(T)
+    x, y = _generic_lists(4, "xy")
+    assert expand_monomial(Tm, node(leaf(0), leaf(1))) == Tm.product(x, y)
 
 
 def test_jordan():
