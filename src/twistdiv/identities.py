@@ -140,7 +140,10 @@ class Expander:
                 got = self.generic[tree.var]
             else:
                 got = tensor_product(
-                    self.entries, self.expand(tree.left), self.expand(tree.right), 0
+                    self.entries,
+                    self.expand(tree.left),
+                    self.expand(tree.right),
+                    MultiPoly.zero(self.vars),
                 )
             self._cache[key] = got
         return got
@@ -221,7 +224,7 @@ def identity_space(algebra, pattern):
     """Exact nullspace of the monomial-expansion matrix for the pattern.
 
     Rows are polynomial coefficient slots (component index, monomial
-    exponent); identically zero rows are dropped before elimination.
+    exponent) that some expansion reaches.
     """
     pattern = normalize_pattern(pattern)
     monomials = enumerate_monomials(pattern)
@@ -232,12 +235,10 @@ def identity_space(algebra, pattern):
         for ci, p in enumerate(comps):
             for exp in p.terms:
                 slots.add((ci, exp))
-    slots = sorted(slots)
-    rows = []
-    for ci, exp in slots:
-        row = [comps[ci].terms.get(exp, 0) for comps in expansions]
-        if any(row):
-            rows.append(row)
+    rows = [
+        [comps[ci].terms.get(exp, 0) for comps in expansions]
+        for ci, exp in sorted(slots)
+    ]
     basis = _linalg.nullspace(rows, ncols=len(monomials))
     return IdentitySpace(pattern, monomials, basis, len(basis))
 

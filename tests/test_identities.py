@@ -23,6 +23,7 @@ from twistdiv.identities import (
     verify_conjugate_identities,
     verify_identity,
 )
+from twistdiv.structure import commutator_algebra
 
 T = tesseranion_algebra()
 
@@ -74,6 +75,37 @@ def test_power_bracketings_differ_symbolically():
 )
 def test_identity_space_dimensions(pattern, dim):
     assert identity_space(T, pattern).dimension == dim
+
+
+@pytest.mark.parametrize(
+    "algebra,pattern,monomials,dim",
+    [
+        (T, (3, 2), 140, 104),
+        (T, (4, 1), 70, 50),
+        (T, (2, 1, 1), 60, 31),
+        (quaternion_algebra(), (3, 2), 140, 131),
+        (quaternion_algebra(), (2, 2, 1), 420, 394),
+    ],
+    ids=["T-3,2", "T-4,1", "T-2,1,1", "H-3,2", "H-2,2,1"],
+)
+def test_identity_space_dimensions_of_the_bench_patterns(
+    algebra, pattern, monomials, dim
+):
+    space = identity_space(algebra, pattern)
+    assert (len(space.monomials), space.dimension) == (monomials, dim)
+    assert len(space.nullspace_basis) == dim
+
+
+def test_identity_space_of_the_commutator_algebra():
+    """Components no structure-tensor entry reaches stay polynomials, so
+    A^- (where xx = 0) has an identity space; each basis vector is an
+    identity of A^-."""
+    minus = commutator_algebra(T)
+    space = identity_space(minus, (2, 1))
+    assert (len(space.monomials), space.dimension) == (6, 5)
+    for vec in space.nullspace_basis:
+        combo = [(c, t) for c, t in zip(vec, space.monomials) if c != 0]
+        assert verify_identity(minus, combo)
 
 
 def test_named_identities_verify():

@@ -1,0 +1,104 @@
+"""Exact elimination in ``_linalg`` against sympy's reduced row echelon form."""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistdiv import _linalg
+
+ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Random int/Fraction matrices, often with zero rows, rows repeated
+    up to sign and scale, and more rows than columns."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    extras = draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1),
+                  st.sampled_from([0, 1, -1, 3, Fraction(-2, 7)])),
+        max_size=6,
+    ))
+    for i, scale in extras:
+        rows.append([scale * x for x in rows[i]])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator,
+                                         Fraction(x).denominator)
+                          for x in row] for row in rows])
+
+
+def _times(rows, vec):
+    return [sum(Fraction(a) * b for a, b in zip(row, vec)) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rref_matches_sympy(rows):
+    reduced, pivots = _linalg.rref(rows)
+    oracle, oracle_pivots = _sympy(rows).rref()
+    assert pivots == list(oracle_pivots)
+    assert reduced == [[Fraction(int(v.p), int(v.q)) for v in oracle.row(i)]
+                       for i in range(len(pivots))]
+    assert all(type(v) is Fraction for row in reduced for v in row)
+    assert _linalg.rank(rows) == len(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_nullspace_vectors_are_annihilated(rows):
+    ncols = len(rows[0])
+    basis = _linalg.nullspace(rows)
+    assert len(basis) == ncols - _linalg.rank(rows)
+    for vec in basis:
+        assert _times(rows, vec) == [0] * len(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_consistent_and_inconsistent(rows, data):
+    ncols = len(rows[0])
+    x = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    b = _times(rows, x)
+    sol = _linalg.solve(rows, b)
+    assert sol is not None and _times(rows, sol) == b
+    # a left-nullspace vector y is off the column space: A x = y would
+    # give y.y = y^T A x = 0
+    left = _sympy(rows).T.nullspace()
+    if left:
+        y = [Fraction(int(v.p), int(v.q)) for v in left[0]]
+        assert _linalg.solve(rows, y) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.data())
+def test_in_rowspace_of_a_known_combination(rows, data):
+    coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    combo = [sum(Fraction(c) * row[j] for c, row in zip(coeffs, rows))
+             for j in range(len(rows[0]))]
+    assert _linalg.in_rowspace(rows, combo)
+    _, pivots = _linalg.rref(rows)
+    if len(pivots) < len(rows[0]):
+        free = next(j for j in range(len(rows[0])) if j not in pivots)
+        unit = [int(j == free) for j in range(len(rows[0]))]
+        assert not _linalg.in_rowspace(rows, unit)
+
+
+def test_rref_of_int_and_fraction_rows():
+    rows = [[2, 4, 6], [Fraction(1, 2), 1, Fraction(3, 2)], [0, 0, 0], [-1, 0, 1]]
+    reduced, pivots = _linalg.rref(rows)
+    assert pivots == [0, 1]
+    assert reduced == [[1, 0, -1], [0, 1, 2]]
+    assert all(type(v) is Fraction for row in reduced for v in row)
+    assert _linalg.rref([[0, 0], [0, 0]]) == ([], [])
+    assert _linalg.rref([]) == ([], [])

@@ -46,6 +46,38 @@ def test_arithmetic_and_equality():
     assert not (p + 1).is_homogeneous()
 
 
+RING_VARS = ("y0", "y1", "y2")
+_RING_POLY = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(RING_VARS)),
+    st.one_of(st.integers(-5, 5),
+              st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+    max_size=5,
+).map(lambda terms: MultiPoly(RING_VARS, terms))
+
+
+def _to_sympy(p):
+    syms = sympy.symbols(RING_VARS)
+    return sum(
+        (sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+         * sympy.prod([s**k for s, k in zip(syms, e)])
+         for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RING_POLY, _RING_POLY, _RING_POLY)
+def test_multipoly_ring_laws_against_sympy(p, q, r):
+    """* and + are commutative, associative and distributive, and every
+    product agrees with sympy's expansion of the same polynomials."""
+    assert p * q == q * p and p + q == q + p
+    assert (p * q) * r == p * (q * r) and (p + q) + r == p + (q + r)
+    assert p * (q + r) == p * q + p * r
+    assert all(c != 0 for c in (p * q).terms.values())
+    oracle = sympy.expand(_to_sympy(p) * _to_sympy(q))
+    assert sympy.expand(_to_sympy(p * q) - oracle) == 0
+
+
 def test_variable_mismatch_raises():
     a = MultiPoly.variable("a", ("a",))
     b = MultiPoly.variable("b", ("b",))
