@@ -130,28 +130,6 @@ def solve(rows, rhs):
     return x
 
 
-def det(rows):
-    """Exact determinant by Fraction Gaussian elimination on a copy."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
-
-
 def in_rowspace(rows, vector):
     """True if vector lies in the row space of rows."""
     if all(v == 0 for v in vector):

@@ -183,7 +183,7 @@ def structure_constant_from_generator(algebra, w):
     w3 = w * w2
     basis = [one, w, w2, w3]
     mat = [[Fraction(c) for c in b.coeffs] for b in basis]
-    if _linalg.det(mat) == 0:
+    if symbolic_det(mat) == 0:
         return None
     n = 4
     values = [[None] * n for _ in range(n)]
@@ -231,12 +231,14 @@ def commutator_rescaling(k):
 
     The family-1 bracket sends [v3, v1] to (1+k)/2 v0; when (1+k)/2 is
     u^-2 for a rational u, rescaling the two odd basis vectors by u maps
-    the brackets exactly onto the undeformed commutator algebra.
+    the brackets exactly onto the undeformed commutator algebra.  At
+    k = -1 that bracket vanishes and no rescaling exists.
     Returns (possible, matched).
     """
     k = Fraction(k)
-    target = Fraction(2) / (1 + k)  # u^2
-    u = rational_root(target)
+    if k == -1:
+        return False, False
+    u = rational_root(Fraction(2) / (1 + k))  # u^2 = 2 / (1 + k)
     if u is None:
         return False, False
     member = family_constant(1, k)

@@ -160,8 +160,8 @@ def identity_residual(algebra, combo):
     """Component polynomials of the combination over generic elements.
 
     The combination is an identity of the algebra iff every component is
-    the zero polynomial; otherwise ``residual_point`` reads a
-    counterexample off a nonzero component.
+    the zero polynomial; otherwise ``counterexample`` reads one off the
+    first nonzero component.
     """
     if not combo:
         return []
@@ -181,19 +181,19 @@ def verify_identity(algebra, combo):
     return all(_is_zero(c) for c in identity_residual(algebra, combo))
 
 
-def residual_point(residual):
-    """Integer point at which the first nonzero component of a residual
-    does not vanish, read off by ``nonzero_point``; its coordinates follow
-    the (variable, component) order of ``Expander``."""
-    return nonzero_point(next(c for c in residual if not _is_zero(c)))
+def counterexample(residual, dimension):
+    """Counterexample read off a residual of ``identity_residual``.
 
-
-def _residual_witness(algebra, residual):
-    """Elements at which a nonzero residual does not vanish: the point of
-    ``residual_point`` split into one element per variable."""
-    point = residual_point(residual)
-    n = algebra.dimension
-    return tuple(algebra.element(point[i:i + n]) for i in range(0, len(point), n))
+    None when every component is the zero polynomial.  Otherwise the
+    integer point at which the first nonzero component does not vanish,
+    read off by ``nonzero_point`` and split into one vector of
+    ``dimension`` components per variable, in the order of ``Expander``.
+    """
+    p = next((c for c in residual if not _is_zero(c)), None)
+    if p is None:
+        return None
+    point = nonzero_point(p)
+    return tuple(point[i:i + dimension] for i in range(0, len(point), dimension))
 
 
 @dataclass
@@ -224,22 +224,25 @@ def identity_space(algebra, pattern):
     """Exact nullspace of the monomial-expansion matrix for the pattern.
 
     Rows are polynomial coefficient slots (component index, monomial
-    exponent) that some expansion reaches.
+    exponent) that some expansion reaches, in sorted order; each row is
+    allocated when its slot first appears and filled in one pass over
+    the expansions' terms.
     """
     pattern = normalize_pattern(pattern)
     monomials = enumerate_monomials(pattern)
     expander = Expander(algebra, len(pattern))
     expansions = [expander.expand(t) for t in monomials]
-    slots = set()
-    for comps in expansions:
+    m = len(monomials)
+    slots = {}
+    for j, comps in enumerate(expansions):
         for ci, p in enumerate(comps):
-            for exp in p.terms:
-                slots.add((ci, exp))
-    rows = [
-        [comps[ci].terms.get(exp, 0) for comps in expansions]
-        for ci, exp in sorted(slots)
-    ]
-    basis = _linalg.nullspace(rows, ncols=len(monomials))
+            for exp, c in p.terms.items():
+                row = slots.get((ci, exp))
+                if row is None:
+                    row = slots[ci, exp] = [0] * m
+                row[j] = c
+    rows = [slots[slot] for slot in sorted(slots)]
+    basis = _linalg.nullspace(rows, ncols=m)
     return IdentitySpace(pattern, monomials, basis, len(basis))
 
 
@@ -301,16 +304,17 @@ def loop_property_suite(algebra):
 
     Each law is decided by its residual over generic components: it holds
     iff the residual is the zero polynomial.  A failed law carries the
-    counterexample read off that same residual by ``poly.nonzero_point``,
-    so every failed law has one.
+    elements that ``counterexample`` reads off that same residual, so
+    every failed law has a counterexample.
     """
     examples = {}
 
     def holds(name, combo):
         residual = identity_residual(algebra, combo)
-        if all(_is_zero(c) for c in residual):
+        vectors = counterexample(residual, algebra.dimension)
+        if vectors is None:
             return True
-        examples[name] = _residual_witness(algebra, residual)
+        examples[name] = tuple(algebra.element(v) for v in vectors)
         return False
 
     laws = {name: holds(name, combo) for name, combo in _law_combos().items()}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import tesseranion_algebra_mod
-from .poly import integer_root, rational_root
+from .poly import integer_root, rational_root, symbolic_det
 
 
 def quartic_norm4(x):
@@ -94,13 +94,9 @@ def inverse_formulas(x):
 
 def generates_whole_algebra(x):
     """True when {1, x, x^2, x*x^2} spans the 4-dimensional algebra."""
-    from . import _linalg
-
-    rows = [x.algebra.one().coeffs, x.coeffs]
     xx = x * x
-    rows.append(xx.coeffs)
-    rows.append((x * xx).coeffs)
-    return _linalg.det([list(r) for r in rows]) != 0
+    rows = [x.algebra.one().coeffs, x.coeffs, xx.coeffs, (x * xx).coeffs]
+    return symbolic_det(rows) != 0
 
 
 # -- iterated even-power norms ------------------------------------------
@@ -224,10 +220,6 @@ class InvalidKey(ValueError):
     """Key rejected: |a|^4 vanishes mod p, so a is not invertible."""
 
 
-def _as_modp_element(algebra, comps):
-    return algebra.element(list(comps))
-
-
 def encrypt(key, message, p, side="left"):
     """Encode the message c as the solution x of a*x = c over Z_p.
 
@@ -236,8 +228,8 @@ def encrypt(key, message, p, side="left"):
     Raises InvalidKey when |key|^4 = 0 mod p.
     """
     algebra = tesseranion_algebra_mod(p)
-    a = _as_modp_element(algebra, key)
-    c = _as_modp_element(algebra, message)
+    a = algebra.element(key)
+    c = algebra.element(message)
     n4 = quartic_norm4(a)
     if n4 == 0:
         raise InvalidKey(f"|key|^4 = 0 mod {p}")
@@ -255,7 +247,7 @@ def encrypt(key, message, p, side="left"):
 def decrypt(key, encoded, p, side="left"):
     """Recover c = a*x (or c = y*b for the right-sided scheme)."""
     algebra = tesseranion_algebra_mod(p)
-    a = _as_modp_element(algebra, key)
-    x = _as_modp_element(algebra, encoded)
+    a = algebra.element(key)
+    x = algebra.element(encoded)
     out = a * x if side == "left" else x * a
     return tuple(v.value for v in out.coeffs)

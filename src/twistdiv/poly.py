@@ -556,19 +556,18 @@ def structured_probes(nvars):
     """Deterministic probe points, coarse to fine.
 
     Mirrors the rejection route used for the order-4 case analyses: slices
-    with two components zero first, then one component zero, then the
-    all-components-nonzero sign patterns.
+    with two components nonzero first, then three, then the
+    all-components-nonzero sign patterns.  Every slice value is nonzero,
+    so the stages have supports of exactly 2, 3 and ``nvars`` components
+    and no point repeats; at ``nvars`` = 3 the last stage would repeat the
+    second, so it runs only for ``nvars`` > 3.
     """
-    seen = set()
     for nonzero in itertools.combinations(range(nvars), 2):
         for vals in itertools.product(_SLICE_VALUES_2, repeat=2):
             point = [0] * nvars
             for i, v in zip(nonzero, vals):
                 point[i] = v
-            t = tuple(point)
-            if t not in seen:
-                seen.add(t)
-                yield t
+            yield tuple(point)
     if nvars < 3:
         return
     for zero in itertools.combinations(range(nvars), nvars - 3):
@@ -577,14 +576,9 @@ def structured_probes(nvars):
             point = [0] * nvars
             for i, v in zip(nonzero, vals):
                 point[i] = v
-            t = tuple(point)
-            if t not in seen:
-                seen.add(t)
-                yield t
-    for vals in itertools.product(_SLICE_VALUES_1, repeat=nvars):
-        if vals not in seen:
-            seen.add(vals)
-            yield vals
+            yield tuple(point)
+    if nvars > 3:
+        yield from itertools.product(_SLICE_VALUES_1, repeat=nvars)
 
 
 def find_sign_change(p):
@@ -703,14 +697,6 @@ def _variations(signs):
 
 
 def _sign_at(coeffs, x):
-    if x == "-inf":
-        lead = coeffs[-1]
-        deg = len(coeffs) - 1
-        s = 1 if lead > 0 else -1 if lead < 0 else 0
-        return s if deg % 2 == 0 else -s
-    if x == "+inf":
-        lead = coeffs[-1]
-        return 1 if lead > 0 else -1 if lead < 0 else 0
     v = uni_eval(coeffs, x)
     return 1 if v > 0 else -1 if v < 0 else 0
 
@@ -722,16 +708,23 @@ def _roots_between(chain, lo, hi):
     return va - vb
 
 
-def count_real_roots(coeffs, lo="-inf", hi="+inf"):
+def count_real_roots(coeffs, lo=None, hi=None):
     """Distinct real roots of the polynomial in (lo, hi] via Sturm.
 
     Works on the squarefree part, so multiplicities are ignored (a root
-    of even multiplicity still counts once).
+    of even multiplicity still counts once).  An omitted end is taken at
+    minus or plus the ``cauchy_bound``, which strictly encloses every
+    root, so the count is the same as at -inf or +inf.
     """
     sf = squarefree_part(coeffs)
     if len(sf) == 1:
         return 0
-    return _roots_between(sturm_chain(sf), lo, hi)
+    bound = cauchy_bound(sf)
+    return _roots_between(
+        sturm_chain(sf),
+        -bound if lo is None else lo,
+        bound if hi is None else hi,
+    )
 
 
 def cauchy_bound(coeffs):
@@ -757,10 +750,10 @@ def isolate_real_root(coeffs):
     if len(sf) == 1:
         return None
     chain = sturm_chain(sf)
-    if _roots_between(chain, "-inf", "+inf") == 0:
-        return None
     bound = cauchy_bound(sf)
     lo, hi = -bound, bound
+    if _roots_between(chain, lo, hi) == 0:
+        return None
     while _roots_between(chain, lo, hi) > 1 or hi - lo > ROOT_INTERVAL_WIDTH:
         mid = (lo + hi) / 2
         if _roots_between(chain, lo, mid) > 0:

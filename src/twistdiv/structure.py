@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import tensor_product
-from .identities import Leaf, Node, identity_residual, residual_point
-from .poly import _is_zero, nonzero_point, symbolic_det
+from .identities import Leaf, Node, counterexample, identity_residual
+from .poly import nonzero_point, symbolic_det
 
 
 class BilinearAlgebra:
@@ -104,17 +104,16 @@ def jacobi_check(L):
     """Symbolic Jacobi identity for an antisymmetric product.
 
     Returns (holds, None) or (False, (i, j, k)): the residual of
-    ``JACOBI`` is trilinear, so ``residual_point`` reads a basis triple
-    (e_i, e_j, e_k) off it at which the Jacobi defect is nonzero.
+    ``JACOBI`` is trilinear, so the vectors that ``counterexample`` reads
+    off it are basis vectors (e_i, e_j, e_k) at which the Jacobi defect
+    is nonzero.
     """
     if not L.is_antisymmetric():
         raise ValueError("jacobi_check requires an antisymmetric tensor")
-    residual = identity_residual(L, JACOBI)
-    if all(_is_zero(c) for c in residual):
+    vectors = counterexample(identity_residual(L, JACOBI), L.dimension)
+    if vectors is None:
         return True, None
-    point = residual_point(residual)
-    n = L.dimension
-    return False, tuple(point[b * n:(b + 1) * n].index(1) for b in range(3))
+    return False, tuple(v.index(1) for v in vectors)
 
 
 def jordan_residual(J):
@@ -127,15 +126,14 @@ def jordan_residual(J):
 def jordan_check(J):
     """(holds, counterexample) for the Jordan identity.
 
-    A failure carries integer vectors (x, y) at which the residual of
-    ``jordan_residual`` is nonzero, read off it by ``residual_point``.
+    A failure carries integer vectors (x, y), as lists, at which the
+    residual of ``jordan_residual`` is nonzero, read off it by
+    ``counterexample``.
     """
-    residual = jordan_residual(J)
-    if all(_is_zero(c) for c in residual):
+    vectors = counterexample(jordan_residual(J), J.dimension)
+    if vectors is None:
         return True, None
-    point = residual_point(residual)
-    n = J.dimension
-    return False, (list(point[:n]), list(point[n:]))
+    return False, tuple(list(v) for v in vectors)
 
 
 DERIVED = "derived"

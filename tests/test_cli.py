@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+import sympy
 
-from twistdiv._linalg import det
 from twistdiv.algebra import StructureConstant, TwistedAlgebra
 from twistdiv.cli import main
 from twistdiv.groups import LEFT_STANDARD, group_by_name
@@ -87,7 +87,8 @@ def test_classify_raw_json_ties_each_witness_to_its_table(capsys):
         for point, value in (("positive_point", "positive_value"),
                              ("nonpositive_point", "nonpositive_value")):
             y = algebra.element([Fraction(n, d) for n, d in w[point]])
-            assert det(algebra.mult_matrix_left(y)) == Fraction(w[value])
+            oracle = sympy.Matrix(algebra.mult_matrix_left(y)).det()
+            assert oracle == sympy.Rational(w[value])
 
 
 def test_classify_json_real_root_witness(capsys):
@@ -229,6 +230,17 @@ def test_deform(capsys):
     assert data["witness_search"]["found"] is False
     assert data["k_inverse_isomorphism"] is True
     assert data["in_range"] is True
+
+
+def test_deform_commutator_at_k_minus_one(capsys):
+    """At k = -1 the bracket [v3, v1] vanishes: no rescaling, no traceback."""
+    code, out = run_cli(
+        capsys, "deform", "--family", "1", "--k", "-1", "--checks", "commutator"
+    )
+    assert code == 0
+    rescaling = json.loads(out)["commutator_rescaling"]
+    assert rescaling["rational_rescaling_exists"] is False
+    assert rescaling["brackets_match"] is False
 
 
 def test_deform_fraction_k(capsys):

@@ -295,6 +295,8 @@ def test_commutator_rescaling():
     assert commutator_rescaling(1) == (True, True)
     possible, _ = commutator_rescaling(2)
     assert not possible  # (1+2)/2 is not an inverse rational square
+    # at k = -1 the bracket [v3, v1] = (1+k)/2 v0 vanishes
+    assert commutator_rescaling(-1) == (False, False)
 
 
 def test_deformed_commutator_bracket():

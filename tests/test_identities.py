@@ -16,8 +16,10 @@ from twistdiv.identities import (
     N,
     Leaf,
     Node,
+    counterexample,
     enumerate_monomials,
     expand_monomial,
+    identity_residual,
     identity_space,
     loop_property_suite,
     verify_conjugate_identities,
@@ -123,6 +125,19 @@ def test_left_alternative_law_fails():
     # concrete witness: x = w, y = w
     w = T.element([0, 1, 0, 0])
     assert w * (w * w) != (w * w) * w
+
+
+def test_counterexample_of_a_residual():
+    x, y, z = L(0), L(1), L(2)
+    H = quaternion_algebra()
+    associative = [(1, N(N(x, y), z)), (-1, N(x, N(y, z)))]
+    assert counterexample(identity_residual(H, associative), H.dimension) is None
+    flexible = [(1, N(N(x, y), x)), (-1, N(x, N(y, x)))]
+    vectors = counterexample(identity_residual(T, flexible), T.dimension)
+    assert len(vectors) == 2
+    assert all(len(v) == 4 and all(type(c) is int for c in v) for v in vectors)
+    a, b = (T.element(v) for v in vectors)
+    assert (a * b) * a != a * (b * a)
 
 
 def test_empty_combo_is_identity():

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -284,6 +285,30 @@ def test_find_sign_change_absent_for_positive_definite():
 def test_structured_probes_exclude_origin():
     for pt in structured_probes(4):
         assert any(pt)
+
+
+@pytest.mark.parametrize("n,length", [
+    (1, 0), (2, 64), (3, 256), (4, 896),
+    (5, 2304), (6, 6336), (7, 19968), (8, 70912),
+])
+def test_structured_probes_pinned_order(n, length):
+    """Three stages with supports of exactly 2, 3 and n components, in
+    that order; no point repeats and the origin never appears."""
+    points = list(structured_probes(n))
+    assert len(points) == length
+    assert len(set(points)) == length
+    assert all(any(pt) for pt in points)
+    pairs, triples = 64 * math.comb(n, 2), 64 * math.comb(n, 3)
+    supports = [sum(1 for x in pt if x) for pt in points]
+    assert supports == [2] * pairs + [3] * triples + [n] * (length - pairs - triples)
+    firsts = {
+        0: (1, 1) + (0,) * (n - 2),
+        pairs: (0,) * (n - 3) + (1, 1, 1),
+        pairs + triples: (1,) * n,
+    }
+    for index, point in firsts.items():
+        if index < length:
+            assert points[index] == point
 
 
 def _uni(coeffs):
