@@ -57,7 +57,6 @@ from .norms import (
 from .poly import (
     MultiPoly,
     SignChangeWitness,
-    certifies_positive_definite,
     count_real_roots,
     uni_coeffs,
 )
@@ -136,15 +135,7 @@ def criterion_2():
 def _verify_rejection(candidate, witness):
     det_l, _ = det_polynomials(candidate.constant)
     if isinstance(witness, SignChangeWitness):
-        pos = det_l.evaluate(witness.positive_point)
-        neg = det_l.evaluate(witness.nonpositive_point)
-        return (
-            pos == witness.positive_value
-            and neg == witness.nonpositive_value
-            and pos > 0
-            and neg <= 0
-            and any(witness.nonpositive_point)
-        )
+        return witness.verify(det_l.evaluate)
     if isinstance(witness, RealRootRejection):
         return witness.verify(det_l)
     return False
@@ -444,9 +435,7 @@ def criterion_11():
 
     verified = sum(_verify_rejection(c, w) for c, w in rep.rejected)
     for cand, cert in rep.survivors:
-        det_l, det_r = det_polynomials(cand.constant)
-        verified += certifies_positive_definite(det_l, cert.cert_left)
-        verified += certifies_positive_definite(det_r, cert.cert_right)
+        verified += 2 * cert.verify(*det_polynomials(cand.constant))
     certificates = len(rep.rejected) + 2 * len(rep.survivors)
     ok = ok and verified == certificates
     fps = [

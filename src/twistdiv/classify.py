@@ -110,6 +110,7 @@ class RealRootRejection:
 
     def to_json(self):
         return {
+            "kind": "real-root-on-line",
             "position": self.position,
             "base": [str(v) for v in self.base],
             "coefficients": [str(c) for c in self.coefficients],
@@ -123,6 +124,13 @@ class SurvivorCertificate:
     kind: str  # "positive-definite-sos" or "odd-dimension-unit"
     cert_left: object
     cert_right: object
+
+    def verify(self, det_l, det_r):
+        """True iff the SOS certificates prove det M^L and det M^R
+        positive definite."""
+        return certifies_positive_definite(
+            det_l, self.cert_left
+        ) and certifies_positive_definite(det_r, self.cert_right)
 
 
 @dataclass
@@ -258,6 +266,17 @@ def line_root_rejection(det_poly):
     return None
 
 
+def zero_divisor_witness(det_l):
+    """Zero-divisor witness on det M^L, or None.
+
+    The structured probes look for a rational sign change; failing that,
+    rational lines are tried until one restriction has a Sturm-certified
+    real root.  None only says no zero divisor was found, not that the
+    determinant is positive definite.
+    """
+    return find_sign_change(det_l) or line_root_rejection(det_l)
+
+
 def _certify_survivor(det_l, det_r):
     cert_l = find_diagonal_sos(det_l)
     if cert_l is None:
@@ -273,14 +292,11 @@ def _classify_one(candidate):
     cert = _certify_survivor(det_l, det_r)
     if cert is not None:
         return "survivor", cert, None
-    witness = find_sign_change(det_l)
-    if witness is not None:
+    witness = zero_divisor_witness(det_l)
+    if isinstance(witness, SignChangeWitness):
         return "rejected", witness, None
-    root = line_root_rejection(det_l)
-    psd = find_psd_sos(det_l)
-    if root is not None:
-        return "rejected", root, psd
-    return "undetermined", None, psd
+    verdict = "undetermined" if witness is None else "rejected"
+    return verdict, witness, find_psd_sos(det_l)
 
 
 def _rescaled_tables(constant):
@@ -318,15 +334,18 @@ def _transport(result, s, candidate):
 
     if isinstance(payload, SignChangeWitness):
         # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
+        # (as Fractions, the type symbolic_det gives them in)
         algebra = TwistedAlgebra(candidate.constant, RATIONALS)
-        pos, nonpos = flip(payload.positive_point), flip(payload.nonpositive_point)
-        vp, vn = (
-            symbolic_det(algebra.mult_matrix_left(algebra.element(p)))
-            for p in (pos, nonpos)
+        witness = SignChangeWitness(
+            flip(payload.positive_point),
+            flip(payload.nonpositive_point),
+            Fraction(payload.positive_value),
+            Fraction(payload.nonpositive_value),
         )
-        if not (vp == payload.positive_value > 0 >= vn == payload.nonpositive_value):
-            return None
-        return verdict, SignChangeWitness(pos, nonpos, vp, vn), None
+        certified = witness.verify(
+            lambda p: symbolic_det(algebra.mult_matrix_left(algebra.element(p)))
+        )
+        return (verdict, witness, None) if certified else None
     det_l, det_r = det_polynomials(candidate.constant)
     if isinstance(payload, RealRootRejection):
         # the line y_i = t, y_j = base_j becomes y_i = s_i t, y_j = s_j base_j
@@ -344,10 +363,7 @@ def _transport(result, s, candidate):
             return None
         return verdict, witness, find_psd_sos(det_l)
     # the SOS bases are monomials, whose squares are unchanged by y -> s o y
-    certified = certifies_positive_definite(
-        det_l, payload.cert_left
-    ) and certifies_positive_definite(det_r, payload.cert_right)
-    return result if certified else None
+    return result if payload.verify(det_l, det_r) else None
 
 
 def classify(group, convention=LEFT_STANDARD, mode=SHAPED):

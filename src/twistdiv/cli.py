@@ -20,7 +20,6 @@ from .algebra import TwistedAlgebra, algebra_by_name
 from .classify import (
     RAW,
     SHAPED,
-    RealRootRejection,
     classify,
     non_isomorphism_fingerprint,
 )
@@ -41,7 +40,6 @@ from .norms import (
     schwarz_defect4,
     triangle_check,
 )
-from .poly import SignChangeWitness
 from .structure import (
     DERIVED,
     LOWER_CENTRAL,
@@ -87,14 +85,6 @@ def _parse_components(text, n=4):
     return [int(p) for p in parts]
 
 
-def _witness_json(w):
-    if isinstance(w, SignChangeWitness):
-        return {"kind": "sign-change", **w.to_json()}
-    if isinstance(w, RealRootRejection):
-        return {"kind": "real-root-on-line", **w.to_json()}
-    return {"kind": "none"}
-
-
 def cmd_classify(args):
     convention = LEFT_STANDARD if args.basis == "left" else RIGHT_STANDARD
     mode = SHAPED if args.mode == "shaped" else RAW
@@ -116,7 +106,7 @@ def cmd_classify(args):
             {
                 "C": [list(r) for r in cand.constant.values],
                 "parameters": dict(cand.parameters),
-                "witness": _witness_json(w),
+                "witness": w.to_json(),
             }
             for cand, w in report.rejected
         ],
@@ -336,7 +326,7 @@ def cmd_deform(args):
         data["witness_search"] = (
             {"found": False, "note": "no zero divisor found (not a positivity proof)"}
             if witness is None
-            else {"found": True, **_witness_json(witness)}
+            else {"found": True, **witness.to_json()}
         )
         failures += 1 if witness is not None and member.in_range else 0
     if "inverse-iso" in checks:

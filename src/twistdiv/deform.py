@@ -9,15 +9,16 @@ allowed arbitrary nonzero rational values.  This module provides:
 * zero-divisor witness searches on the parametric determinants (the
   exact rejection route of ``classify``),
 * basis-rebuild machinery: the structure constant generated by a chosen
-  element w (basis 1, w, w^2, w*w^2), used for the k <-> 1/k isomorphism
-  and for finite nonisomorphism evidence searches, and
+  element w (basis 1, w, w^2, w*w^2), used for the k <-> 1/k
+  isomorphism, and
 * the commutator-bracket rescaling onto the undeformed Lie algebra.
 
 Open here: whether the family-1 algebras arise from generalized
 Cayley-Dickson doubling constructions (they do not appear to), and the
 sharper validity bound for family 5 given by the positive root of
-4 sqrt(r) - r^2 + 6 r + 3 = 0 (about 7.81); the conservative bound
-3 + 2 sqrt(3) is what gates validity.
+8 sqrt(r) - r^2 + 6 r + 3 = -(sqrt(r) - 3) (sqrt(r) + 1)^3, which is
+exactly r = 9; the conservative bound 3 + 2 sqrt(3) is what gates
+validity.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
-from .classify import PARAM_NAMES, cyclic4_table, det_polynomials, line_root_rejection
+from .classify import PARAM_NAMES, cyclic4_table, det_polynomials, zero_divisor_witness
 from .groups import LEFT_STANDARD, group_by_name
-from .poly import MultiPoly, find_sign_change, rational_root, symbolic_det
+from .poly import MultiPoly, rational_root, symbolic_det
 from .structure import commutator_algebra
 
 TES_PARAMS = {"alpha": -1, "beta": -1, "delta": 1, "epsilon": 1, "phi": -1, "omega": 1}
@@ -158,14 +159,13 @@ def family_constant(family, k):
 def witness_search(constant):
     """Zero-divisor witness on det M^L for a parametric constant.
 
-    Runs classify's rejection route: the structured probes for a
-    rational sign change, then rational lines until one restriction has
-    a Sturm-certified real root.  Returns a SignChangeWitness, a
-    RealRootRejection or None; None only says no zero divisor was found,
-    not a positivity proof (reports must label it as such).
+    Runs classify's rejection route, ``zero_divisor_witness``.  Returns a
+    SignChangeWitness, a RealRootRejection or None; None only says no
+    zero divisor was found, not a positivity proof (reports must label it
+    as such).
     """
     det_l, _ = det_polynomials(constant)
-    return find_sign_change(det_l) or line_root_rejection(det_l)
+    return zero_divisor_witness(det_l)
 
 
 # -- basis rebuilds from a chosen generator -------------------------------
@@ -250,64 +250,6 @@ def commutator_rescaling(k):
         for (i, j, t), c in deformed.items()
     }
     return True, rescaled == reference
-
-
-def _rational_pairs(height):
-    """Rational points (a1, a3), not both zero, with small numerators and
-    denominators, in a deterministic order."""
-    values = [Fraction(0)]
-    for den in range(1, height + 1):
-        for num in range(-height, height + 1):
-            v = Fraction(num, den)
-            if v not in values:
-                values.append(v)
-    for a1 in values:
-        for a3 in values:
-            if a1 != 0 or a3 != 0:
-                yield a1, a3
-
-
-@dataclass
-class RebaseSearchReport:
-    k: Fraction
-    k_prime: Fraction
-    generators_tested: int
-    graded_generators: int
-    found_generator: object  # coefficients tuple or None
-
-    @property
-    def found(self):
-        return self.found_generator is not None
-
-
-def nonisomorphism_evidence(k, k_prime, height=4):
-    """Finite search for a generator turning family-1(k) into family-1(k').
-
-    Generators are restricted to odd elements w' = [0, a1, 0, a3] over
-    rationals of bounded height, filtered to those whose rebuilt basis is
-    graded and normalized (w'^2 squared equals -1).  Absence of a hit is
-    evidence, not proof: the real-coefficient argument covers irrational
-    generators too.
-    """
-    k, k_prime = Fraction(k), Fraction(k_prime)
-    member = family_constant(1, k)
-    algebra = member.algebra()
-    target = family_constant(1, k_prime).constant().values
-    tested = 0
-    graded = 0
-    found = None
-    for a1, a3 in _rational_pairs(height):
-        tested += 1
-        w = algebra.element([0, a1, 0, a3])
-        rebuilt = structure_constant_from_generator(algebra, w)
-        if rebuilt is None:
-            continue
-        if rebuilt.values[2][2] != -1:
-            continue  # not normalized
-        graded += 1
-        if rebuilt.values == target and found is None:
-            found = (0, a1, 0, a3)
-    return RebaseSearchReport(k, k_prime, tested, graded, found)
 
 
 # -- the generic determinant --------------------------------------------

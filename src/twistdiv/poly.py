@@ -266,7 +266,9 @@ def symbolic_det(rows):
     (O(n * 2^n) multiplications), which is exact and cheap for the n <= 8
     matrices that occur here.  The expansion starts from the int 1, so
     integer entries keep integer coefficients.  The result is a
-    ``MultiPoly`` when some entry is one, else a ``Fraction``.
+    ``MultiPoly`` when some entry is one; otherwise it is a ``Fraction``
+    for integer or rational entries and a scalar of the entries' own ring
+    (such as ``ModInt``) for any other.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -301,7 +303,9 @@ def symbolic_det(rows):
     template = next(
         (x for row in rows for x in row if isinstance(x, MultiPoly)), None
     )
-    return Fraction(det) if template is None else MultiPoly.constant(template.vars, det)
+    if template is not None:
+        return MultiPoly.constant(template.vars, det)
+    return Fraction(det) if isinstance(det, int) else det
 
 
 def nonzero_point(p):
@@ -351,10 +355,13 @@ class SosCertificate:
 
 
 def verify_sos(p, cert):
-    """True iff sum(c_i * base_i^2) - p is exactly the zero polynomial."""
+    """True iff sum(c_i * base_i^2) - p is exactly the zero polynomial.
+
+    A base over other indeterminates than p's makes the check False.
+    """
     if not cert.parts:
         return p.is_zero
-    if any(Fraction(c) <= 0 for c, _ in cert.parts):
+    if any(Fraction(c) <= 0 or b.vars != p.vars for c, b in cert.parts):
         return False
     return (cert.polynomial() - p).is_zero
 
@@ -536,11 +543,21 @@ class SignChangeWitness:
     positive_value: Fraction
     nonpositive_value: Fraction
 
+    def verify(self, value_at):
+        """True iff ``value_at`` gives both recorded values and they differ
+        in sign as claimed, with the nonpositive point off the origin."""
+        return (
+            any(self.nonpositive_point)
+            and value_at(self.positive_point) == self.positive_value > 0
+            and value_at(self.nonpositive_point) == self.nonpositive_value <= 0
+        )
+
     def to_json(self):
         def pt(v):
             return [[Fraction(x).numerator, Fraction(x).denominator] for x in v]
 
         return {
+            "kind": "sign-change",
             "positive_point": pt(self.positive_point),
             "nonpositive_point": pt(self.nonpositive_point),
             "positive_value": str(self.positive_value),

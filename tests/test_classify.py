@@ -129,6 +129,54 @@ def test_line_root_verify_rejects_malformed_witnesses(change):
     assert dataclasses.replace(witness, **change(witness)).verify(det_l) is False
 
 
+@pytest.fixture(scope="module")
+def raw_z4_sign_change():
+    """det M^L and the witness of the first raw Z4 sign-change rejection."""
+    rep = classify("Z4", LEFT_STANDARD, RAW)
+    cand, witness = next(
+        (c, w) for c, w in rep.rejected if isinstance(w, SignChangeWitness)
+    )
+    return det_polynomials(cand.constant)[0], witness
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda w: {"positive_value": w.positive_value + 1},
+     lambda w: {"nonpositive_value": w.nonpositive_value - 1},
+     lambda w: {"positive_point": w.nonpositive_point,
+                "nonpositive_point": w.positive_point},
+     lambda w: {"nonpositive_point": (0,) * len(w.nonpositive_point),
+                "nonpositive_value": 0}],
+    ids=["positive-value", "nonpositive-value", "points-swapped", "origin"],
+)
+def test_sign_change_verify_rejects_changed_witnesses(raw_z4_sign_change, change):
+    det_l, witness = raw_z4_sign_change
+    assert witness.verify(det_l.evaluate)
+    changed = dataclasses.replace(witness, **change(witness))
+    assert changed.verify(det_l.evaluate) is False
+
+
+def test_survivor_verify_checks_each_certificate_on_its_own_side():
+    """cert_left is over y and cert_right over x, so swapping them fails."""
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    cand, cert = rep.survivors[0]
+    det_l, det_r = det_polynomials(cand.constant)
+    assert cert.verify(det_l, det_r)
+    swapped = dataclasses.replace(
+        cert, cert_left=cert.cert_right, cert_right=cert.cert_left
+    )
+    assert swapped.verify(det_l, det_r) is False
+
+
+def test_each_witness_writes_its_own_kind(raw_z4_sign_change):
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    (_, root), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
+    assert root.to_json()["kind"] == "real-root-on-line"
+    assert raw_z4_sign_change[1].to_json()["kind"] == "sign-change"
+
+
 def test_psd_candidate_sos_identity():
     """The no-sign-change candidate's determinant is PSD with an exact
     SOS decomposition, and its only rational zero is the origin on a

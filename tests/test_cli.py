@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -136,6 +137,37 @@ def test_classify_deterministic(capsys):
     _, first = run_cli(capsys, "classify", "--group", "Z2xZ2", "--basis", "right")
     _, second = run_cli(capsys, "classify", "--group", "Z2xZ2", "--basis", "right")
     assert first == second
+
+
+# sha256 of each ``classify`` report, pinned so that a refactor that moves
+# any byte of a verdict, witness or certificate shows up here
+CLASSIFY_SHA256 = [
+    ("Z1", "left", "shaped", "2f865ea618c9d6ddf301bc537b1070ac36303ccd82285f7a30154ba1b41a8dc9"),
+    ("Z1", "left", "raw", "858f62b8d11064b39584b0ade6ba8d9d2b11b7349cac3ca0080022666a6e5ee4"),
+    ("Z1", "right", "shaped", "a5ea4b689b578efc39c26019da128a7245a8f97478807dcd95be707bcc040097"),
+    ("Z1", "right", "raw", "1b1077c2f409ea234abf1081cd555cce517e70144c64142dd2af8133e5afe93c"),
+    ("Z2", "left", "shaped", "ddb0276ebb1e8496985ceaab46db87f1722fe2ed3f9ac8023c18279a592da982"),
+    ("Z2", "left", "raw", "21afdf95a684c104d04b98a315430a52560f1a7d54d5d5c606e9eabda21ac2ea"),
+    ("Z2", "right", "shaped", "21aac6c4d48fd70a1d6d8f988fcb34cd0d1a90b2fdd9d5d8fed9522ce3b5c76a"),
+    ("Z2", "right", "raw", "1cd69c831053ff620212098025033ba37629471063172a6c88f9b6cb05b5c2f3"),
+    ("Z2xZ2", "left", "shaped", "9ff97b533681a3e1deb61946bd976b8af1a36cb895c1567929d592dda4a1cdc1"),
+    ("Z2xZ2", "left", "raw", "55b95e32ffc1255bb995ff37eaadffba45ddd7fd8dfd6c862dc769b837be1ed6"),
+    ("Z2xZ2", "right", "shaped", "07a90e34fec18761e30cb74d5ba23f6549d3a7c49ea5ecbab3a6c85a0b3ba607"),
+    ("Z2xZ2", "right", "raw", "1ee2e755699f5bfe5f24495c1780cfc2300701630c0f7e02c53bc8f89c877e2e"),
+    ("Z4", "left", "shaped", "6c6bacf4c44b475c5cbe90e11f1265905162288c8ae2679899cedc44a014c2cd"),
+    ("Z4", "left", "raw", "a8b0511dada7213439807302e2bcfc6224d039fbe5bec5106cdeb84c1720e097"),
+    ("Z4", "right", "shaped", "a8114a8066f4f10add0c9f2c23323dc167a8a9135a9d7be4f187c33dea16b9b1"),
+    ("Z4", "right", "raw", "33a1d12ecd8b3b9f638b197bdc50a5968ac378a4598af2a71a1f61687aa79309"),
+]
+
+
+@pytest.mark.parametrize("group, basis, mode, digest", CLASSIFY_SHA256)
+def test_classify_reports_are_byte_identical(capsys, group, basis, mode, digest):
+    code, out = run_cli(
+        capsys, "classify", "--group", group, "--basis", basis, "--mode", mode
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_identities_json(capsys, tmp_path):

@@ -20,7 +20,6 @@ from twistdiv.deform import (
     generic_det_ml_reference,
     k_inverse_isomorphism,
     neccons_check,
-    nonisomorphism_evidence,
     parametric_constant,
     structure_constant_from_generator,
     witness_search,
@@ -308,16 +307,6 @@ def test_deformed_commutator_bracket():
     v3 = [Fraction(0), 0, 0, 1]
     v1 = [Fraction(0), 1, 0, 0]
     assert L.product(v3, v1) == [Fraction(1 + k, 2), 0, 0, 0]
-
-
-def test_nonisomorphism_evidence():
-    rep = nonisomorphism_evidence(4, 9, height=3)
-    assert not rep.found
-    assert rep.graded_generators >= 2
-    rep2 = nonisomorphism_evidence(4, Fraction(1, 4), height=3)
-    assert rep2.found
-    rep3 = nonisomorphism_evidence(4, 4, height=3)
-    assert rep3.found
 
 
 def test_family1_members_keep_chirality_and_fingerprint():

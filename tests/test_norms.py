@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistdiv.algebra import tesseranion_algebra
+from twistdiv.algebra import tesseranion_algebra, tesseranion_algebra_mod
 from twistdiv.norms import (
     InvalidKey,
     IteratedNormSpec,
@@ -111,6 +111,12 @@ def test_elements_with_odd_part_generate():
         count += 1
     # a pure even element generates only the even subalgebra
     assert not generates_whole_algebra(T.element([1, 0, 1, 0]))
+
+
+def test_generation_over_the_integers_mod_p():
+    T13 = tesseranion_algebra_mod(13)
+    assert generates_whole_algebra(T13.element([0, 1, 0, 0]))
+    assert not generates_whole_algebra(T13.element([1, 0, 0, 0]))
 
 
 def test_iterated_norm_values():

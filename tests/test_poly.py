@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistdiv.algebra import ModInt
 from twistdiv.poly import (
     MultiPoly,
     SosCertificate,
@@ -141,6 +142,12 @@ def test_symbolic_det_agrees_with_numeric_evaluation():
         pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(4)]
         numeric = [[e.evaluate(pt) for e in row] for row in mat]
         assert d.evaluate(pt) == symbolic_det(numeric)
+
+
+def test_symbolic_det_keeps_scalars_of_other_rings():
+    p = 13
+    det = symbolic_det([[ModInt(1, p), ModInt(2, p)], [ModInt(3, p), ModInt(4, p)]])
+    assert isinstance(det, ModInt) and repr(det) == "11 (mod 13)"
 
 
 def test_symbolic_det_rejects_non_square():
