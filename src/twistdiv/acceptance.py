@@ -28,6 +28,7 @@ from .classify import (
     SHAPED,
     RealRootRejection,
     classify,
+    det_polynomial,
     det_polynomials,
     non_isomorphism_fingerprint,
 )
@@ -133,7 +134,7 @@ def criterion_2():
 
 
 def _verify_rejection(candidate, witness):
-    det_l, _ = det_polynomials(candidate.constant)
+    det_l = det_polynomial(candidate.constant)
     if isinstance(witness, SignChangeWitness):
         return witness.verify(det_l.evaluate)
     if isinstance(witness, RealRootRejection):
@@ -466,7 +467,7 @@ def criterion_12():
     # the eps=-1 probe: restricted determinant is exactly (y1^2 - 2)^2
     probe = dict(TES_PARAMS)
     probe.update({"alpha": 1, "beta": 1, "delta": -1, "epsilon": -1})
-    det_l, _ = det_polynomials(parametric_constant(probe))
+    det_l = det_polynomial(parametric_constant(probe))
     restricted = det_l.specialize({"y0": 1, "y2": 1, "y3": 0})
     coeffs = uni_coeffs(restricted, "y1")
     target = [Fraction(c) for c in (4, 0, -4, 0, 1)]  # (t^2 - 2)^2

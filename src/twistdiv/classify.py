@@ -11,7 +11,8 @@ is either
 Each table is decided by exact routes, in this order: a survivor is
 certified when both determinants have only even exponents and positive
 coefficients, with a pure even power of every variable, which makes
-each a positive-definite sum of squares of monomials; otherwise the
+each a positive-definite sum of squares of monomials (det M^R is built
+only once det M^L has passed, since no other route reads it); otherwise the
 structured probes look for a rational sign-change pair for det M^L (a
 point with positive value and a nonzero point with nonpositive value);
 failing that, det M^L is restricted to rational lines until one has a
@@ -30,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RATIONALS, StructureConstant, TwistedAlgebra
+from .algebra import RATIONALS, AlgebraElement, StructureConstant, TwistedAlgebra
 from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
@@ -126,8 +127,15 @@ class SurvivorCertificate:
     cert_right: object
 
     def verify(self, det_l, det_r):
-        """True iff the SOS certificates prove det M^L and det M^R
-        positive definite."""
+        """True iff the certificates prove det M^L and det M^R positive
+        definite; for an odd-dimension unit, iff each determinant is a
+        single term c * v^k (k >= 1) in its one variable, so that it
+        vanishes only at 0."""
+        if self.kind == "odd-dimension-unit":
+            return all(
+                len(d.vars) == 1 and len(d.terms) == 1 and d.degree() > 0
+                for d in (det_l, det_r)
+            )
         return certifies_positive_definite(
             det_l, self.cert_left
         ) and certifies_positive_definite(det_r, self.cert_right)
@@ -216,18 +224,20 @@ def enumerate_candidates(group, convention, mode=SHAPED):
     raise ValueError(f"no table shape for group {group.name}")
 
 
+def det_polynomial(constant, left=True):
+    """det M^L in y (``left``) or det M^R in x, as an exact polynomial."""
+    algebra = TwistedAlgebra(constant, RATIONALS)
+    prefix = "y" if left else "x"
+    names = tuple(f"{prefix}{i}" for i in range(constant.group.order))
+    v = algebra.generic_element(prefix, names)
+    return symbolic_det(
+        algebra.mult_matrix_left(v) if left else algebra.mult_matrix_right(v)
+    )
+
+
 def det_polynomials(constant):
     """(det M^L in y, det M^R in x) as exact polynomials."""
-    algebra = TwistedAlgebra(constant, RATIONALS)
-    n = constant.group.order
-    yvars = tuple(f"y{i}" for i in range(n))
-    xvars = tuple(f"x{i}" for i in range(n))
-    y = algebra.generic_element("y", yvars)
-    x = algebra.generic_element("x", xvars)
-    return (
-        symbolic_det(algebra.mult_matrix_left(y)),
-        symbolic_det(algebra.mult_matrix_right(x)),
-    )
+    return det_polynomial(constant), det_polynomial(constant, left=False)
 
 
 def line_root_rejection(det_poly):
@@ -277,21 +287,17 @@ def zero_divisor_witness(det_l):
     return find_sign_change(det_l) or line_root_rejection(det_l)
 
 
-def _certify_survivor(det_l, det_r):
-    cert_l = find_diagonal_sos(det_l)
-    if cert_l is None:
-        return None
-    cert_r = find_diagonal_sos(det_r)
-    if cert_r is None:
-        return None
-    return SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
-
-
 def _classify_one(candidate):
-    det_l, det_r = det_polynomials(candidate.constant)
-    cert = _certify_survivor(det_l, det_r)
-    if cert is not None:
-        return "survivor", cert, None
+    """Verdict for one table; det M^R is built only once det M^L has its
+    survivor certificate."""
+    det_l = det_polynomial(candidate.constant)
+    cert_l = find_diagonal_sos(det_l)
+    if cert_l is not None:
+        det_r = det_polynomial(candidate.constant, left=False)
+        cert_r = find_diagonal_sos(det_r)
+        if cert_r is not None:
+            cert = SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
+            return "survivor", cert, None
     witness = zero_divisor_witness(det_l)
     if isinstance(witness, SignChangeWitness):
         return "rejected", witness, None
@@ -334,20 +340,23 @@ def _transport(result, s, candidate):
 
     if isinstance(payload, SignChangeWitness):
         # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
-        # (as Fractions, the type symbolic_det gives them in)
         algebra = TwistedAlgebra(candidate.constant, RATIONALS)
         witness = SignChangeWitness(
             flip(payload.positive_point),
             flip(payload.nonpositive_point),
-            Fraction(payload.positive_value),
-            Fraction(payload.nonpositive_value),
+            payload.positive_value,
+            payload.nonpositive_value,
         )
+        # AlgebraElement keeps integer points in ints, which algebra.element
+        # would coerce to Fractions; symbolic_det returns a Fraction either way
         certified = witness.verify(
-            lambda p: symbolic_det(algebra.mult_matrix_left(algebra.element(p)))
+            lambda p: symbolic_det(
+                algebra.mult_matrix_left(AlgebraElement(algebra, p))
+            )
         )
         return (verdict, witness, None) if certified else None
-    det_l, det_r = det_polynomials(candidate.constant)
     if isinstance(payload, RealRootRejection):
+        det_l = det_polynomial(candidate.constant)
         # the line y_i = t, y_j = base_j becomes y_i = s_i t, y_j = s_j base_j
         sign = s[payload.position]
         lo, hi = payload.interval
@@ -363,7 +372,8 @@ def _transport(result, s, candidate):
             return None
         return verdict, witness, find_psd_sos(det_l)
     # the SOS bases are monomials, whose squares are unchanged by y -> s o y
-    return result if payload.verify(det_l, det_r) else None
+    certified = payload.verify(*det_polynomials(candidate.constant))
+    return result if certified else None
 
 
 def classify(group, convention=LEFT_STANDARD, mode=SHAPED):

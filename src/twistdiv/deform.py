@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
-from .classify import PARAM_NAMES, cyclic4_table, det_polynomials, zero_divisor_witness
+from .classify import PARAM_NAMES, cyclic4_table, det_polynomial, zero_divisor_witness
 from .groups import LEFT_STANDARD, group_by_name
 from .poly import MultiPoly, rational_root, symbolic_det
 from .structure import commutator_algebra
@@ -164,8 +164,7 @@ def witness_search(constant):
     zero divisor was found, not a positivity proof (reports must label it
     as such).
     """
-    det_l, _ = det_polynomials(constant)
-    return zero_divisor_witness(det_l)
+    return zero_divisor_witness(det_polynomial(constant))
 
 
 # -- basis rebuilds from a chosen generator -------------------------------

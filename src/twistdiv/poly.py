@@ -601,19 +601,53 @@ def structured_probes(nvars):
 def find_sign_change(p):
     """Search rational points u, v with p(u) > 0 and p(v) <= 0.
 
-    Walks the structured probes.  Returns a SignChangeWitness or None;
+    Walks the structured probes and keeps the first point of each sign.
+    Returns a SignChangeWitness, whose values are ``Fraction``s, or None;
     absence is *not* a positivity proof.
+
+    Each probe is evaluated over the integers on its slice: only the
+    terms whose exponent is 0 off the probe's nonzero coordinates are
+    summed (they are filtered once per support), and with L the lcm of
+    p's coefficient denominators, D that of the probe's and d = deg p,
+
+        p(x) = (L D^d)^-1 * sum (L c) D^(d - |e|) (D x)^e,
+
+    whose sum is an integer of the sign of p(x).  The one division is
+    made only for the two points kept.
     """
     if not p.vars:
         raise ValueError("polynomial must have at least one indeterminate")
+    degree = max(p.degree(), 0)
+    lcm = math.lcm(*[c.denominator for c in p.terms.values()])
+    # support bitmask -> [(L c, e, d - |e|)] for the terms on that slice.
+    # Keys are ints and exponents are p's own tuples: a tuple built from a
+    # generator is shrunk after allocation and, once freed, is kept in
+    # CPython's free list of its final size, which raised peak memory.
+    slices = {}
     positive = None
     nonpositive = None
     for pt in structured_probes(len(p.vars)):
-        v = p.evaluate(pt)
-        if v > 0 and positive is None:
-            positive = (pt, v)
-        elif v <= 0 and nonpositive is None:
-            nonpositive = (pt, v)
+        support = sum(1 << i for i, x in enumerate(pt) if x)
+        terms = slices.get(support)
+        if terms is None:
+            terms = slices[support] = [
+                (int(c * lcm), e, degree - sum(e))
+                for e, c in p.terms.items()
+                if all(x or not k for x, k in zip(pt, e))
+            ]
+        den = math.lcm(*[x.denominator for x in pt])
+        xs = [x.numerator * (den // x.denominator) for x in pt]
+        total = 0
+        for c, e, rest in terms:
+            for x, k in zip(xs, e):
+                if k:
+                    c *= x**k
+            total += c * den**rest
+        if total > 0:
+            if positive is None:
+                positive = pt, Fraction(total, lcm * den**degree)
+        elif nonpositive is None:
+            nonpositive = pt, Fraction(total, lcm * den**degree)
         if positive and nonpositive:
             return SignChangeWitness(
                 positive[0], nonpositive[0], positive[1], nonpositive[1]

@@ -412,6 +412,26 @@ def test_survivors_are_certified_before_the_probes(monkeypatch, group, searches)
     assert len(rep.survivors) == 1
 
 
+def test_det_m_r_is_built_only_for_survivors(monkeypatch):
+    """A rejected table builds det M^L only; a survivor builds det M^R
+    once det M^L has its certificate."""
+    survivor = classify("Z4", LEFT_STANDARD, SHAPED).survivors[0][0]
+    rejected = enumerate_candidates("Z4", LEFT_STANDARD, RAW)[0]
+    sides = []
+    build = CLASSIFY.det_polynomial
+
+    def counting(constant, left=True):
+        sides.append(left)
+        return build(constant, left)
+
+    monkeypatch.setattr(CLASSIFY, "det_polynomial", counting)
+    assert CLASSIFY._classify_one(rejected)[0] == "rejected"
+    assert sides == [True]
+    sides.clear()
+    assert CLASSIFY._classify_one(survivor)[0] == "survivor"
+    assert sides == [True, False]
+
+
 @pytest.mark.parametrize("nvars", [2, 6])
 def test_line_root_rejection_for_any_number_of_variables(nvars):
     """(y0^2 - 2 y1^2 - ... )^2 is PSD with only irrational zeros on the
@@ -451,6 +471,19 @@ def test_trivial_group_classifies_to_the_reals():
         "examined": 1, "rejected": 0, "survivors": 1, "undetermined": 0,
     }
     assert rep.survivors[0][1].kind == "odd-dimension-unit"
+
+
+def test_odd_dimension_unit_certificate_verifies():
+    """Z1's determinants are y0 and x0, which vanish only at 0; a
+    determinant in two variables, or the zero one, is not certified."""
+    rep = classify("Z1")
+    cand, cert = rep.survivors[0]
+    det_l, det_r = det_polynomials(cand.constant)
+    assert cert.verify(det_l, det_r) is True
+    y0, _ = MultiPoly.variables(("y0", "y1"))
+    assert cert.verify(y0, det_r) is False
+    assert cert.verify(det_l, MultiPoly.zero(det_r.vars)) is False
+    assert cert.verify(det_l, MultiPoly.constant(det_r.vars, 2)) is False
 
 
 def test_odd_order_zero_divisor_cyclic3():

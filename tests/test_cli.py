@@ -170,6 +170,79 @@ def test_classify_reports_are_byte_identical(capsys, group, basis, mode, digest)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of ``deform --checks witness`` for families 1-8 at k with a
+# Fraction or negative value, or outside the paper's range; 19 of the 56
+# find a witness, so a change to the sign-change kernel that moves a
+# point or a value shows up here
+DEFORM_WITNESS_SHA256 = [
+    (1, "2", "eec504069f0d3525798e91937adf65b41a4b07eac60192d0d55ce72cabf51d64"),
+    (1, "1/2", "57b4e3fcf15deab553414e9d06778cc5d8a6d389049348a17bcf86e1ecd2179d"),
+    (1, "-2", "0073a2e102df0a56fc9a8215fe19a7c826bdf1f39e156949a4152fa63e3b4b48"),
+    (1, "-1/2", "28a580c602998ecfd236edde067e289cb29b4dce8d832efdf0d1cc7b2cb4a3f0"),
+    (1, "9", "7b945cfac91bb5471997a4c4ec2d6d952507507f03e0da47ca9a382e6df497e5"),
+    (1, "91/10", "cdc6559159d402bb7d37b29aac08e6530256ba4fe8e051eaa7933025f252cd47"),
+    (1, "1/10", "19173f706682b0f8d6d12f690b5339685e5682bd6a12fc0d7853b0ea947968b0"),
+    (2, "2", "d7617f396883c23a7b7e67d41b0921c71dfb0b76527495e26df0e2f0c45210ef"),
+    (2, "1/2", "0f7c4c186855f429a53dbafad03d95b0af0e8f630d30677bbe3d7a2018b5b8b5"),
+    (2, "-2", "e636469fc4c081660f437e775f0bec8cafe5adf9b819922fcb7a163e52a4ffff"),
+    (2, "-1/2", "5732a6857165a90f25552cd8ca6475d950ad691b365948b9f6c50e0a2b4876f2"),
+    (2, "9", "a977e258181aba7df423624b2b20b3d7b89d93deaf0ba3b1cd12522447f1dea7"),
+    (2, "91/10", "a692ba32393014b9a8871413f29121b6f09ebfc7f5ceb33c38126c6b415836b7"),
+    (2, "1/10", "6b7a2bfe58033a2bd12c8cc2633a5d868713f7d131a43bac33c6f467d6592423"),
+    (3, "2", "3cf3934d350cbfce4fbcb1cb8cdce25ebe37c295403cbd833101238c3142b0f1"),
+    (3, "1/2", "7d794d856343706220d3206941675f2304a850ae7f8de8576f5f0263a600e0fe"),
+    (3, "-2", "527ddca3918d9d603365d559e0088c17e5de70d814ea9150a23e5ecb47305db1"),
+    (3, "-1/2", "c603757bb8f06682be1de5745b5ea9c94b618af4dbdb009b685938300e337181"),
+    (3, "9", "4bd9cb03dcc142f9244dd51dc874364b533ce4423c52fb46c2fbd07d6f67b927"),
+    (3, "91/10", "78a448552f932ceca1a28a217ad48d7e86cbf5cdf4476f153dd582c34a4fffef"),
+    (3, "1/10", "7dcba68af900cc1133f3359e9dbaa58de8ed42329a4969a227dc354337ba293a"),
+    (4, "2", "7cc2708ce0253077e163958c86f40d882b01d235a8c12c1adf56b76ad3a1b7fd"),
+    (4, "1/2", "871345e06eb18ffc7eeb434ba9d689d71edd5cc739b0e2d8d10bac3d77f07708"),
+    (4, "-2", "76132c1bb8e07c173f178046c5661f4bae9301ba2e1edbe934fb47973da622a5"),
+    (4, "-1/2", "b0fb65c4e323036c7339a954e4c4556f1d97bdc4d02d27459f884dfa0528d889"),
+    (4, "9", "e3f1c404f54f9a46b08cf690c49e225da081f87e82f1293c46680b32a90e2c25"),
+    (4, "91/10", "39d8925b93cfc8451edbb2638c173c553b8dc47eb2b43a357eddfa0d1d0639b4"),
+    (4, "1/10", "cee8a567319a5ff4b82f4dca4a0da20a924036cac0efd84e5309c922a437edd2"),
+    (5, "2", "ef7a47d47e060053d22f0a1d3176bc5541c8824718cd06a7c65be216f91d0895"),
+    (5, "1/2", "ccd7fe4eb8aad0df0c1254624869665ff1820ceb897e46e90335a78ebed01d9b"),
+    (5, "-2", "b7fd0dda65a4af74bdf7710c18ae7eebded6893ab6a376c40c2ffb187ab9cff3"),
+    (5, "-1/2", "dcd84dd643d41625aa553e91cd6a17cd06a4b3fe88d14d48198d8003760e7b74"),
+    (5, "9", "6d2660c1278f0722b4caa1ac296452d8a53736c39996734ddf387e08101566bf"),
+    (5, "91/10", "dcb6e7fc4e372c4b7563d6b16af07dfbae6bbb9af25b37d79f01d48fb5688e9f"),
+    (5, "1/10", "5fff5861444305bac293b4cf9439d463a7bedc72e1bdc4e90088cb7dc2ecbcb0"),
+    (6, "2", "00ae9b1897ebf7f73fa3957a92851e45cdfd5216eb47cc4fd8320c3d1f8750fd"),
+    (6, "1/2", "67a4f3ccc10e48664deedd684ada9380e718a8a3c8685c7243668e875f112726"),
+    (6, "-2", "9cf20faadb5da003f99c83c4e418e63be9e80222e3e703a2b76c4e07314c633f"),
+    (6, "-1/2", "9b35486ae0ffc8146923b86c1c27f12480f6604031e76473a98b0e4abbb0afad"),
+    (6, "9", "bfae2296179b66fbf028a1672cbdc61967e4c2d01cc35427d098646cd44ae5d9"),
+    (6, "91/10", "41347807099dacbd600081f1a8ec81acc141f40cb9c983d45dbe3755598dece8"),
+    (6, "1/10", "963a3e4611b4c2812b8b3e046b0876a5c405a3052c4200e7fee753906e15fc18"),
+    (7, "2", "a4bbc4ae503bf62709c415f0f8fd8bf5fffe1b730f5f2701c5e48902b7f4eb81"),
+    (7, "1/2", "c900ab491238d712b7865b03bb2e5134965a4c9c07f3cc24222d8d1e90e2ae3c"),
+    (7, "-2", "1da1eaf197b0648105cad135fbddbaa8e6e74a39fc3b27001c4229965f0af4d7"),
+    (7, "-1/2", "78d68083581a998d2abf3120bf9e60851504b1083e9f0cba656004440c3b6c34"),
+    (7, "9", "2551e047c999e3ee110604df9d722dcb010a4a87a195f135b6ae1ec425f59249"),
+    (7, "91/10", "1d4e8e10a550d3646d3987ec3bcd5cbf8da894e61f6a0b9580d0a08235f9b610"),
+    (7, "1/10", "0ac7ba349da48efb2d3ecfddb21a4a97b6b5b29015bd3e5102c602039acd65f5"),
+    (8, "2", "f55784a9ef37521fae283aca440059e6780e3b15e53512ff7c588f8ed62f8692"),
+    (8, "1/2", "a207e3d601cb3a429cceb8ddb6825c2d8f9339ba411f51ef370d8094d4199852"),
+    (8, "-2", "5c9c434f067786839d249b50657abf54a8d40e33f49e8ebbec768bc13213ffac"),
+    (8, "-1/2", "cd9ee2e767c8b37e67f1178fbdd008c5adc6e580983893b2a8d534dc0a519f09"),
+    (8, "9", "ebb57d2e4d0a1c6959f1b1293ffb39ca89f06d90d711ddb6c87348055a5956df"),
+    (8, "91/10", "ef94dec38b9874627f4154b8da26f0d530616dbe1c4a9b699e06d2f4b6825d94"),
+    (8, "1/10", "763280fd325bd4047c80655e1d2e1f31aee9071777daf42b647a32e80e4a549d"),
+]
+
+
+@pytest.mark.parametrize("family, k, digest", DEFORM_WITNESS_SHA256)
+def test_deform_witness_reports_are_byte_identical(capsys, family, k, digest):
+    code, out = run_cli(
+        capsys, "deform", "--family", str(family), f"--k={k}", "--checks", "witness"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identities_json(capsys, tmp_path):
     emit = tmp_path / "basis.json"
     code, out = run_cli(

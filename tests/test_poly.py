@@ -289,6 +289,65 @@ def test_find_sign_change_absent_for_positive_definite():
             assert p.evaluate(pt) > 0
 
 
+def _reference_sign_change(p):
+    """The first positive and first nonpositive probe, by full evaluation."""
+    positive = nonpositive = None
+    for pt in structured_probes(len(p.vars)):
+        v = p.evaluate(pt)
+        if v > 0:
+            positive = positive or (pt, v)
+        elif nonpositive is None:
+            nonpositive = (pt, v)
+        if positive and nonpositive:
+            return positive, nonpositive
+    return None
+
+
+@st.composite
+def _probe_polys(draw):
+    """Polynomials in 2-5 variables: homogeneous or not, with int or
+    Fraction coefficients, and constants and 0."""
+    nvars = draw(st.integers(2, 5))
+    names = tuple(f"y{i}" for i in range(nvars))
+    coeff = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    kind = draw(st.sampled_from(("homogeneous", "mixed", "constant", "zero")))
+    if kind == "zero":
+        return MultiPoly.zero(names)
+    if kind == "constant":
+        return MultiPoly.constant(names, draw(coeff))
+    if kind == "homogeneous":
+        degree = draw(st.integers(1, 4))
+        sizes = {"min_size": degree, "max_size": degree}
+    else:
+        sizes = {"min_size": 0, "max_size": 4}
+    exponent = st.lists(st.integers(0, nvars - 1), **sizes).map(
+        lambda idx: tuple(idx.count(i) for i in range(nvars))
+    )
+    return MultiPoly(names, draw(st.dictionaries(exponent, coeff, max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probe_polys())
+def test_find_sign_change_matches_full_evaluation(p):
+    """The integer slice kernel finds the reference walk's points and
+    values, always as Fractions."""
+    found = find_sign_change(p)
+    expected = _reference_sign_change(p)
+    if expected is None:
+        assert found is None
+        return
+    (pos, pos_value), (nonpos, nonpos_value) = expected
+    assert (found.positive_point, found.nonpositive_point) == (pos, nonpos)
+    assert (found.positive_value, found.nonpositive_value) == (
+        pos_value, nonpos_value
+    )
+    assert type(found.positive_value) is Fraction
+    assert type(found.nonpositive_value) is Fraction
+
+
 def test_structured_probes_exclude_origin():
     for pt in structured_probes(4):
         assert any(pt)
