@@ -88,8 +88,9 @@ def rank(rows):
 def nullspace(rows, ncols=None):
     """Basis of the right nullspace of the matrix, one vector per free column.
 
-    The basis is the standard RREF parametrization: deterministic given the
-    row order, with the free variable set to 1 and pivot variables solved.
+    The basis is the standard RREF parametrization, with the free variable
+    set to 1 and pivot variables solved.  The RREF is unique, so the basis
+    does not depend on the order of the rows.
     """
     if ncols is None:
         if not rows:

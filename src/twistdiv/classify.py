@@ -27,7 +27,9 @@ cannot change a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -305,6 +307,21 @@ def _classify_one(candidate):
     return verdict, witness, find_psd_sos(det_l)
 
 
+@functools.cache
+def _rescaling_signs(group):
+    """(signs, s) for every sign vector s with s_0 = 1, where
+    signs[a][b] = s_a s_b s_ab; built once per group."""
+    out = []
+    for rest in _sign_options(group.order - 1):
+        s = (1,) + rest
+        signs = tuple(
+            tuple(s[a] * s[b] * s[ab] for b, ab in enumerate(row))
+            for a, row in enumerate(group.cayley)
+        )
+        out.append((signs, s))
+    return tuple(out)
+
+
 def _rescaled_tables(constant):
     """(table, s) for every sign vector s with s_0 = 1.
 
@@ -313,13 +330,10 @@ def _rescaled_tables(constant):
     isomorphism from the algebra of C^s onto that of C, so
     det M^L_{C^s}(y) = det M^L_C(s o y), and likewise for M^R.
     """
-    group = constant.group
-    n = group.order
-    for signs in _sign_options(n - 1):
-        s = (1,) + signs
+    for signs, s in _rescaling_signs(constant.group):
         table = tuple(
-            tuple(s[a] * s[b] * s[group.mul(a, b)] * constant(a, b) for b in range(n))
-            for a in range(n)
+            tuple(map(operator.mul, sign_row, row))
+            for sign_row, row in zip(signs, constant.values)
         )
         yield table, s
 

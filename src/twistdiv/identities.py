@@ -7,21 +7,22 @@ every bracketing (Catalan many), and the *identity space* is the exact
 rational nullspace of the coefficient-matrix whose columns are the
 symbolic expansions of the monomials over generic elements.
 
-Expansion is exact: generic elements are lists of polynomial components,
-and products go through the structure-tensor kernel over the polynomial
-ring.  Any algebra with a ``dimension`` and structure-tensor ``entries``
+Expansion is exact: a generic element is a list of polynomial
+components, and a product multiplies them along the structure-tensor
+entries, with monomials kept as packed exponent ints (see ``Expander``).
+Any algebra with a ``dimension`` and structure-tensor ``entries``
 can be expanded: twisted group algebras and the bilinear algebras A^+-
 of ``structure`` alike.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 from . import _linalg
-from .algebra import tensor_product
 from .poly import MultiPoly, _is_zero, nonzero_point
 
 VARIABLE_NAMES = ("x", "y", "z")
@@ -112,48 +113,79 @@ class Expander:
 
     The algebra needs a ``dimension`` and structure-tensor ``entries``.
     The ambient polynomial ring has one indeterminate per (variable,
-    component) pair, ordered x0.., y0.., z0..; a tree expands to the list
-    of component polynomials of its product, computed once per distinct
-    subtree by one ``tensor_product`` call.
+    component) pair, ordered x0.., y0.., z0..; a tree expands to one
+    component per basis index, computed once per distinct subtree.
+
+    A component is kept packed: a dict from an exponent vector, packed
+    into one int, to its coefficient.  Indeterminate t owns the bit field
+    of ``width`` bits at t * width, where 2^width exceeds ``degree``, the
+    largest number of leaves a tree may have.  No exponent can then
+    overflow its field, so the product of two monomials is the sum of
+    their ints, and a node multiplies its children's components in one
+    loop over ``entries`` straight into the output dicts (Monagan and
+    Pearce, CASC 2007).  ``unpack`` turns a packed component back into a
+    ``MultiPoly``; the packed form does not leave this module.
     """
 
-    def __init__(self, algebra, nvars):
+    def __init__(self, algebra, nvars, degree=MAX_TOTAL_DEGREE):
         if nvars > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} distinct variables")
         self.entries = algebra.entries
+        self.degree = degree
+        self.width = max(degree, 1).bit_length()
         n = algebra.dimension
-        names = tuple(
+        self.vars = tuple(
             f"{VARIABLE_NAMES[v]}{i}" for v in range(nvars) for i in range(n)
         )
-        self.vars = names
-        self.generic = [
-            [MultiPoly.variable(f"{VARIABLE_NAMES[v]}{i}", names) for i in range(n)]
+        self._cache = {
+            Leaf(v).serialize(): [
+                {1 << ((v * n + i) * self.width): 1} for i in range(n)
+            ]
             for v in range(nvars)
-        ]
-        self._cache = {}
+        }
 
     def expand(self, tree):
+        """Packed components of the tree's product."""
         key = tree.serialize()
         got = self._cache.get(key)
         if got is None:
             if isinstance(tree, Leaf):
-                got = self.generic[tree.var]
-            else:
-                got = tensor_product(
-                    self.entries,
-                    self.expand(tree.left),
-                    self.expand(tree.right),
-                    MultiPoly.zero(self.vars),
-                )
+                raise ValueError(f"variable {tree.serialize()} is out of range")
+            if len(tree.leaves()) > self.degree:
+                raise ValueError(f"tree has more than {self.degree} leaves")
+            left, right = self.expand(tree.left), self.expand(tree.right)
+            got = [defaultdict(int) for _ in left]
+            for i, j, k, c in self.entries:
+                xi, yj = left[i], right[j]
+                if not xi or not yj:
+                    continue
+                acc = got[k]
+                for e1, c1 in xi.items():
+                    c1 *= c
+                    for e2, c2 in yj.items():
+                        acc[e1 + e2] += c1 * c2
+            got = [{e: c for e, c in acc.items() if c} for acc in got]
             self._cache[key] = got
         return got
+
+    def unpack(self, component):
+        """The packed component as a ``MultiPoly`` over ``vars``."""
+        width, mask = self.width, (1 << self.width) - 1
+        shifts = range(0, len(self.vars) * width, width)
+        return MultiPoly(
+            self.vars,
+            {tuple((e >> s) & mask for s in shifts): c for e, c in component.items()},
+            _normalize=False,
+        )
 
 
 def expand_monomial(algebra, tree, nvars=None):
     """Component polynomials of the tree over generic elements."""
+    leaves = tree.leaves()
     if nvars is None:
-        nvars = max(tree.leaves()) + 1
-    return Expander(algebra, nvars).expand(tree)
+        nvars = max(leaves) + 1
+    expander = Expander(algebra, nvars, len(leaves))
+    return [expander.unpack(p) for p in expander.expand(tree)]
 
 
 def identity_residual(algebra, combo):
@@ -168,12 +200,16 @@ def identity_residual(algebra, combo):
     patterns = {tuple(sorted(tree.leaves())) for _, tree in combo}
     if len(patterns) > 1:
         raise ValueError("all monomials must share one degree pattern")
-    nvars = max(max(p) for p in patterns) + 1
-    expander = Expander(algebra, nvars)
-    residual = [0] * algebra.dimension
+    (pattern,) = patterns
+    expander = Expander(algebra, max(pattern) + 1, len(pattern))
+    residual = [defaultdict(int) for _ in range(algebra.dimension)]
     for coeff, tree in combo:
-        residual = [r + coeff * c for r, c in zip(residual, expander.expand(tree))]
-    return residual
+        for acc, p in zip(residual, expander.expand(tree)):
+            for e, c in p.items():
+                acc[e] += coeff * c
+    return [
+        expander.unpack({e: c for e, c in acc.items() if c}) for acc in residual
+    ]
 
 
 def verify_identity(algebra, combo):
@@ -223,26 +259,26 @@ class IdentitySpace:
 def identity_space(algebra, pattern):
     """Exact nullspace of the monomial-expansion matrix for the pattern.
 
-    Rows are polynomial coefficient slots (component index, monomial
-    exponent) that some expansion reaches, in sorted order; each row is
-    allocated when its slot first appears and filled in one pass over
-    the expansions' terms.
+    Rows are polynomial coefficient slots (component index, packed
+    exponent of ``Expander``) that some expansion reaches, in the order
+    they are first met; each row is allocated when its slot first appears
+    and filled in one pass over the expansions' terms.  The row order
+    does not matter: the reduced row echelon form is unique, so
+    ``nullspace`` returns the same basis for any order of the rows.
     """
     pattern = normalize_pattern(pattern)
     monomials = enumerate_monomials(pattern)
-    expander = Expander(algebra, len(pattern))
-    expansions = [expander.expand(t) for t in monomials]
+    expander = Expander(algebra, len(pattern), sum(pattern))
     m = len(monomials)
     slots = {}
-    for j, comps in enumerate(expansions):
-        for ci, p in enumerate(comps):
-            for exp, c in p.terms.items():
+    for j, tree in enumerate(monomials):
+        for ci, p in enumerate(expander.expand(tree)):
+            for exp, c in p.items():
                 row = slots.get((ci, exp))
                 if row is None:
                     row = slots[ci, exp] = [0] * m
                 row[j] = c
-    rows = [slots[slot] for slot in sorted(slots)]
-    basis = _linalg.nullspace(rows, ncols=m)
+    basis = _linalg.nullspace(list(slots.values()), ncols=m)
     return IdentitySpace(pattern, monomials, basis, len(basis))
 
 

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistdiv import identity_families as fam
 from twistdiv.algebra import (
     complex_algebra,
     quaternion_algebra,
+    tensor_product,
     tesseranion_algebra,
 )
 from twistdiv.deform import family_constant, structure_constant_from_generator
@@ -16,6 +21,7 @@ from twistdiv.identities import (
     N,
     Leaf,
     Node,
+    VARIABLE_NAMES,
     counterexample,
     enumerate_monomials,
     expand_monomial,
@@ -25,6 +31,7 @@ from twistdiv.identities import (
     verify_conjugate_identities,
     verify_identity,
 )
+from twistdiv.poly import MultiPoly
 from twistdiv.structure import commutator_algebra
 
 T = tesseranion_algebra()
@@ -62,6 +69,62 @@ def test_expand_product_tree_matches_product_formula():
     ex = Expander(T, 2)
     prod = T.generic_element("x", ex.vars) * T.generic_element("y", ex.vars)
     assert all((a - b).is_zero for a, b in zip(comps, prod.coeffs))
+
+
+ORACLE_ALGEBRAS = {
+    "H": quaternion_algebra(),
+    "T": T,
+    "family5(k=7/2)": family_constant(5, Fraction(7, 2)).algebra(),
+    "T^-": commutator_algebra(T),
+}
+
+
+@st.composite
+def _bracket_trees(draw):
+    """A bracket tree on up to 3 variables with 1 to 8 leaves."""
+    last = draw(st.integers(0, 2))
+
+    def tree(leaves):
+        if leaves == 1:
+            return L(draw(st.integers(0, last)))
+        split = draw(st.integers(1, leaves - 1))
+        return N(tree(split), tree(leaves - split))
+
+    return tree(draw(st.integers(1, 8)))
+
+
+def _tensor_oracle(algebra, tree, nvars):
+    """Nested ``tensor_product`` calls over generic ``MultiPoly`` elements."""
+    n = algebra.dimension
+    names = tuple(f"{VARIABLE_NAMES[v]}{i}" for v in range(nvars) for i in range(n))
+    generic = [
+        [MultiPoly.variable(f"{VARIABLE_NAMES[v]}{i}", names) for i in range(n)]
+        for v in range(nvars)
+    ]
+
+    def product(t):
+        if isinstance(t, Leaf):
+            return generic[t.var]
+        return tensor_product(
+            algebra.entries, product(t.left), product(t.right), MultiPoly.zero(names)
+        )
+
+    return product(tree)
+
+
+_X8 = N(N(N(L(0), L(0)), N(L(0), L(0))), N(N(L(0), L(0)), N(L(0), L(0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), _bracket_trees())
+@example("H", _X8)
+@example("T", N(_X8.left, N(L(1), N(L(2), N(L(0), L(0))))))
+def test_expand_monomial_matches_nested_tensor_products(name, tree):
+    """The packed expansion equals the product route it replaced, up to
+    degree 8, where an exponent no longer fits in 3 bits."""
+    algebra = ORACLE_ALGEBRAS[name]
+    nvars = max(tree.leaves()) + 1
+    assert expand_monomial(algebra, tree) == _tensor_oracle(algebra, tree, nvars)
 
 
 def test_power_bracketings_differ_symbolically():
@@ -342,3 +405,55 @@ def test_fingerprint_stable_under_generator_rebase():
             identity_space(rebased, pattern).dimension
             == identity_space(T, pattern).dimension
         )
+
+
+def _sha256(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of ``IdentitySpace.to_json()`` (json.dumps with sorted keys), so
+# that a change to the expansion or the row order that moves any basis
+# vector shows up here
+IDENTITY_SPACE_SHA256 = [
+    ("T", (6,), "48732a581f141f5891fbd7198ffddd9c173c36baa2230b4152b562b4b6955552"),
+    ("T", (2, 2), "209f20b793a644a39058bef560e0924879ca62e8fb29faaa138053fcf1ddecbb"),
+    ("T", (3, 2), "44d7e4c435e1e4a89ab6c852283583cf18670029cd651ce8aa76fb0a674e55be"),
+    ("T", (4, 1), "ec979a4aa165fe78c89ec7e3074cd8dbea4f78b77e3b43f82d2cd684c8ab4ceb"),
+    ("T", (2, 1, 1), "7cb09e1e100e169201e47e5f10b6537fb21190afa8e8f12bfed5ae735a29bc4e"),
+    ("H", (3, 2), "43baea43e656db42bdb2de46e8b762e0af982fd8b3024fb771424800325f9476"),
+    ("H", (2, 2, 1), "efcb844dac89ac0eaba34589cccc883547b98e72c49e48c3295e3eb52701414b"),
+    ("T^-", (2, 1), "888e493cf013d21f8f1e40b6cf1843da0717ba1f6c26eb73153c1a9fc6027b09"),
+]
+
+
+@pytest.mark.parametrize("name, pattern, digest", IDENTITY_SPACE_SHA256)
+def test_identity_space_json_is_pinned(name, pattern, digest):
+    algebra = ORACLE_ALGEBRAS[name]
+    assert _sha256(identity_space(algebra, pattern).to_json()) == digest
+
+
+# sha256 of ``loop_property_suite(...).to_json()``: verdicts and the
+# counterexample read off each failed law's residual
+LOOP_SUITE_SHA256 = [
+    ("C", "92dae3fca2ed8112924b6f6d918ccb4edb841ee457e34f7deb01a1fced7b989d"),
+    ("H", "67ada7fd008d5ebfc6d22ca3eb899128fd1e081006aa4c76e881070a1fc46c1e"),
+    ("T", "555ba441b3952dcdbd0dd9c03494acabb99616d2133fc7a6719a7cc2c986ae06"),
+    (1, "61cdda6e68580838321736a275c9366754f22c4c3385a7dc9e11de8fb461c83d"),
+    (2, "b157e460997ed225bb35bd9c0564f30052e7dc19f27ce8c9962b24d1eb2e7780"),
+    (3, "400015b3d6a21a43b2398bd4cfa547dfdf65e397766551ac3e3d6984a4b66b0c"),
+    (4, "76f88bc26d2edddf9a0372856c6d26820371fde34dc23f5f4dc2c167c8451431"),
+    (5, "dc617eb5da724fe9c45df8cf57ab56bc48ff5daa39916745926658f8e5a0b8d9"),
+    (6, "04993bae09f392e5b6c59b48f12bb3dc55ac1e17975ca6d7c19134cd7b36fa27"),
+    (7, "b157e460997ed225bb35bd9c0564f30052e7dc19f27ce8c9962b24d1eb2e7780"),
+    (8, "27e5e710576f292b52bc2bc590bc1b25d33eb8be64ffd14041859897820423ce"),
+]
+
+
+@pytest.mark.parametrize("name, digest", LOOP_SUITE_SHA256)
+def test_loop_property_suite_json_is_pinned(name, digest):
+    """C, H, T and families 1-8 at k = 2."""
+    if isinstance(name, int):
+        algebra = family_constant(name, 2).algebra()
+    else:
+        algebra = {"C": complex_algebra(), "H": quaternion_algebra(), "T": T}[name]
+    assert _sha256(loop_property_suite(algebra).to_json()) == digest
