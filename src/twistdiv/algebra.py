@@ -409,20 +409,22 @@ class TwistedAlgebra:
 
     def left_inverse(self, y):
         """LI with LI * y = 1, from the linear system M^L LI = e0."""
-        sol = _linalg.solve(self.mult_matrix_left(y), self._unit_rhs())
-        if sol is None:
-            raise ZeroDivisionError("element has no left inverse")
-        return self.element(sol)
+        return self._solve_unit(self.mult_matrix_left(y), "left")
 
     def right_inverse(self, x):
         """RI with x * RI = 1, from the linear system M^R RI = e0."""
-        sol = _linalg.solve(self.mult_matrix_right(x), self._unit_rhs())
-        if sol is None:
-            raise ZeroDivisionError("element has no right inverse")
-        return self.element(sol)
+        return self._solve_unit(self.mult_matrix_right(x), "right")
 
-    def _unit_rhs(self):
-        return [Fraction(1)] + [Fraction(0)] * (self.group.order - 1)
+    def _solve_unit(self, matrix, side):
+        if self.ring != RATIONALS:
+            raise ValueError(
+                f"{side} inverses are solved over the rationals, not over the "
+                f"{self.ring.name} ring; use norms.inverse_formulas"
+            )
+        sol = _linalg.solve(matrix, [1] + [0] * (len(matrix) - 1))
+        if sol is None:
+            raise ZeroDivisionError(f"element has no {side} inverse")
+        return self.element(sol)
 
     # -- serialization -------------------------------------------------
 

@@ -52,21 +52,51 @@ from .poly import (
 SHAPED = "shaped"
 RAW = "raw"
 
-PARAM_NAMES = ("alpha", "beta", "delta", "epsilon", "phi", "omega")
+# Each group's sign table in a normalized standard basis (power cells 1,
+# half-order squares -1), in the basis convention it is written in: a cell
+# is a sign the basis forces or the name of a free parameter.
+SHAPES = {
+    "Z1": (LEFT_STANDARD, ((1,),)),
+    "Z2": (LEFT_STANDARD, ((1, 1), (1, "alpha"))),
+    "Z2xZ2": (RIGHT_STANDARD, (
+        (1, 1, 1, 1),
+        (1, -1, 1, "alpha"),
+        (1, "beta", -1, "delta"),
+        (1, "epsilon", "phi", -1),
+    )),
+    "Z4": (LEFT_STANDARD, (
+        (1, 1, 1, 1),
+        (1, 1, 1, "alpha"),
+        (1, "beta", -1, "delta"),
+        (1, "epsilon", "phi", "omega"),
+    )),
+}
 
 
-def cyclic4_table(alpha, beta, delta, epsilon, phi, omega):
-    """The order-4 cyclic table shape in the left-standard basis.
+def _shape(group_name):
+    if group_name not in SHAPES:
+        raise ValueError(f"no table shape for group {group_name}")
+    return SHAPES[group_name]
 
-    The power cells keep their normalized value 1 and the half-order
-    square v2*v2 is -1; the six other cells are the named parameters.
-    """
-    return [
-        [1, 1, 1, 1],
-        [1, 1, 1, alpha],
-        [1, beta, -1, delta],
-        [1, epsilon, phi, omega],
-    ]
+
+def shape_parameters(group_name):
+    """The free cells of a group's shape, in row-major order."""
+    _, rows = _shape(group_name)
+    return tuple(cell for row in rows for cell in row if isinstance(cell, str))
+
+
+PARAM_NAMES = shape_parameters("Z4")
+
+
+def shaped_constant(group, params, convention):
+    """The group's shape with each free cell set from ``params`` (a map
+    from parameter name to value), in the requested basis convention."""
+    if isinstance(group, str):
+        group = group_by_name(group)
+    written_in, rows = _shape(group.name)
+    values = [[params[c] if isinstance(c, str) else c for c in row] for row in rows]
+    constant = StructureConstant(group, values, written_in)
+    return constant if convention == written_in else constant.transpose()
 
 
 @dataclass(frozen=True)
@@ -170,9 +200,10 @@ def _sign_options(k):
 def enumerate_candidates(group, convention, mode=SHAPED):
     """Candidate unital sign arrays for the group and basis convention.
 
-    Shaped mode applies the constraints already forced by a normalized
-    standard basis (power cells equal to 1, half-order squares equal to
-    -1); raw mode enumerates every unital sign array.
+    Shaped mode fills the group's ``SHAPES`` entry (the cells a normalized
+    standard basis forces) with every sign choice for its free cells, the
+    first in row-major order varying slowest; raw mode enumerates every
+    unital sign array.
     """
     if isinstance(group, str):
         group = group_by_name(group)
@@ -191,39 +222,12 @@ def enumerate_candidates(group, convention, mode=SHAPED):
         return out
     if mode != SHAPED:
         raise ValueError(f"unknown enumeration mode {mode!r}")
-    if n == 2:
-        for (alpha,) in _sign_options(1):
-            constant = StructureConstant(
-                group, [[1, 1], [1, alpha]], convention
-            )
-            out.append(CandidateConstant(constant, (("alpha", alpha),)))
-        return out
-    if group.name == "Z2xZ2":
-        for alpha, beta, delta, epsilon, phi in _sign_options(5):
-            values = [
-                [1, 1, 1, 1],
-                [1, -1, 1, alpha],
-                [1, beta, -1, delta],
-                [1, epsilon, phi, -1],
-            ]
-            params = tuple(
-                zip(("alpha", "beta", "delta", "epsilon", "phi"),
-                    (alpha, beta, delta, epsilon, phi))
-            )
-            constant = StructureConstant(group, values, RIGHT_STANDARD)
-            if convention == LEFT_STANDARD:
-                constant = constant.transpose()
-            out.append(CandidateConstant(constant, params))
-        return out
-    if group.name == "Z4":
-        for signs in _sign_options(6):
-            params = tuple(zip(PARAM_NAMES, signs))
-            constant = StructureConstant(group, cyclic4_table(*signs), LEFT_STANDARD)
-            if convention == RIGHT_STANDARD:
-                constant = constant.transpose()
-            out.append(CandidateConstant(constant, params))
-        return out
-    raise ValueError(f"no table shape for group {group.name}")
+    names = shape_parameters(group.name)
+    for signs in _sign_options(len(names)):
+        params = tuple(zip(names, signs))
+        constant = shaped_constant(group, dict(params), convention)
+        out.append(CandidateConstant(constant, params))
+    return out
 
 
 def det_polynomial(constant, left=True):
@@ -407,8 +411,7 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     if isinstance(group, str):
         group = group_by_name(group)
     if group.order == 1:
-        constant = StructureConstant(group, [[1]], convention)
-        cand = CandidateConstant(constant, ())
+        cand = CandidateConstant(shaped_constant(group, {}, convention), ())
         cert = SurvivorCertificate("odd-dimension-unit", None, None)
         return ClassificationReport(
             group.name, convention, mode, 1, [], [(cand, cert)], [], {}
@@ -451,15 +454,12 @@ def opposite_uniqueness_check(group, convention=None):
     For each order-4 group the shaped classification in either basis
     convention yields one survivor, and the two survivors are each
     other's transposed arrays (the opposite algebra).  Z2's survivor is
-    its own transpose.
+    its own transpose.  The primary convention defaults to the one the
+    group's shape is written in.
     """
     if isinstance(group, str):
         group = group_by_name(group)
-    primary = (
-        convention
-        if convention is not None
-        else (RIGHT_STANDARD if group.name == "Z2xZ2" else LEFT_STANDARD)
-    )
+    primary = convention if convention is not None else _shape(group.name)[0]
     mirror = RIGHT_STANDARD if primary == LEFT_STANDARD else LEFT_STANDARD
     rep_a = classify(group, primary, SHAPED)
     rep_b = classify(group, mirror, SHAPED)

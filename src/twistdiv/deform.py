@@ -1,11 +1,15 @@
 """One-parameter deformations of the Z4-graded division algebra.
 
-The six table entries (alpha, beta, delta, epsilon, phi, omega) are
-allowed arbitrary nonzero rational values.  This module provides:
+The six free cells (alpha, beta, delta, epsilon, phi, omega) of the Z4
+table shape, ``classify.SHAPES["Z4"]``, are allowed arbitrary nonzero
+rational values; the shape's other cells keep their normalized signs.
+This module provides:
 
 * the necessary sign conditions for absence of zero divisors,
-* the eight one-parameter families with their exact validity ranges
-  (irrational endpoints are handled by exact rational sign predicates),
+* the eight one-parameter families, each of which scales some cells of
+  the undeformed table ``TES_PARAMS`` by k, with their exact validity
+  ranges (irrational endpoints are handled by exact rational sign
+  predicates),
 * zero-divisor witness searches on the parametric determinants (the
   exact rejection route of ``classify``),
 * basis-rebuild machinery: the structure constant generated by a chosen
@@ -28,8 +32,8 @@ from fractions import Fraction
 
 from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
-from .classify import PARAM_NAMES, cyclic4_table, det_polynomial, zero_divisor_witness
-from .groups import LEFT_STANDARD, group_by_name
+from .classify import PARAM_NAMES, det_polynomial, shaped_constant, zero_divisor_witness
+from .groups import LEFT_STANDARD
 from .poly import MultiPoly, rational_root, symbolic_det
 from .structure import commutator_algebra
 
@@ -37,7 +41,7 @@ TES_PARAMS = {"alpha": -1, "beta": -1, "delta": 1, "epsilon": 1, "phi": -1, "ome
 
 
 def parametric_constant(params):
-    """Structure constant in the order-4 cyclic table shape.
+    """Structure constant of the Z4 table shape, in the left-standard basis.
 
     params maps the six names to nonzero rationals; the fixed cells
     (powers of the generator and the half-order square) keep their
@@ -48,8 +52,7 @@ def parametric_constant(params):
         raise ValueError(f"need exactly the parameters {PARAM_NAMES}")
     if any(v == 0 for v in p.values()):
         raise ValueError("parameters must be nonzero")
-    values = cyclic4_table(*(p[name] for name in PARAM_NAMES))
-    return StructureConstant(group_by_name("Z4"), values, LEFT_STANDARD)
+    return shaped_constant("Z4", p, LEFT_STANDARD)
 
 
 NECCONS = (
@@ -87,38 +90,23 @@ def _above_two_thirds_sqrt3_minus_1(k):
     return k + 1 > 0 and 3 * (k + 1) ** 2 > 4
 
 
-def _at_most_3_plus_2_sqrt3(k):
-    # k <= 3 + 2 sqrt(3); for rational k the boundary cannot be attained,
-    # so this is k <= 3 or (k - 3)^2 < 12
+def _in_0_to_3_plus_2_sqrt3(k):
+    # 0 < k <= 3 + 2 sqrt(3); for rational k the upper boundary cannot be
+    # attained, so this is 0 < k <= 3 or (k - 3)^2 < 12
     k = Fraction(k)
-    return k <= 3 or (k - 3) ** 2 < 12
+    return k > 0 and (k <= 3 or (k - 3) ** 2 < 12)
 
 
+# family id -> (the cells of TES_PARAMS scaled by k, validity predicate)
 FAMILIES = {
-    1: (lambda k: {"alpha": -k, "beta": -1, "delta": 1, "epsilon": 1,
-                   "phi": -1, "omega": k},
-        lambda k: k > 0),
-    2: (lambda k: {"alpha": -1, "beta": -k, "delta": k, "epsilon": 1,
-                   "phi": -1, "omega": 1},
-        lambda k: k > 0),
-    3: (lambda k: {"alpha": -1, "beta": -1, "delta": 1, "epsilon": k,
-                   "phi": -1, "omega": k},
-        lambda k: k > 0),
-    4: (lambda k: {"alpha": -k, "beta": -1, "delta": 1, "epsilon": k,
-                   "phi": -1, "omega": k},
-        _above_two_thirds_sqrt3_minus_1),
-    5: (lambda k: {"alpha": -1, "beta": -1, "delta": k, "epsilon": 1,
-                   "phi": -1, "omega": 1},
-        lambda k: k > 0 and _at_most_3_plus_2_sqrt3(k)),
-    6: (lambda k: {"alpha": -1, "beta": -1, "delta": 1, "epsilon": 1,
-                   "phi": -1, "omega": k},
-        lambda k: k > 0 and _at_most_3_plus_2_sqrt3(k)),
-    7: (lambda k: {"alpha": -1, "beta": -k, "delta": 1, "epsilon": 1,
-                   "phi": -1, "omega": 1},
-        lambda k: k > 0 and _at_most_3_plus_2_sqrt3(k)),
-    8: (lambda k: {"alpha": -k, "beta": -1, "delta": 1, "epsilon": 1,
-                   "phi": -1, "omega": 1},
-        lambda k: k > 0 and _at_most_3_plus_2_sqrt3(k)),
+    1: (("alpha", "omega"), lambda k: k > 0),
+    2: (("beta", "delta"), lambda k: k > 0),
+    3: (("epsilon", "omega"), lambda k: k > 0),
+    4: (("alpha", "epsilon", "omega"), _above_two_thirds_sqrt3_minus_1),
+    5: (("delta",), _in_0_to_3_plus_2_sqrt3),
+    6: (("omega",), _in_0_to_3_plus_2_sqrt3),
+    7: (("beta",), _in_0_to_3_plus_2_sqrt3),
+    8: (("alpha",), _in_0_to_3_plus_2_sqrt3),
 }
 
 
@@ -149,8 +137,11 @@ def family_constant(family, k):
     if family not in FAMILIES:
         raise ValueError("family id must be 1..8")
     k = Fraction(k)
-    param_fn, in_range = FAMILIES[family]
-    params = {name: Fraction(v) for name, v in param_fn(k).items()}
+    scaled, in_range = FAMILIES[family]
+    params = {
+        name: v * k if name in scaled else Fraction(v)
+        for name, v in TES_PARAMS.items()
+    }
     return FamilyMember(
         family, k, tuple(sorted(params.items())), bool(in_range(k))
     )
@@ -259,9 +250,7 @@ GENERIC_VARS = PARAM_NAMES + ("y0", "y1", "y2", "y3")
 def generic_det_ml():
     """det M^L with all six parameters and all four components symbolic."""
     params = MultiPoly.variables(GENERIC_VARS)[: len(PARAM_NAMES)]
-    constant = StructureConstant(
-        group_by_name("Z4"), cyclic4_table(*params), LEFT_STANDARD
-    )
+    constant = shaped_constant("Z4", dict(zip(PARAM_NAMES, params)), LEFT_STANDARD)
     algebra = TwistedAlgebra(constant, RATIONALS)
     y = algebra.generic_element("y", GENERIC_VARS)
     return symbolic_det(algebra.mult_matrix_left(y))

@@ -246,6 +246,8 @@ def encrypt(key, message, p, side="left"):
 
 def decrypt(key, encoded, p, side="left"):
     """Recover c = a*x (or c = y*b for the right-sided scheme)."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     algebra = tesseranion_algebra_mod(p)
     a = algebra.element(key)
     x = algebra.element(encoded)

@@ -260,6 +260,8 @@ def _adjugate_column0(rows):
     M^-1 e0 = that vector divided by det M.
     """
     n = len(rows)
+    if n == 1:
+        return [1]  # the adjugate of any 1x1 matrix
     out = []
     for i in range(n):
         minor = [

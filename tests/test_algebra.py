@@ -319,3 +319,10 @@ def test_left_right_inverse_solves():
     assert x * ri == T.one()
     with pytest.raises(ZeroDivisionError):
         T.left_inverse(T.zero())
+
+
+@pytest.mark.parametrize("method", ["left_inverse", "right_inverse"])
+def test_inverse_solves_name_the_ring_over_z_p(method):
+    Tp = tesseranion_algebra_mod(7)
+    with pytest.raises(ValueError, match="mod-7.*norms.inverse_formulas"):
+        getattr(Tp, method)(Tp.element([1, 2, 0, 0]))

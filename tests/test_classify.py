@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import math
@@ -527,3 +528,35 @@ def test_odd_order_rejects_power_of_two():
     constant = StructureConstant(G, [[1] * 4 for _ in range(4)], LEFT_STANDARD)
     with pytest.raises(ValueError):
         odd_order_zero_divisor(constant)
+
+
+# sha256 over (values, convention label, parameters) of every candidate,
+# in enumeration order, recorded before the shapes were described once in
+# ``SHAPES``; the classify JSON writes the report's basis, not each
+# table's convention label, so only this pins the labels
+ENUMERATION_DIGESTS = {
+    ("Z2", LEFT_STANDARD, SHAPED): "b71d65f54769061262ba253eaa80b76adea48a335cd40d6cc31a43f2efe00311",
+    ("Z2", LEFT_STANDARD, RAW): "85bdc8bccc4086a36f93a0e86a30d0a00b3da3b4a09565ba8163a2e2cc1e2ccd",
+    ("Z2", RIGHT_STANDARD, SHAPED): "f70939042b0e6cd3c797d326903618e4bb65a0d3fd43f639a152be58ac2e58cb",
+    ("Z2", RIGHT_STANDARD, RAW): "6e0216084a13b67f421d675ef0de8901fb7cc30648625cf31da3162fd99ea22f",
+    ("Z2xZ2", LEFT_STANDARD, SHAPED): "973d86f54d330dc7d28604fb124cea586cb15b6f5e708614ba30e46e07a461e1",
+    ("Z2xZ2", LEFT_STANDARD, RAW): "3fafcaa0d404a491b7968ba6f17435e4b6865614a0664972116f98f0972aa6e3",
+    ("Z2xZ2", RIGHT_STANDARD, SHAPED): "d7586c55e3b619a03a008cd9f0ecbcd0737af37d99d2fbe809434160d4807305",
+    ("Z2xZ2", RIGHT_STANDARD, RAW): "83f696d202f3572e2875184f82ca09d19ae643b1bdb8dcad4983a655f36b630a",
+    ("Z4", LEFT_STANDARD, SHAPED): "675f228f8ce7040df1734c5fbe128f9996bb9014d2ac9a51e4cd98d074326a32",
+    ("Z4", LEFT_STANDARD, RAW): "3fafcaa0d404a491b7968ba6f17435e4b6865614a0664972116f98f0972aa6e3",
+    ("Z4", RIGHT_STANDARD, SHAPED): "0eef3db33a4fd041b682f0465519ab78a2635b1af2c9372cde2677e683d91eb4",
+    ("Z4", RIGHT_STANDARD, RAW): "83f696d202f3572e2875184f82ca09d19ae643b1bdb8dcad4983a655f36b630a",
+}
+
+
+@pytest.mark.parametrize(
+    "group, convention, mode, digest",
+    [(*key, digest) for key, digest in ENUMERATION_DIGESTS.items()],
+)
+def test_enumerations_are_pinned(group, convention, mode, digest):
+    h = hashlib.sha256()
+    for cand in enumerate_candidates(group, convention, mode):
+        c = cand.constant
+        h.update(repr((c.values, c.convention, cand.parameters)).encode())
+    assert h.hexdigest() == digest

@@ -305,6 +305,14 @@ def test_analyze(capsys):
     assert data["inverses"]["kind"] == "chiral"
 
 
+def test_analyze_the_reals(capsys, tmp_path):
+    path = tmp_path / "z1.json"
+    path.write_text(json.dumps({"group": "Z1", "C": [[1]]}))
+    code, out = run_cli(capsys, "analyze", "--algebra", str(path))
+    assert code == 0
+    assert json.loads(out)["inverses"] == {"kind": "two-sided", "witness": None}
+
+
 def test_norms_schwarz(capsys):
     code, out = run_cli(capsys, "norms", "--check", "schwarz", "--samples", "20")
     assert code == 0

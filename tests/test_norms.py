@@ -201,6 +201,13 @@ def test_encryption_round_trip_and_validation():
         encrypt([1, 1, 0, 0], [1, 2, 3, 4], 257, side="middle")
 
 
+def test_decrypt_rejects_an_unknown_side():
+    x = encrypt([1, 1, 0, 0], [5, 6, 7, 8], 257)
+    for side in ("bogus", "middle", "Left"):
+        with pytest.raises(ValueError, match="side must be"):
+            decrypt([1, 1, 0, 0], x, 257, side=side)
+
+
 def test_encryption_random_round_trips():
     rng = random.Random(5150)
     p = 101
