@@ -23,6 +23,11 @@ and ``find_psd_sos`` records their PSD evidence); a table no route
 decides is left undetermined.  A positive-definite certificate and a
 sign change exclude each other, so the order of the first two routes
 cannot change a verdict.
+
+Every zero divisor on a rational line, whether found by the line search,
+carried along a sign-rescaling orbit, or forced by an odd-order cyclic
+subgroup, is built by ``RealRootRejection.on_line``, which shares its
+restriction to the line with ``RealRootRejection.verify``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .algebra import RATIONALS, AlgebraElement, StructureConstant, TwistedAlgebr
 from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
-    MultiPoly,
     SignChangeWitness,
     certifies_positive_definite,
     count_real_roots,
@@ -109,6 +113,18 @@ class CandidateConstant:
         return dict(self.parameters)
 
 
+def _restrict_to_line(det_poly, position, base):
+    """Ascending coefficients in t of ``det_poly`` with component
+    ``position`` set to t and the others to ``base``; None when the line
+    is malformed (position out of range, wrong base length, zero base)."""
+    nvars = len(det_poly.vars)
+    if not 0 <= position < nvars or len(base) != nvars - 1 or not any(base):
+        return None
+    others = (v for i, v in enumerate(det_poly.vars) if i != position)
+    bindings = {name: Fraction(v) for name, v in zip(others, base)}
+    return uni_coeffs(det_poly.specialize(bindings), det_poly.vars[position])
+
+
 @dataclass(frozen=True)
 class RealRootRejection:
     """Zero divisor via a real root of the determinant on a rational line.
@@ -125,18 +141,28 @@ class RealRootRejection:
     interval: tuple
     root_count: int
 
+    @classmethod
+    def on_line(cls, det_poly, position, base):
+        """The verified witness on this line, or None when the restriction
+        has no real root (or the line is malformed)."""
+        coeffs = _restrict_to_line(det_poly, position, base)
+        if coeffs is None or len(coeffs) <= 1:
+            return None
+        interval = isolate_real_root(coeffs)
+        if interval is None:
+            return None
+        witness = cls(
+            position,
+            tuple(base),
+            tuple(coeffs),
+            interval,
+            count_real_roots(coeffs, *interval),
+        )
+        return witness if witness.verify(det_poly) else None
+
     def verify(self, det_poly):
-        nvars = len(det_poly.vars)
-        if (not 0 <= self.position < nvars or len(self.base) != nvars - 1
-                or not any(self.base)):
-            return False
-        bindings = {}
-        others = [i for i in range(nvars) if i != self.position]
-        for i, v in zip(others, self.base):
-            bindings[det_poly.vars[i]] = Fraction(v)
-        restricted = det_poly.specialize(bindings)
-        coeffs = uni_coeffs(restricted, det_poly.vars[self.position])
-        if [Fraction(c) for c in self.coefficients] != coeffs:
+        coeffs = _restrict_to_line(det_poly, self.position, self.base)
+        if coeffs is None or [Fraction(c) for c in self.coefficients] != coeffs:
             return False
         lo, hi = self.interval
         return count_real_roots(coeffs, lo, hi) >= self.root_count >= 1
@@ -208,8 +234,8 @@ def enumerate_candidates(group, convention, mode=SHAPED):
     if isinstance(group, str):
         group = group_by_name(group)
     n = group.order
-    if n not in (2, 4):
-        raise ValueError("candidate enumeration supports orders 2 and 4 only")
+    if n not in (1, 2, 4):
+        raise ValueError("candidate enumeration supports orders 1, 2 and 4 only")
     out = []
     if mode == RAW:
         cells = [(a, b) for a in range(1, n) for b in range(1, n)]
@@ -249,35 +275,11 @@ def det_polynomials(constant):
 def line_root_rejection(det_poly):
     """First rational-line restriction of the determinant with a real root."""
     nvars = len(det_poly.vars)
-    bases = [
-        base
-        for base in itertools.product((1, 0, -1, 2), repeat=nvars - 1)
-        if any(base)
-    ]
+    bases = list(itertools.product((1, 0, -1, 2), repeat=nvars - 1))
     for position in range(nvars):
-        others = [i for i in range(nvars) if i != position]
         for base in bases:
-            bindings = {
-                det_poly.vars[i]: Fraction(v) for i, v in zip(others, base)
-            }
-            restricted = det_poly.specialize(bindings)
-            if restricted.is_zero:
-                continue
-            coeffs = uni_coeffs(restricted, det_poly.vars[position])
-            if len(coeffs) <= 1:
-                continue
-            interval = isolate_real_root(coeffs)
-            if interval is None:
-                continue
-            lo, hi = interval
-            witness = RealRootRejection(
-                position,
-                base,
-                tuple(coeffs),
-                (lo, hi),
-                count_real_roots(coeffs, lo, hi),
-            )
-            if witness.verify(det_poly):
+            witness = RealRootRejection.on_line(det_poly, position, base)
+            if witness is not None:
                 return witness
     return None
 
@@ -345,9 +347,11 @@ def _rescaled_tables(constant):
 def _transport(result, s, candidate):
     """The result of C carried to the candidate with table C^s.
 
-    Each certificate is mapped by y -> s o y and re-verified exactly on
-    the candidate's own multiplication matrices; returns None when a
-    check fails or there is no certificate to carry.
+    A sign change or survivor certificate is mapped by y -> s o y and
+    re-verified exactly on the candidate's own multiplication matrices; a
+    line root is rebuilt on the mapped line, on the candidate's own
+    det M^L.  Returns None when a check fails or there is no certificate
+    to carry.
     """
     verdict, payload, _ = result
     if payload is None:
@@ -375,18 +379,12 @@ def _transport(result, s, candidate):
         return (verdict, witness, None) if certified else None
     if isinstance(payload, RealRootRejection):
         det_l = det_polynomial(candidate.constant)
-        # the line y_i = t, y_j = base_j becomes y_i = s_i t, y_j = s_j base_j
-        sign = s[payload.position]
-        lo, hi = payload.interval
+        # the line y_i = t, y_j = base_j of C is, under y -> s o y, the
+        # line y_i = t, y_j = s_j base_j of C^s (t -> s_i t spans it too)
         others = (v for i, v in enumerate(s) if i != payload.position)
-        witness = RealRootRejection(
-            payload.position,
-            tuple(si * v for si, v in zip(others, payload.base)),
-            tuple(c * sign**k for k, c in enumerate(payload.coefficients)),
-            (lo, hi) if sign == 1 else (-hi, -lo),
-            payload.root_count,
-        )
-        if not witness.verify(det_l):
+        base = tuple(si * v for si, v in zip(others, payload.base))
+        witness = RealRootRejection.on_line(det_l, payload.position, base)
+        if witness is None:
             return None
         return verdict, witness, find_psd_sos(det_l)
     # the SOS bases are monomials, whose squares are unchanged by y -> s o y
@@ -410,13 +408,12 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     """
     if isinstance(group, str):
         group = group_by_name(group)
+    candidates = enumerate_candidates(group, convention, mode)
     if group.order == 1:
-        cand = CandidateConstant(shaped_constant(group, {}, convention), ())
         cert = SurvivorCertificate("odd-dimension-unit", None, None)
         return ClassificationReport(
-            group.name, convention, mode, 1, [], [(cand, cert)], [], {}
+            group.name, convention, mode, 1, [], [(candidates[0], cert)], [], {}
         )
-    candidates = enumerate_candidates(group, convention, mode)
     rejected, survivors, undetermined, psd_notes = [], [], [], {}
     orbit_results = {}  # table C^s -> (result for C, s)
     for idx, cand in enumerate(candidates):
@@ -514,46 +511,28 @@ def non_isomorphism_fingerprint(algebra):
     )
 
 
-@dataclass(frozen=True)
-class OddOrderWitness:
-    """Certified zero divisor in the order-p cyclic subalgebra.
-
-    All non-identity components are pinned to 1 and the determinant
-    becomes an odd-degree polynomial in the identity component, which
-    must have a real root; the interval encloses one.
-    """
-
-    subgroup: tuple
-    coefficients: tuple
-    interval: tuple
-    root_count: int
-
-
 def odd_order_zero_divisor(constant):
-    """Witness for any grading group whose order has an odd prime factor."""
+    """Line witness for any grading group whose order has an odd prime factor.
+
+    Let g have odd prime order p and H = <g>.  The line is y_0 = t with
+    y_h = 1 for h in H minus 0 and every other component 0, so y lies in
+    the subalgebra graded by H.  Then M^L(y) maps each coset block
+    span{v_a : a in c + H} into itself, and det M^L(y) is the product of
+    the block determinants.  The H block has t times a sign on its
+    diagonal and constants elsewhere, so its determinant has odd degree p
+    in t and a real root, which is a real root of the restriction: the
+    witness always exists.
+    """
     group = constant.group
     n = group.order
     if n & (n - 1) == 0:
         raise ValueError("group order is a power of 2; no odd-order subalgebra")
     p = next(q for q in (3, 5, 7) if n % q == 0)
     g = next(h for h in range(1, n) if group.element_order(h) == p)
-    subgroup = [0]
+    powers = set()  # H minus 0
     x = g
     while x != 0:
-        subgroup.append(x)
+        powers.add(x)
         x = group.mul(x, g)
-    var = ("s",)
-    one = MultiPoly.constant(var, 1)
-    algebra = TwistedAlgebra(constant, RATIONALS)
-    # y = s v_0 + sum of the other v_h; only the subgroup block is used
-    y = algebra.element([MultiPoly.variable("s", var)] + [one] * (n - 1))
-    ml = algebra.mult_matrix_left(y)
-    det = symbolic_det([[ml[c][a] for a in subgroup] for c in subgroup])
-    coeffs = uni_coeffs(det, "s")
-    if (len(coeffs) - 1) % 2 == 0:
-        raise AssertionError("restricted determinant should have odd degree")
-    interval = isolate_real_root(coeffs)
-    lo, hi = interval
-    return OddOrderWitness(
-        tuple(subgroup), tuple(coeffs), (lo, hi), count_real_roots(coeffs, lo, hi)
-    )
+    base = tuple(int(h in powers) for h in range(1, n))
+    return RealRootRejection.on_line(det_polynomial(constant), 0, base)

@@ -220,5 +220,6 @@ def r_tes_closed(n, m, h):
 
 def klein_pairs(group):
     """Index -> (n, m) exponent pair for the Klein group's table order."""
-    assert group.name == "Z2xZ2"
+    if group.name != "Z2xZ2":
+        raise ValueError(f"Klein pairs are defined for Z2xZ2, not {group.name}")
     return {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}

@@ -173,16 +173,15 @@ def _span_products(L, rows_a, rows_b):
     return reduced
 
 
-SERIES_MAX_STEPS = 6
-
-
 def series(L, kind):
     """Derived or lower central series by exact span closure.
 
-    Stops at {0}, at stabilization (span equal to the previous step), or
-    after ``SERIES_MAX_STEPS`` steps.  The Z4 survivor's commutator algebra stabilizes at
-    the 3-dimensional Heisenberg ideal, so stabilization detection is
-    required for termination.
+    Stops at {0} or at stabilization (span equal to the previous step).
+    For any bilinear product each term lies inside the one before it, so
+    every step that does not stop lowers the dimension, and the loop ends
+    within ``L.dimension`` steps.  The Z4 survivor's commutator algebra
+    stabilizes at the 3-dimensional Heisenberg ideal, so stabilization
+    detection is required for termination.
     """
     if kind not in (DERIVED, LOWER_CENTRAL):
         raise ValueError(f"unknown series kind {kind!r}")
@@ -193,7 +192,7 @@ def series(L, kind):
     dims = [n]
     terminates = False
     stabilizes = False
-    for _ in range(SERIES_MAX_STEPS):
+    while True:
         left = current if kind == DERIVED else full
         nxt = _span_products(L, left, current)
         dims.append(len(nxt))

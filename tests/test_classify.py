@@ -114,6 +114,30 @@ def test_classify_z4_left():
     assert witness.verify(det_l)
 
 
+def test_line_root_transported_across_a_flipped_coordinate():
+    """s flips y1, the coordinate the line runs along: the witness is
+    rebuilt on C^s's own det M^L at the same position, with base s o base,
+    and keeps its PSD annotation."""
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    (cand, _), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
+    base = (1, 1, 0)
+    witness = RealRootRejection.on_line(det_polynomials(cand.constant)[0], 1, base)
+    assert witness is not None
+    s = (1, -1, 1, 1)
+    table = next(t for t, sv in CLASSIFY._rescaled_tables(cand.constant) if sv == s)
+    flipped = CLASSIFY.CandidateConstant(
+        StructureConstant(cand.constant.group, table, LEFT_STANDARD), ()
+    )
+    verdict, moved, psd = CLASSIFY._transport(("rejected", witness, None), s, flipped)
+    det_l = det_polynomials(flipped.constant)[0]
+    assert verdict == "rejected" and moved.verify(det_l)
+    assert moved.position == 1
+    assert moved.base == tuple(si * v for si, v in zip((s[0],) + s[2:], base))
+    assert psd is not None and verify_sos(det_l, psd)
+
+
 @pytest.mark.parametrize(
     "change",
     [lambda w: {"base": w.base + (1,)}, lambda w: {"position": -1},
@@ -474,6 +498,12 @@ def test_trivial_group_classifies_to_the_reals():
     assert rep.survivors[0][1].kind == "odd-dimension-unit"
 
 
+def test_trivial_group_checks_the_enumeration_mode():
+    assert classify("Z1", LEFT_STANDARD, RAW).counts()["survivors"] == 1
+    with pytest.raises(ValueError, match="unknown enumeration mode"):
+        classify("Z1", LEFT_STANDARD, "bogus")
+
+
 def test_odd_dimension_unit_certificate_verifies():
     """Z1's determinants are y0 and x0, which vanish only at 0; a
     determinant in two variables, or the zero one, is not certified."""
@@ -487,11 +517,18 @@ def test_odd_dimension_unit_certificate_verifies():
     assert cert.verify(det_l, MultiPoly.constant(det_r.vars, 2)) is False
 
 
+def _odd_order_support(witness):
+    """The group elements on the witness's line: the base's support
+    (position 0 runs over t) together with 0."""
+    return {0} | {h for h, v in enumerate(witness.base, start=1) if v}
+
+
 def test_odd_order_zero_divisor_cyclic3():
     G = group_by_name("Z3")
     constant = StructureConstant(G, [[1] * 3 for _ in range(3)], LEFT_STANDARD)
     witness = odd_order_zero_divisor(constant)
-    assert witness.subgroup == (0, 1, 2)
+    assert witness.verify(det_polynomials(constant)[0])
+    assert _odd_order_support(witness) == {0, 1, 2}
     assert len(witness.coefficients) == 4  # cubic
     assert witness.root_count >= 1
     lo, hi = witness.interval
@@ -515,12 +552,22 @@ def test_odd_order_zero_divisor_all_sign_constants_on_z3():
         assert witness.root_count >= 1
 
 
+def test_every_z3_sign_table_gets_a_checkable_line_witness():
+    G = group_by_name("Z3")
+    for signs in itertools.product((1, -1), repeat=4):
+        values = [[1, 1, 1], [1, *signs[:2]], [1, *signs[2:]]]
+        constant = StructureConstant(G, values, LEFT_STANDARD)
+        witness = odd_order_zero_divisor(constant)
+        assert witness.verify(det_polynomials(constant)[0])
+        assert witness.to_json()["kind"] == "real-root-on-line"
+
+
 def test_odd_order_reduces_z6_to_its_order3_subgroup():
     G = group_by_name("Z6")
     constant = StructureConstant(G, [[1] * 6 for _ in range(6)], LEFT_STANDARD)
     witness = odd_order_zero_divisor(constant)
-    assert len(witness.subgroup) == 3
-    assert all(G.element_order(g) in (1, 3) for g in witness.subgroup)
+    assert witness.verify(det_polynomials(constant)[0])
+    assert _odd_order_support(witness) == {0, 2, 4}
 
 
 def test_odd_order_rejects_power_of_two():

@@ -134,6 +134,11 @@ def test_closed_form_kappas_are_witnesses():
     assert [coh.kappa_tes_closed(n) for n in R4] == [1, -1, 1, 1]
 
 
+def test_klein_pairs_reject_other_groups():
+    with pytest.raises(ValueError, match="Z2xZ2"):
+        coh.klein_pairs(T.group)
+
+
 def test_parity_guard():
     with pytest.raises(ArithmeticError):
         coh._parity_sign(3, 2)

@@ -254,6 +254,19 @@ def test_series_of_abelian_algebra():
     assert low.dimensions == [2, 0] and low.nilpotent
 
 
+def test_series_of_8_dimensional_filiform_algebra():
+    """[e0, ei] = e(i+1) for 1 <= i <= 6: the lower central series runs
+    down one dimension at a time, past six steps, to {0}."""
+    entries = []
+    for i in range(1, 7):
+        entries += [(0, i, i + 1, 1), (i, 0, i + 1, -1)]
+    L = BilinearAlgebra.from_entries(8, entries)
+    low = series(L, LOWER_CENTRAL)
+    assert low.dimensions == [8, 6, 5, 4, 3, 2, 1, 0]
+    assert low.nilpotent
+    assert series(L, DERIVED).dimensions == [8, 6, 0]
+
+
 def test_heisenberg_ideal():
     Tm = commutator_algebra(T)
     assert heisenberg_ideal_check(Tm)
