@@ -59,7 +59,6 @@ from .poly import (
     MultiPoly,
     SignChangeWitness,
     count_real_roots,
-    uni_coeffs,
 )
 from .structure import (
     DERIVED,
@@ -468,8 +467,9 @@ def criterion_12():
     probe = dict(TES_PARAMS)
     probe.update({"alpha": 1, "beta": 1, "delta": -1, "epsilon": -1})
     det_l = det_polynomial(parametric_constant(probe))
-    restricted = det_l.specialize({"y0": 1, "y2": 1, "y3": 0})
-    coeffs = uni_coeffs(restricted, "y1")
+    # the line y1 = t with (y0, y2, y3) = (1, 1, 0)
+    witness = RealRootRejection.on_line(det_l, 1, (1, 1, 0))
+    coeffs = list(witness.coefficients) if witness is not None else None
     target = [Fraction(c) for c in (4, 0, -4, 0, 1)]  # (t^2 - 2)^2
     probe_ok = coeffs == target and count_real_roots(coeffs, 1, 2) == 1
     if not probe_ok:

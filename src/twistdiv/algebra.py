@@ -115,11 +115,32 @@ class Rationals:
         return "Rationals()"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017); the first 12
+# are exact only below 318665857834031151167461, a strong pseudoprime to them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; ValueError at or above ``_MR_BOUND``."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"modulus {n} is too large to be certified prime")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    d = (n - 1) >> r
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
+        for a in _MR_BASES
+    )
+
+
 class IntegersModP:
     """Scalars in Z_p for an odd prime p."""
 
     def __init__(self, p):
-        if p == 2 or p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p == 2 or not _is_prime(p):
             raise ValueError("modulus must be an odd prime")
         self.p = p
         self.name = f"mod-{p}"
@@ -402,7 +423,12 @@ class TwistedAlgebra:
         )
 
     def opposite(self):
-        """Algebra with reversed products: constant transposed, basis mirrored."""
+        """Algebra with reversed products: constant transposed, basis mirrored
+        (for an abelian grading group, whose Cayley table is its own transpose)."""
+        if not self.group.is_abelian():
+            raise ValueError(
+                f"opposite() needs an abelian grading group, not {self.group.name}"
+            )
         return TwistedAlgebra(self.constant.transpose(), self.ring)
 
     # -- inverses (exact rational solves) ------------------------------
@@ -507,18 +533,18 @@ TABLE_TESSERANION = (
 )
 
 
-def complex_algebra(ring=RATIONALS):
+def complex_algebra():
     """The Z2-graded survivor: C with v1^2 = -1 (the complex numbers)."""
     constant = StructureConstant(group_by_name("Z2"), TABLE_COMPLEX, LEFT_STANDARD)
-    return TwistedAlgebra(constant, ring)
+    return TwistedAlgebra(constant)
 
 
-def quaternion_algebra(ring=RATIONALS):
+def quaternion_algebra():
     """The Klein-graded survivor in its right-standard basis (quaternions)."""
     constant = StructureConstant(
         group_by_name("Z2xZ2"), TABLE_QUATERNION, RIGHT_STANDARD
     )
-    return TwistedAlgebra(constant, ring)
+    return TwistedAlgebra(constant)
 
 
 def tesseranion_algebra(ring=RATIONALS):
@@ -531,18 +557,15 @@ def tesseranion_algebra(ring=RATIONALS):
 
 def tesseranion_algebra_mod(p):
     """Tesseranion arithmetic with components in Z_p (p an odd prime)."""
-    constant = StructureConstant(
-        group_by_name("Z4"), TABLE_TESSERANION, LEFT_STANDARD
-    )
-    return TwistedAlgebra(constant, IntegersModP(p))
+    return tesseranion_algebra(IntegersModP(p))
 
 
-def algebra_by_name(name, ring=RATIONALS):
+def algebra_by_name(name):
     key = name.lower()
     if key in ("cplx", "complex", "c"):
-        return complex_algebra(ring)
+        return complex_algebra()
     if key in ("quat", "quaternion", "h"):
-        return quaternion_algebra(ring)
+        return quaternion_algebra()
     if key in ("tes", "tesseranion", "t"):
-        return tesseranion_algebra(ring)
+        return tesseranion_algebra()
     raise ValueError(f"unknown algebra selector {name!r}")

@@ -19,10 +19,10 @@ failing that, det M^L is restricted to rational lines until one has a
 real root, isolated with a Sturm certificate (the handful of sign arrays
 this rejects have positive *semi*definite determinants whose nontrivial
 real zeros are all irrational, so no rational sign-change pair exists,
-and ``find_psd_sos`` records their PSD evidence); a table no route
-decides is left undetermined.  A positive-definite certificate and a
-sign change exclude each other, so the order of the first two routes
-cannot change a verdict.
+and each line witness carries the ``find_psd_sos`` evidence of its
+determinant); a table no route decides is left undetermined.  A
+positive-definite certificate and a sign change exclude each other, so
+the order of the first two routes cannot change a verdict.
 
 Every zero divisor on a rational line, whether found by the line search,
 carried along a sign-rescaling orbit, or forced by an odd-order cyclic
@@ -51,6 +51,7 @@ from .poly import (
     isolate_real_root,
     symbolic_det,
     uni_coeffs,
+    verify_sos,
 )
 
 SHAPED = "shaped"
@@ -133,6 +134,8 @@ class RealRootRejection:
     runs over t and the others take the rational values in ``base`` (not
     all zero, so the line avoids the origin).  ``coefficients`` is the
     restricted determinant, which has a real root inside ``interval``.
+    ``psd`` is an SOS certificate that the determinant is nonnegative
+    everywhere, when ``find_psd_sos`` finds one.
     """
 
     position: int
@@ -140,6 +143,7 @@ class RealRootRejection:
     coefficients: tuple
     interval: tuple
     root_count: int
+    psd: object = None
 
     @classmethod
     def on_line(cls, det_poly, position, base):
@@ -151,12 +155,9 @@ class RealRootRejection:
         interval = isolate_real_root(coeffs)
         if interval is None:
             return None
+        # the isolating interval holds exactly one root
         witness = cls(
-            position,
-            tuple(base),
-            tuple(coeffs),
-            interval,
-            count_real_roots(coeffs, *interval),
+            position, tuple(base), tuple(coeffs), interval, 1, find_psd_sos(det_poly)
         )
         return witness if witness.verify(det_poly) else None
 
@@ -165,7 +166,9 @@ class RealRootRejection:
         if coeffs is None or [Fraction(c) for c in self.coefficients] != coeffs:
             return False
         lo, hi = self.interval
-        return count_real_roots(coeffs, lo, hi) >= self.root_count >= 1
+        return count_real_roots(coeffs, lo, hi) >= self.root_count >= 1 and (
+            self.psd is None or verify_sos(det_poly, self.psd)
+        )
 
     def to_json(self):
         return {
@@ -296,21 +299,15 @@ def zero_divisor_witness(det_l):
 
 
 def _classify_one(candidate):
-    """Verdict for one table; det M^R is built only once det M^L has its
-    survivor certificate."""
+    """The table's survivor certificate or zero-divisor witness, or None;
+    det M^R is built only once det M^L has its survivor certificate."""
     det_l = det_polynomial(candidate.constant)
     cert_l = find_diagonal_sos(det_l)
     if cert_l is not None:
-        det_r = det_polynomial(candidate.constant, left=False)
-        cert_r = find_diagonal_sos(det_r)
+        cert_r = find_diagonal_sos(det_polynomial(candidate.constant, left=False))
         if cert_r is not None:
-            cert = SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
-            return "survivor", cert, None
-    witness = zero_divisor_witness(det_l)
-    if isinstance(witness, SignChangeWitness):
-        return "rejected", witness, None
-    verdict = "undetermined" if witness is None else "rejected"
-    return verdict, witness, find_psd_sos(det_l)
+            return SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
+    return zero_divisor_witness(det_l)
 
 
 @functools.cache
@@ -353,21 +350,20 @@ def _transport(result, s, candidate):
     det M^L.  Returns None when a check fails or there is no certificate
     to carry.
     """
-    verdict, payload, _ = result
-    if payload is None:
+    if result is None:
         return None
 
     def flip(point):
         return tuple(si * v for si, v in zip(s, point))
 
-    if isinstance(payload, SignChangeWitness):
+    if isinstance(result, SignChangeWitness):
         # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
         algebra = TwistedAlgebra(candidate.constant, RATIONALS)
         witness = SignChangeWitness(
-            flip(payload.positive_point),
-            flip(payload.nonpositive_point),
-            payload.positive_value,
-            payload.nonpositive_value,
+            flip(result.positive_point),
+            flip(result.nonpositive_point),
+            result.positive_value,
+            result.nonpositive_value,
         )
         # AlgebraElement keeps integer points in ints, which algebra.element
         # would coerce to Fractions; symbolic_det returns a Fraction either way
@@ -376,19 +372,16 @@ def _transport(result, s, candidate):
                 algebra.mult_matrix_left(AlgebraElement(algebra, p))
             )
         )
-        return (verdict, witness, None) if certified else None
-    if isinstance(payload, RealRootRejection):
+        return witness if certified else None
+    if isinstance(result, RealRootRejection):
         det_l = det_polynomial(candidate.constant)
         # the line y_i = t, y_j = base_j of C is, under y -> s o y, the
         # line y_i = t, y_j = s_j base_j of C^s (t -> s_i t spans it too)
-        others = (v for i, v in enumerate(s) if i != payload.position)
-        base = tuple(si * v for si, v in zip(others, payload.base))
-        witness = RealRootRejection.on_line(det_l, payload.position, base)
-        if witness is None:
-            return None
-        return verdict, witness, find_psd_sos(det_l)
+        others = (v for i, v in enumerate(s) if i != result.position)
+        base = tuple(si * v for si, v in zip(others, result.base))
+        return RealRootRejection.on_line(det_l, result.position, base)
     # the SOS bases are monomials, whose squares are unchanged by y -> s o y
-    certified = payload.verify(*det_polynomials(candidate.constant))
+    certified = result.verify(*det_polynomials(candidate.constant))
     return result if certified else None
 
 
@@ -418,21 +411,24 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     orbit_results = {}  # table C^s -> (result for C, s)
     for idx, cand in enumerate(candidates):
         known = orbit_results.get(cand.constant.values)
-        outcome = _transport(*known, cand) if known else None
-        if outcome is None:
-            outcome = _classify_one(cand)
+        result = _transport(*known, cand) if known else None
+        if result is None:
+            result = _classify_one(cand)
             if known is None:
                 for table, s in _rescaled_tables(cand.constant):
-                    orbit_results.setdefault(table, (outcome, s))
-        verdict, payload, psd = outcome
+                    orbit_results.setdefault(table, (result, s))
+        psd = None
+        if isinstance(result, SurvivorCertificate):
+            survivors.append((cand, result))
+        elif result is None:
+            undetermined.append(cand)
+            psd = find_psd_sos(det_polynomial(cand.constant))
+        else:
+            rejected.append((cand, result))
+            if isinstance(result, RealRootRejection):
+                psd = result.psd
         if psd is not None:
             psd_notes[idx] = psd
-        if verdict == "rejected":
-            rejected.append((cand, payload))
-        elif verdict == "survivor":
-            survivors.append((cand, payload))
-        else:
-            undetermined.append(cand)
     return ClassificationReport(
         group.name,
         convention,
@@ -445,18 +441,18 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     )
 
 
-def opposite_uniqueness_check(group, convention=None):
+def opposite_uniqueness_check(group):
     """The mirrored convention's unique survivor is the transpose.
 
     For each order-4 group the shaped classification in either basis
     convention yields one survivor, and the two survivors are each
     other's transposed arrays (the opposite algebra).  Z2's survivor is
-    its own transpose.  The primary convention defaults to the one the
-    group's shape is written in.
+    its own transpose.  The primary convention is the one the group's
+    shape is written in.
     """
     if isinstance(group, str):
         group = group_by_name(group)
-    primary = convention if convention is not None else _shape(group.name)[0]
+    primary = _shape(group.name)[0]
     mirror = RIGHT_STANDARD if primary == LEFT_STANDARD else LEFT_STANDARD
     rep_a = classify(group, primary, SHAPED)
     rep_b = classify(group, mirror, SHAPED)

@@ -203,11 +203,7 @@ def cmd_identities(args):
 
 def cmd_analyze(args):
     algebra = _load_algebra(args.algebra)
-    wanted = (
-        _names(args.report, ANALYZE_REPORTS, "--report")
-        if args.report
-        else ["lie", "jordan"]
-    )
+    wanted = _names(args.report, ANALYZE_REPORTS, "--report")
     data = {"algebra": args.algebra}
     if "lie" in wanted:
         Lm = commutator_algebra(algebra)
@@ -307,9 +303,7 @@ def cmd_deform(args):
     except ZeroDivisionError:
         raise ValueError(f"--k {args.k} has a zero denominator") from None
     member = family_constant(args.family, k)
-    checks = (
-        _names(args.checks, DEFORM_CHECKS, "--checks") if args.checks else ["neccons"]
-    )
+    checks = _names(args.checks, DEFORM_CHECKS, "--checks")
     data = {
         "family": args.family,
         "k": str(k),

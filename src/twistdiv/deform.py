@@ -254,30 +254,3 @@ def generic_det_ml():
     algebra = TwistedAlgebra(constant, RATIONALS)
     y = algebra.generic_element("y", GENERIC_VARS)
     return symbolic_det(algebra.mult_matrix_left(y))
-
-
-def generic_det_ml_reference():
-    """The frozen exact expansion of the generic determinant.
-
-    Equivalent to building the polynomial term by term:
-
-        y0^4 - eb y1^4 - phi y2^4 - adw y3^4
-        + (1 - phi) y0^2 y2^2 + (abw + ed) y1^2 y3^2
-        + [(e(1+b) + phi b - 1) y1^2 + (a(d+phi) - w(1-d)) y3^2] y0 y2
-        + [(w - ed - phi(ab - 1)) y2^2 - (a + bw + d + e) y0^2] y1 y3
-    """
-    V = GENERIC_VARS
-    a, b, d, e, f, w, y0, y1, y2, y3 = MultiPoly.variables(V)
-    one = MultiPoly.constant(V, 1)
-    return (
-        y0**4
-        - (e * b) * y1**4
-        - f * y2**4
-        - (a * d * w) * y3**4
-        + (one - f) * y0**2 * y2**2
-        + (a * b * w + e * d) * y1**2 * y3**2
-        + ((e * (one + b) + f * b - one) * y1**2
-           + (a * (d + f) - w * (one - d)) * y3**2) * y0 * y2
-        + ((w - e * d - f * (a * b - one)) * y2**2
-           - (a + b * w + d + e) * y0**2) * y1 * y3
-    )

@@ -156,56 +156,33 @@ def z4_times_z2():
     return _abelian_product((4, 2), "Z2xZ4")
 
 
+def _words_x_r(name, twist, labels):
+    """Words x^b r^a (a < 4, b < 2) with x r x^-1 = r^-1 and x^2 = r^(2 twist).
+
+    Since r^a x^d = x^d r^((-1)^d a), the product of x^b r^a and x^d r^c
+    is x^(b+d) r^(c + (-1)^d a), with x^2 folded into r^(2 twist).  The
+    element x^b r^a has index 4b + a; r and x are the generators.
+    """
+
+    def mul(a, b, c, d):
+        e = c + (-a if d else a) + (2 * twist if b and d else 0)
+        return 4 * ((b + d) % 2) + e % 4
+
+    words = [(a, b) for b in range(2) for a in range(4)]
+    cayley = [[mul(*x, *y) for y in words] for x in words]
+    return FiniteGroup(name, cayley, [1, 4], labels, exponent_ranges=(4, 2))
+
+
 def dihedral4():
     """Dihedral group of order 8: words s^b r^a with r^4 = s^2 = e, s r = r^-1 s."""
-    elements = [(a, b) for b in range(2) for a in range(4)]
-    index = {e: i for i, e in enumerate(elements)}
-
-    def mul(x, y):
-        a, b = x
-        c, d = y
-        # (s^b r^a)(s^d r^c) = s^(b+d) r^(c + (-1)^d a)
-        return ((c + (a if d == 0 else -a)) % 4, (b + d) % 2)
-
-    cayley = [[index[mul(x, y)] for y in elements] for x in elements]
-    labels = [f"s^{b}r^{a}" for a, b in elements]
-    return FiniteGroup("D4", cayley, [index[(1, 0)], index[(0, 1)]], labels)
+    labels = [f"s^{b}r^{a}" for b in range(2) for a in range(4)]
+    return _words_x_r("D4", 0, labels)
 
 
 def quaternion8():
-    """Quaternion group on words j^b i^a, a < 4, b < 2."""
-    units = {"1": (1, 1), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
-
-    def umul(x, y):
-        sx, ux = x
-        sy, uy = y
-        table = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        s, u = table[(ux, uy)]
-        return (sx * sy * s, u)
-
-    def word(a, b):
-        x = (1, "1")
-        for _ in range(b):
-            x = umul(x, (1, "j"))
-        for _ in range(a):
-            x = umul(x, (1, "i"))
-        return x
-
-    elements = [word(a, b) for b in range(2) for a in range(4)]
-    index = {e: i for i, e in enumerate(elements)}
-    cayley = [[index[umul(x, y)] for y in elements] for x in elements]
-    labels = [("-" if s < 0 else "") + str(u) for s, u in elements]
-    return FiniteGroup(
-        "Q8", cayley, [index[(1, "i")], index[(1, "j")]], labels,
-        exponent_ranges=(4, 2),
-    )
+    """Quaternion group on words j^b i^a, a < 4, b < 2: j i j^-1 = i^-1 and
+    j^2 = i^2 = -1."""
+    return _words_x_r("Q8", 1, ["1", "i", "-1", "-i", "j", "-k", "-j", "k"])
 
 
 _FACTORIES = {

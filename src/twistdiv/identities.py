@@ -64,13 +64,7 @@ def N(a, b):
 
 def normalize_pattern(pattern):
     """Pattern as a tuple of per-variable degrees, e.g. (2, 2) or (5,)."""
-    if isinstance(pattern, dict):
-        degs = [pattern.get(v, 0) for v in VARIABLE_NAMES]
-        while degs and degs[-1] == 0:
-            degs.pop()
-        pattern = tuple(degs)
-    else:
-        pattern = tuple(pattern)
+    pattern = tuple(pattern)
     if not pattern or any(d < 0 for d in pattern) or sum(pattern) < 2:
         raise ValueError("pattern must have total degree >= 2")
     if len(pattern) > MAX_VARIABLES:

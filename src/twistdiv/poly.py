@@ -16,7 +16,6 @@ float.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -247,9 +246,6 @@ class MultiPoly:
         }
         return cls(variables, terms)
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _is_zero(c):
     """Zero test for a scalar or a polynomial that builds no polynomial."""
@@ -277,27 +273,7 @@ def symbolic_det(rows):
         raise ValueError("empty matrix")
     if n > 8:
         raise ValueError("matrix larger than 8x8")
-    # minors[mask] = det of the submatrix on rows 0..k-1 and column set mask
-    minors = {0: 1}
-    for k in range(n):
-        new = {}
-        for mask, sub in minors.items():
-            pos = 0
-            for col in range(n):
-                bit = 1 << col
-                if mask & bit:
-                    pos += 1
-                    continue
-                entry = rows[k][col]
-                if _is_zero(entry):
-                    continue
-                # position of col within the new mask decides the sign
-                term = entry * sub if (k - pos) % 2 == 0 else -(entry * sub)
-                key = mask | bit
-                acc = new.get(key)
-                new[key] = term if acc is None else acc + term
-        minors = new
-    det = minors.get((1 << n) - 1, 0)
+    det = _minors(rows, n).get((1 << n) - 1, 0)
     if isinstance(det, MultiPoly):
         return det
     template = next(
@@ -306,6 +282,31 @@ def symbolic_det(rows):
     if template is not None:
         return MultiPoly.constant(template.vars, det)
     return Fraction(det) if isinstance(det, int) else det
+
+
+def _minors(rows, ncols):
+    """{mask: det of ``rows`` on the column set ``mask``}, expanded from
+    the int 1 (no rows: {0: 1}); a structurally zero minor has no key."""
+    minors = {0: 1}
+    for k, row in enumerate(rows):
+        new = {}
+        for mask, sub in minors.items():
+            pos = 0
+            for col in range(ncols):
+                bit = 1 << col
+                if mask & bit:
+                    pos += 1
+                    continue
+                entry = row[col]
+                if _is_zero(entry):
+                    continue
+                # position of col within the new mask decides the sign
+                term = entry * sub if (k - pos) % 2 == 0 else -(entry * sub)
+                key = mask | bit
+                acc = new.get(key)
+                new[key] = term if acc is None else acc + term
+        minors = new
+    return minors
 
 
 def nonzero_point(p):
@@ -448,12 +449,11 @@ def perfect_square_root(p):
     root_lead = tuple(k // 2 for k in lead)
     root = MultiPoly(p.vars, {root_lead: root_lc})
     residual = p - root * root
-    # repeatedly match the leading residual term against 2*root_leading
-    guard = 0
+    # repeatedly match the leading residual term against 2*root_leading.
+    # Each step cancels the residual's leading term and adds only smaller
+    # terms, so the leading term falls strictly in the graded order, which
+    # has finitely many monomials below it: the loop ends.
     while not residual.is_zero:
-        guard += 1
-        if guard > 2000:
-            return None
         r_lead = max(residual.terms, key=order)
         new_exp = tuple(a - b for a, b in zip(r_lead, root_lead))
         if any(k < 0 for k in new_exp):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import _linalg
 from .algebra import tensor_product
 from .identities import Leaf, Node, counterexample, identity_residual
-from .poly import nonzero_point, symbolic_det
+from .poly import _minors, nonzero_point, symbolic_det
 
 
 class BilinearAlgebra:
@@ -256,17 +256,15 @@ def _adjugate_column0(rows):
     """First column of the adjugate: signed minors along row 0.
 
     (adj M . e0)_i = (-1)^i det(M with row 0 and column i removed), so
-    M^-1 e0 = that vector divided by det M.
+    M^-1 e0 = that vector divided by det M.  All n minors come from one
+    expansion of rows 1..n-1; for n = 1 it is the empty minor 1.
     """
     n = len(rows)
-    if n == 1:
-        return [1]  # the adjugate of any 1x1 matrix
+    minors = _minors(rows[1:], n)
+    full = (1 << n) - 1
     out = []
     for i in range(n):
-        minor = [
-            [rows[r][c] for c in range(n) if c != i] for r in range(1, n)
-        ]
-        d = symbolic_det(minor)
+        d = minors.get(full ^ (1 << i), 0)
         out.append(d if i % 2 == 0 else -d)
     return out
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,25 @@ def test_opposite_algebra():
             )
 
 
+@pytest.mark.parametrize("group_name", ["D4", "Q8"])
+def test_opposite_refuses_a_non_abelian_grading(group_name):
+    """Transposing C keeps G's Cayley table, so on a non-abelian grading
+    the transposed algebra does not reverse products: with C = 1, 24 of
+    the 64 basis products differ from the reversed ones."""
+    group = group_by_name(group_name)
+    n = group.order
+    A = TwistedAlgebra(StructureConstant(group, [[1] * n] * n))
+    transposed = TwistedAlgebra(A.constant.transpose())
+
+    def differs(a, b):
+        forward = transposed.basis_element(a) * transposed.basis_element(b)
+        return forward.coeffs != (A.basis_element(b) * A.basis_element(a)).coeffs
+
+    assert sum(differs(a, b) for a in range(n) for b in range(n)) == 24
+    with pytest.raises(ValueError, match=group_name):
+        A.opposite()
+
+
 def test_right_standard_basis_of_opposite_is_sign_rescale():
     """The basis (1, w, w^2, w^2 w) = (1, w, w^2, -w^3) carries the
     transposed constant: flipping the last basis vector's sign maps the
@@ -326,3 +346,25 @@ def test_inverse_solves_name_the_ring_over_z_p(method):
     Tp = tesseranion_algebra_mod(7)
     with pytest.raises(ValueError, match="mod-7.*norms.inverse_formulas"):
         getattr(Tp, method)(Tp.element([1, 2, 0, 0]))
+
+
+def test_moduli_are_certified_by_miller_rabin():
+    """2^61 - 1 is a Mersenne prime, out of reach of trial division; the
+    second modulus is a strong pseudoprime to the twelve bases 2..37, and
+    the last is beyond the bound below which the test is exact."""
+    start = time.perf_counter()
+    assert IntegersModP(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="odd prime"):
+        IntegersModP(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        IntegersModP(10**400 + 1)
+
+
+def test_json_round_trip_mod_p():
+    A = tesseranion_algebra_mod(13)
+    doc = A.to_json()
+    assert doc["ring"] == "mod-13"
+    B = TwistedAlgebra.from_json(json.loads(json.dumps(doc)))
+    assert B.ring == IntegersModP(13) and B.constant == A.constant
+    assert B.to_json() == doc

@@ -130,12 +130,12 @@ def test_line_root_transported_across_a_flipped_coordinate():
     flipped = CLASSIFY.CandidateConstant(
         StructureConstant(cand.constant.group, table, LEFT_STANDARD), ()
     )
-    verdict, moved, psd = CLASSIFY._transport(("rejected", witness, None), s, flipped)
+    moved = CLASSIFY._transport(witness, s, flipped)
     det_l = det_polynomials(flipped.constant)[0]
-    assert verdict == "rejected" and moved.verify(det_l)
+    assert isinstance(moved, RealRootRejection) and moved.verify(det_l)
     assert moved.position == 1
     assert moved.base == tuple(si * v for si, v in zip((s[0],) + s[2:], base))
-    assert psd is not None and verify_sos(det_l, psd)
+    assert moved.psd is not None and verify_sos(det_l, moved.psd)
 
 
 @pytest.mark.parametrize(
@@ -450,10 +450,11 @@ def test_det_m_r_is_built_only_for_survivors(monkeypatch):
         return build(constant, left)
 
     monkeypatch.setattr(CLASSIFY, "det_polynomial", counting)
-    assert CLASSIFY._classify_one(rejected)[0] == "rejected"
+    witness = CLASSIFY._classify_one(rejected)
+    assert isinstance(witness, (SignChangeWitness, RealRootRejection))
     assert sides == [True]
     sides.clear()
-    assert CLASSIFY._classify_one(survivor)[0] == "survivor"
+    assert isinstance(CLASSIFY._classify_one(survivor), CLASSIFY.SurvivorCertificate)
     assert sides == [True, False]
 
 

@@ -446,6 +446,46 @@ def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--algebra", "tes", "--report", ""],
+        ["deform", "--family", "1", "--k", "2", "--checks", ""],
+        ["encrypt", "--p", str(10**400 + 1), "--key", "1,1,0,0", "--msg", "1,2,3,4"],
+        ["analyze", "--algebra", "{huge_modulus}"],
+    ],
+    ids=["empty-report", "empty-checks", "huge-p", "huge-modulus-json"],
+)
+def test_empty_lists_and_huge_moduli_are_usage_errors(capsys, tmp_path, argv):
+    """An empty name list has no default behind it, and a modulus too
+    large to certify prime is refused, each with one error line."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "group": "Z4", "ring": f"mod-{10**400 + 1}",
+        "C": [[1, 1, 1, 1], [1, 1, 1, -1], [1, -1, -1, 1], [1, 1, -1, 1]],
+    }))
+    code = main([a.format(huge_modulus=path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_properties_and_fingerprint(capsys):
+    """T fails every loop law; H is power associative."""
+    code, out = run_cli(
+        capsys, "analyze", "--algebra", "tes", "--report", "properties,fingerprint"
+    )
+    assert code == 0
+    data = json.loads(out)
+    laws = ("flexible", "power_associative", "alternative", "left_bol",
+            "right_bol", "moufang", "commutative", "associative")
+    assert not any(data["properties"][law] for law in laws)
+    assert data["fingerprint"]["power_associative"] is False
+    code, out = run_cli(capsys, "analyze", "--algebra", "quat", "--report", "properties")
+    assert code == 0
+    assert json.loads(out)["properties"]["power_associative"] is True
+
+
 def test_algebra_json_file_selector(capsys, tmp_path):
     spec = {
         "group": "Z4",

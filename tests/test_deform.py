@@ -13,11 +13,11 @@ import twistdiv
 from twistdiv.algebra import TABLE_TESSERANION, tesseranion_algebra
 from twistdiv.classify import RealRootRejection, det_polynomials
 from twistdiv.deform import (
+    GENERIC_VARS,
     TES_PARAMS,
     commutator_rescaling,
     family_constant,
     generic_det_ml,
-    generic_det_ml_reference,
     k_inverse_isomorphism,
     neccons_check,
     parametric_constant,
@@ -25,6 +25,7 @@ from twistdiv.deform import (
     witness_search,
 )
 from twistdiv.identities import loop_property_suite
+from twistdiv.poly import MultiPoly
 from twistdiv.structure import (
     CHIRAL,
     anticommutator_algebra,
@@ -96,6 +97,33 @@ def test_parametric_constant_validation():
         parametric_constant({"alpha": 1})
     with pytest.raises(ValueError):
         parametric_constant({**TES_PARAMS, "omega": 0})
+
+
+def generic_det_ml_reference():
+    """The frozen exact expansion of the generic determinant.
+
+    Equivalent to building the polynomial term by term:
+
+        y0^4 - eb y1^4 - phi y2^4 - adw y3^4
+        + (1 - phi) y0^2 y2^2 + (abw + ed) y1^2 y3^2
+        + [(e(1+b) + phi b - 1) y1^2 + (a(d+phi) - w(1-d)) y3^2] y0 y2
+        + [(w - ed - phi(ab - 1)) y2^2 - (a + bw + d + e) y0^2] y1 y3
+    """
+    V = GENERIC_VARS
+    a, b, d, e, f, w, y0, y1, y2, y3 = MultiPoly.variables(V)
+    one = MultiPoly.constant(V, 1)
+    return (
+        y0**4
+        - (e * b) * y1**4
+        - f * y2**4
+        - (a * d * w) * y3**4
+        + (one - f) * y0**2 * y2**2
+        + (a * b * w + e * d) * y1**2 * y3**2
+        + ((e * (one + b) + f * b - one) * y1**2
+           + (a * (d + f) - w * (one - d)) * y3**2) * y0 * y2
+        + ((w - e * d - f * (a * b - one)) * y2**2
+           - (a + b * w + d + e) * y0**2) * y1 * y3
+    )
 
 
 def test_generic_determinant_matches_frozen_expansion():

@@ -494,3 +494,14 @@ def test_nonzero_point_multivariate_residual():
 def test_nonzero_point_rejects_the_zero_polynomial():
     with pytest.raises(ValueError):
         nonzero_point(MultiPoly.zero(YVARS))
+
+
+def test_psd_sos_of_an_exact_square_and_of_an_indefinite_quartic():
+    """A square of a signed sum of squares is its own one-part
+    certificate; y0^4 - y1^4 takes negative values and has none."""
+    y0, y1, y2 = MultiPoly.variables(("y0", "y1", "y2"))
+    q = y0 * y0 - y1 * y1 + y2 * y2
+    cert = find_psd_sos(q * q)
+    assert cert is not None and cert.parts == ((1, q),)
+    assert verify_sos(q * q, cert)
+    assert find_psd_sos(y0**4 - y1**4) is None
