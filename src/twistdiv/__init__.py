@@ -16,7 +16,6 @@ from .algebra import (
     complex_algebra,
     quaternion_algebra,
     tesseranion_algebra,
-    tesseranion_algebra_mod,
 )
 from .classify import classify, enumerate_candidates, non_isomorphism_fingerprint
 from .groups import FiniteGroup, group_by_name, standard_basis_words
@@ -41,7 +40,6 @@ __all__ = [
     "standard_basis_words",
     "symbolic_det",
     "tesseranion_algebra",
-    "tesseranion_algebra_mod",
 ]
 
 __version__ = "0.1.0"

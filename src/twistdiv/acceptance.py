@@ -51,9 +51,10 @@ from .norms import (
     inverse_formulas,
     iterated_norm_power,
     positive_homogeneity_check,
+    pure_factor_defects,
     quartic_norm4,
-    schwarz_defect4,
-    triangle_check,
+    schwarz_table,
+    triangle_sweep,
 )
 from .poly import (
     MultiPoly,
@@ -348,27 +349,8 @@ def criterion_8():
 def criterion_9():
     """Schwarz defects -16, 0, 8; pure factors give equality; H is normed."""
     T = tesseranion_algebra()
-    p = T.element([1, 1, 0, 0])
-    q = T.element([1, -1, 0, 0])
-    s = T.element([1, 1, 1, 0])
-    t = T.element([1, -1, 1, 0])
-    vals = (schwarz_defect4(p, p), schwarz_defect4(p, q), schwarz_defect4(s, t))
-    ok = vals == (-16, 0, 8)
-    rng = random.Random(SEED + 9)
-    zero_count = 0
-    for _ in range(100):
-        pure = [Fraction(rng.randint(-9, 9)) for _ in range(2)]
-        other = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
-        if rng.random() < 0.5:
-            x = T.element([pure[0], 0, pure[1], 0])  # pure even
-        else:
-            x = T.element([0, pure[0], 0, pure[1]])  # pure odd
-        y = T.element(other)
-        if rng.random() < 0.5:
-            x, y = y, x
-        if schwarz_defect4(x, y) != 0:
-            return False, f"pure-factor defect nonzero at {x}, {y}"
-        zero_count += 1
+    vals = tuple(schwarz_table(T).values())
+    bad = pure_factor_defects(T, random.Random(SEED + 9), 100)
     # quaternion strict Schwarz equality, symbolically
     H = quaternion_algebra()
     names = tuple(f"{pfx}{i}" for pfx in ("x", "y") for i in range(4))
@@ -379,8 +361,8 @@ def criterion_9():
         return sum((c * c for c in v.coeffs[1:]), start=v.coeffs[0] * v.coeffs[0])
 
     strict = (norm2(x * y) - norm2(x) * norm2(y)).is_zero
-    ok = ok and strict
-    return ok, f"defects={vals}; {zero_count} pure pairings exact; H strict Schwarz={strict}"
+    ok = vals == (-16, 0, 8) and bad == 0 and strict
+    return ok, f"defects={vals}; {100 - bad} pure pairings exact; H strict Schwarz={strict}"
 
 
 def criterion_10():
@@ -388,21 +370,18 @@ def criterion_10():
     rng = random.Random(SEED + 10)
     combos = [(j, n) for j in range(1, 5) for n in range(1, 4)]
     per = 10_000 // len(combos) + 1
-    total = 0
+    triangle = triangle_sweep(rng, per)
     for j, n in combos:
-        spec = IteratedNormSpec(j, n)
-        tri_samples = []
-        hom_samples = []
-        for _ in range(per):
-            x = [rng.randint(-9, 9) for _ in range(spec.length)]
-            y = [rng.randint(-9, 9) for _ in range(spec.length)]
-            tri_samples.append((x, y))
-            hom_samples.append((Fraction(rng.randint(-6, 6)), x))
-        if not triangle_check(spec, tri_samples):
+        if not triangle[f"j={j},n={n}"]:
             return False, f"triangle inequality failed for j={j}, n={n}"
+        spec = IteratedNormSpec(j, n)
+        hom_samples = [
+            (Fraction(rng.randint(-6, 6)), [rng.randint(-9, 9) for _ in range(spec.length)])
+            for _ in range(per)
+        ]
         if not positive_homogeneity_check(spec, hom_samples):
             return False, f"homogeneity failed for j={j}, n={n}"
-        total += 2 * per
+    total = 2 * per * len(combos)
     # M2 on (x0, x2, x1, x3) has fourth power equal to the quartic norm
     names = tuple(f"x{i}" for i in range(4))
     x0, x1, x2, x3 = MultiPoly.variables(names)

@@ -140,6 +140,8 @@ class IntegersModP:
     """Scalars in Z_p for an odd prime p."""
 
     def __init__(self, p):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"modulus must be an int, not {type(p).__name__}")
         if p == 2 or not _is_prime(p):
             raise ValueError("modulus must be an odd prime")
         self.p = p
@@ -553,11 +555,6 @@ def tesseranion_algebra(ring=RATIONALS):
         group_by_name("Z4"), TABLE_TESSERANION, LEFT_STANDARD
     )
     return TwistedAlgebra(constant, ring)
-
-
-def tesseranion_algebra_mod(p):
-    """Tesseranion arithmetic with components in Z_p (p an odd prime)."""
-    return tesseranion_algebra(IntegersModP(p))
 
 
 def algebra_by_name(name):

@@ -523,7 +523,8 @@ def odd_order_zero_divisor(constant):
     n = group.order
     if n & (n - 1) == 0:
         raise ValueError("group order is a power of 2; no odd-order subalgebra")
-    p = next(q for q in (3, 5, 7) if n % q == 0)
+    odd = n // (n & -n)
+    p = next(q for q in range(3, odd + 1, 2) if odd % q == 0)  # least odd prime factor
     g = next(h for h in range(1, n) if group.element_order(h) == p)
     powers = set()  # H minus 0
     x = g

@@ -34,11 +34,11 @@ from .groups import LEFT_STANDARD, RIGHT_STANDARD
 from .identities import identity_space, loop_property_suite
 from .norms import (
     InvalidKey,
-    IteratedNormSpec,
     decrypt,
     encrypt,
-    schwarz_defect4,
-    triangle_check,
+    pure_factor_defects,
+    schwarz_table,
+    triangle_sweep,
 )
 from .structure import (
     DERIVED,
@@ -251,48 +251,15 @@ def cmd_norms(args):
     rng = random.Random(args.seed)
     algebra = algebra_by_name("tes")
     data = {"seed": args.seed}
-    failures = 0
     if args.check == "schwarz":
-        p = algebra.element([1, 1, 0, 0])
-        q = algebra.element([1, -1, 0, 0])
-        s = algebra.element([1, 1, 1, 0])
-        t = algebra.element([1, -1, 1, 0])
         data["fourth_power_defects"] = {
-            "(p,p)": str(schwarz_defect4(p, p)),
-            "(p,q)": str(schwarz_defect4(p, q)),
-            "(s,t)": str(schwarz_defect4(s, t)),
+            pair: str(v) for pair, v in schwarz_table(algebra).items()
         }
-        bad = 0
-        for _ in range(args.samples):
-            parity = rng.random() < 0.5
-            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            pure = (
-                algebra.element([a, 0, b, 0])
-                if parity
-                else algebra.element([0, a, 0, b])
-            )
-            other = algebra.element([rng.randint(-9, 9) for _ in range(4)])
-            if schwarz_defect4(pure, other) != 0:
-                bad += 1
-        data["pure_factor_nonzero_defects"] = bad
-        failures += bad
-    elif args.check == "triangle":
-        results = {}
-        for j in range(1, 5):
-            for n in range(1, 4):
-                spec = IteratedNormSpec(j, n)
-                samples = [
-                    (
-                        [rng.randint(-9, 9) for _ in range(spec.length)],
-                        [rng.randint(-9, 9) for _ in range(spec.length)],
-                    )
-                    for _ in range(args.samples)
-                ]
-                ok = triangle_check(spec, samples)
-                results[f"j={j},n={n}"] = ok
-                if not ok:
-                    failures += 1
-        data["triangle"] = results
+        failures = pure_factor_defects(algebra, rng, args.samples)
+        data["pure_factor_nonzero_defects"] = failures
+    else:
+        data["triangle"] = triangle_sweep(rng, args.samples)
+        failures = list(data["triangle"].values()).count(False)
     _emit(data)
     return 0 if failures == 0 else 1
 
@@ -356,7 +323,7 @@ def cmd_encrypt(args):
 
 def cmd_accept(args):
     numbers = None
-    if args.only:
+    if args.only is not None:
         numbers = {int(x) for x in args.only.split(",")}
     results = run_acceptance(numbers)
     all_ok = True

@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
 from .classify import PARAM_NAMES, det_polynomial, shaped_constant, zero_divisor_witness
 from .groups import LEFT_STANDARD
+from .norms import generates_whole_algebra
 from .poly import MultiPoly, rational_root, symbolic_det
 from .structure import commutator_algebra
 
@@ -164,36 +164,26 @@ def witness_search(constant):
 def structure_constant_from_generator(algebra, w):
     """Structure constant of the basis (1, w, w^2, w*w^2), if graded.
 
-    Returns None unless the rebuilt basis is linearly independent and
-    every product v'_a v'_b is a scalar multiple of v'_{a+b mod 4} (so
-    the basis carries a cyclic grading with the same table shape).
+    Returns None unless the rebuilt basis spans the algebra and every
+    product v'_a v'_b is a nonzero multiple of v'_{a+b mod 4} (so the
+    basis carries a cyclic grading with the same table shape).  The
+    multiple is read off the target's first nonzero coordinate.
     """
-    one = algebra.one()
+    if not generates_whole_algebra(w):
+        return None
     w2 = w * w
-    w3 = w * w2
-    basis = [one, w, w2, w3]
-    mat = [[Fraction(c) for c in b.coeffs] for b in basis]
-    if symbolic_det(mat) == 0:
-        return None
-    n = 4
-    values = [[None] * n for _ in range(n)]
-    columns = [list(col) for col in zip(*mat)]
-    for a in range(n):
-        for b in range(n):
-            prod = basis[a] * basis[b]
-            coords = _linalg.solve(columns, [Fraction(c) for c in prod.coeffs])
-            if coords is None:
+    basis = [algebra.one(), w, w2, w * w2]
+    values = [[None] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            prod = (basis[a] * basis[b]).coeffs
+            target = basis[(a + b) % 4].coeffs
+            i = next(i for i, c in enumerate(target) if c != 0)
+            lam = prod[i] / target[i]
+            if lam == 0 or any(p != lam * t for p, t in zip(prod, target)):
                 return None
-            target = (a + b) % 4
-            if any(coords[i] != 0 for i in range(n) if i != target):
-                return None
-            if coords[target] == 0:
-                return None
-            values[a][b] = coords[target]
-    try:
-        return StructureConstant(algebra.group, values, LEFT_STANDARD)
-    except ValueError:
-        return None
+            values[a][b] = lam
+    return StructureConstant(algebra.group, values, LEFT_STANDARD)
 
 
 def k_inverse_isomorphism(k):

@@ -104,11 +104,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def multiply(g, h, group):
-    """Cayley-table product of two element indices."""
-    return group.mul(g, h)
-
-
 def _tuple_key(t):
     # word order: s < t iff the last nonzero entry of s - t is negative
     return tuple(reversed(t))

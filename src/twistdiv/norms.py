@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import tesseranion_algebra_mod
+from .algebra import IntegersModP, tesseranion_algebra
 from .poly import integer_root, rational_root, symbolic_det
 
 
@@ -64,6 +64,42 @@ def schwarz_defect4(x, y):
     (s,t) are reproduced by this fourth-power reading.
     """
     return quartic_norm4(x) * quartic_norm4(y) - quartic_norm4(x * y)
+
+
+def schwarz_table(algebra):
+    """Defects of the pairs (p,p), (p,q), (s,t), keyed by pair.
+
+    p = [1,1,0,0], q = [1,-1,0,0], s = [1,1,1,0], t = [1,-1,1,0]; the Z4
+    survivor gives -16, 0 and 8.
+    """
+    p, q, s, t = (
+        algebra.element(v)
+        for v in ([1, 1, 0, 0], [1, -1, 0, 0], [1, 1, 1, 0], [1, -1, 1, 0])
+    )
+    return {
+        "(p,p)": schwarz_defect4(p, p),
+        "(p,q)": schwarz_defect4(p, q),
+        "(s,t)": schwarz_defect4(s, t),
+    }
+
+
+def pure_factor_defects(algebra, rng, samples):
+    """How many of ``samples`` seeded pairs have a nonzero defect.
+
+    Each pair has one pure factor (even or odd, integer components in
+    [-9, 9]) on a random side; the other factor's components are
+    rationals with numerators in [-9, 9] and denominators 1 to 3.
+    """
+    bad = 0
+    for _ in range(samples):
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        other = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
+        pure = [a, 0, b, 0] if rng.random() < 0.5 else [0, a, 0, b]
+        x, y = algebra.element(pure), algebra.element(other)
+        if rng.random() < 0.5:
+            x, y = y, x
+        bad += schwarz_defect4(x, y) != 0
+    return bad
 
 
 def schwarz_equality_pure(x, y):
@@ -202,6 +238,25 @@ def triangle_check(spec, samples):
     return True
 
 
+def triangle_sweep(rng, samples):
+    """Triangle inequality of the level-j, width-n norm for j = 1..4 and
+    n = 1..3, each on ``samples`` seeded pairs of integer vectors with
+    components in [-9, 9]; {"j=<j>,n=<n>": holds}."""
+    results = {}
+    for j in range(1, 5):
+        for n in range(1, 4):
+            spec = IteratedNormSpec(j, n)
+            pairs = [
+                (
+                    [rng.randint(-9, 9) for _ in range(spec.length)],
+                    [rng.randint(-9, 9) for _ in range(spec.length)],
+                )
+                for _ in range(samples)
+            ]
+            results[f"j={j},n={n}"] = triangle_check(spec, pairs)
+    return results
+
+
 def positive_homogeneity_check(spec, samples):
     """M(a x)^(2^j) == a^(2^j) M(x)^(2^j), exactly, on (scalar, vector) pairs."""
     k = 2**spec.j
@@ -227,7 +282,7 @@ def encrypt(key, message, p, side="left"):
     side="right" solves y*b = d via y = |b|^-4 conj(b*conj(b)) * (d*conj(b)).
     Raises InvalidKey when |key|^4 = 0 mod p.
     """
-    algebra = tesseranion_algebra_mod(p)
+    algebra = tesseranion_algebra(IntegersModP(p))
     a = algebra.element(key)
     c = algebra.element(message)
     n4 = quartic_norm4(a)
@@ -248,7 +303,7 @@ def decrypt(key, encoded, p, side="left"):
     """Recover c = a*x (or c = y*b for the right-sided scheme)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    algebra = tesseranion_algebra_mod(p)
+    algebra = tesseranion_algebra(IntegersModP(p))
     a = algebra.element(key)
     x = algebra.element(encoded)
     out = a * x if side == "left" else x * a

@@ -22,29 +22,15 @@ from .poly import _minors, nonzero_point, symbolic_det
 class BilinearAlgebra:
     """Finite-dimensional algebra given by its structure tensor.
 
-    tensor[i][j] is the coefficient vector of e_i * e_j in the basis.  It
-    is stored as sparse entries (i, j, k, c) with c nonzero, and products
-    of coefficient vectors go through the same kernel as twisted group
-    algebras.
+    The tensor is stored as sparse entries (i, j, k, c), c nonzero and
+    each (i, j, k) once, meaning "e_i * e_j has coefficient c on e_k";
+    products of coefficient vectors go through the same kernel as
+    twisted group algebras.
     """
 
-    def __init__(self, tensor):
-        self.dimension = len(tensor)
-        self.entries = tuple(
-            (i, j, k, Fraction(c))
-            for i, row in enumerate(tensor)
-            for j, vec in enumerate(row)
-            for k, c in enumerate(vec)
-            if c != 0
-        )
-
-    @classmethod
-    def from_entries(cls, dimension, entries):
-        """Algebra with the given (i, j, k, c) entries, c nonzero, keys unique."""
-        out = cls.__new__(cls)
-        out.dimension = dimension
-        out.entries = tuple(entries)
-        return out
+    def __init__(self, dimension, entries):
+        self.dimension = dimension
+        self.entries = tuple(entries)
 
     def coefficients(self):
         """{(i, j, k): c} for the nonzero coefficients of e_i * e_j on e_k."""
@@ -68,7 +54,7 @@ def _symmetrized(algebra, sign):
     for i, j, k, c in algebra.entries:
         for key, v in (((i, j, k), c), ((j, i, k), sign * c)):
             coeffs[key] = coeffs.get(key, 0) + Fraction(v, 2)
-    return BilinearAlgebra.from_entries(
+    return BilinearAlgebra(
         algebra.group.order,
         [(i, j, k, c) for (i, j, k), c in coeffs.items() if c != 0],
     )
@@ -149,7 +135,6 @@ Z4_COMMUTATOR_CLASSIFICATION = "M^14_a (a = -1), solvable, not nilpotent"
 class SeriesResult:
     kind: str
     dimensions: list
-    subspaces: list
     terminates: bool
     stabilizes: bool
 
@@ -188,7 +173,6 @@ def series(L, kind):
     n = L.dimension
     full = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
     current = full
-    subspaces = [full]
     dims = [n]
     terminates = False
     stabilizes = False
@@ -196,7 +180,6 @@ def series(L, kind):
         left = current if kind == DERIVED else full
         nxt = _span_products(L, left, current)
         dims.append(len(nxt))
-        subspaces.append(nxt)
         if not nxt:
             terminates = True
             break
@@ -205,7 +188,7 @@ def series(L, kind):
             stabilizes = True
             break
         current = nxt
-    return SeriesResult(kind, dims, subspaces, terminates, stabilizes)
+    return SeriesResult(kind, dims, terminates, stabilizes)
 
 
 def is_ideal(L, rows):

@@ -13,7 +13,6 @@ from twistdiv.algebra import (
     complex_algebra,
     quaternion_algebra,
     tesseranion_algebra,
-    tesseranion_algebra_mod,
 )
 from twistdiv.groups import LEFT_STANDARD, group_by_name
 from twistdiv.poly import MultiPoly, symbolic_det
@@ -267,7 +266,7 @@ def test_json_round_trip_table_v_encoding():
 @pytest.mark.parametrize(
     "left, right",
     [
-        (tesseranion_algebra(), tesseranion_algebra_mod(7)),
+        (tesseranion_algebra(), tesseranion_algebra(IntegersModP(7))),
         (tesseranion_algebra(), quaternion_algebra()),
         (tesseranion_algebra(), complex_algebra()),
         (complex_algebra(), tesseranion_algebra()),
@@ -318,10 +317,16 @@ def test_mod_int_arithmetic():
         IntegersModP(9)
 
 
+@pytest.mark.parametrize("p", [7.0, True], ids=["float", "bool"])
+def test_modulus_must_be_an_int(p):
+    with pytest.raises(ValueError):
+        IntegersModP(p)
+
+
 def test_mod_p_products_match_rational_reduction():
     rng = random.Random(77)
     T = tesseranion_algebra()
-    Tp = tesseranion_algebra_mod(11)
+    Tp = tesseranion_algebra(IntegersModP(11))
     for _ in range(25):
         xc = [rng.randint(0, 10) for _ in range(4)]
         yc = [rng.randint(0, 10) for _ in range(4)]
@@ -343,7 +348,7 @@ def test_left_right_inverse_solves():
 
 @pytest.mark.parametrize("method", ["left_inverse", "right_inverse"])
 def test_inverse_solves_name_the_ring_over_z_p(method):
-    Tp = tesseranion_algebra_mod(7)
+    Tp = tesseranion_algebra(IntegersModP(7))
     with pytest.raises(ValueError, match="mod-7.*norms.inverse_formulas"):
         getattr(Tp, method)(Tp.element([1, 2, 0, 0]))
 
@@ -362,7 +367,7 @@ def test_moduli_are_certified_by_miller_rabin():
 
 
 def test_json_round_trip_mod_p():
-    A = tesseranion_algebra_mod(13)
+    A = tesseranion_algebra(IntegersModP(13))
     doc = A.to_json()
     assert doc["ring"] == "mod-13"
     B = TwistedAlgebra.from_json(json.loads(json.dumps(doc)))

@@ -30,7 +30,13 @@ from twistdiv.classify import (
     odd_order_zero_divisor,
     opposite_uniqueness_check,
 )
-from twistdiv.groups import CONVENTIONS, LEFT_STANDARD, RIGHT_STANDARD, group_by_name
+from twistdiv.groups import (
+    CONVENTIONS,
+    LEFT_STANDARD,
+    RIGHT_STANDARD,
+    cyclic,
+    group_by_name,
+)
 from twistdiv.poly import (
     MultiPoly,
     SignChangeWitness,
@@ -569,6 +575,16 @@ def test_odd_order_reduces_z6_to_its_order3_subgroup():
     witness = odd_order_zero_divisor(constant)
     assert witness.verify(det_polynomials(constant)[0])
     assert _odd_order_support(witness) == {0, 2, 4}
+
+
+@pytest.mark.parametrize("n", [11, 22])
+def test_odd_order_beyond_eight_is_a_value_error(n):
+    """The least odd prime factor of 11 and 22 is 11; det M^L of an order
+    above 8 is then refused by ``symbolic_det``."""
+    G = cyclic(n)
+    constant = StructureConstant(G, [[1] * n for _ in range(n)], LEFT_STANDARD)
+    with pytest.raises(ValueError):
+        odd_order_zero_divisor(constant)
 
 
 def test_odd_order_rejects_power_of_two():

@@ -332,6 +332,33 @@ def test_norms_triangle_seeded_deterministic(capsys):
     assert all(v is True for v in json.loads(first)["triangle"].values())
 
 
+TRIANGLE_KEYS = [f"j={j},n={n}" for j in range(1, 5) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--check", "schwarz", "--samples", "100"],
+            {
+                "fourth_power_defects": {"(p,p)": "-16", "(p,q)": "0", "(s,t)": "8"},
+                "pure_factor_nonzero_defects": 0,
+                "seed": 12345,
+            },
+        ),
+        (
+            ["--check", "triangle", "--samples", "200", "--seed", "7"],
+            {"seed": 7, "triangle": dict.fromkeys(TRIANGLE_KEYS, True)},
+        ),
+    ],
+    ids=["schwarz", "triangle"],
+)
+def test_readme_norms_reports_are_pinned(capsys, argv, expected):
+    code, out = run_cli(capsys, "norms", *argv)
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_deform(capsys):
     code, out = run_cli(
         capsys, "deform", "--family", "1", "--k", "4",
@@ -424,11 +451,12 @@ _MALFORMED_DOCS = {
         ["accept", "--only", "99"],
         ["analyze", "--algebra", "tes", "--report", "bogus"],
         ["deform", "--family", "1", "--k", "2", "--checks", "bogus"],
+        ["accept", "--only", ""],
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
          "not-object", "num-only-entry", "string-entry", "pattern-9", "k-0",
          "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
-         "unknown-criterion", "unknown-report", "unknown-check"],
+         "unknown-criterion", "unknown-report", "unknown-check", "empty-only"],
 )
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {}

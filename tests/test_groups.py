@@ -5,7 +5,6 @@ from twistdiv.groups import (
     LEFT_STANDARD,
     RIGHT_STANDARD,
     group_by_name,
-    multiply,
     standard_basis_words,
     word_element,
 )
@@ -30,20 +29,20 @@ def test_cayley_tables_are_groups(name):
 
 def test_multiply_examples():
     Z4 = group_by_name("Z4")
-    assert multiply(1, 1, Z4) == 2
+    assert Z4.mul(1, 1) == 2
     K = group_by_name("Z2xZ2")
     # (1,0) has index 1, (0,1) index 2, (1,1) index 3
-    assert multiply(1, 2, K) == 3
+    assert K.mul(1, 2) == 3
     for name in ("Z2", "Z4", "Z2xZ2", "Q8", "D4"):
         G = group_by_name(name)
         for g in range(G.order):
-            assert multiply(0, g, G) == g
+            assert G.mul(0, g) == g
 
 
 def test_multiply_index_error():
     Z4 = group_by_name("Z4")
     with pytest.raises(IndexError):
-        multiply(4, 0, Z4)
+        Z4.mul(4, 0)
 
 
 def test_unknown_group_name():

@@ -24,7 +24,6 @@ from twistdiv.identities import (
     VARIABLE_NAMES,
     counterexample,
     enumerate_monomials,
-    expand_monomial,
     identity_residual,
     identity_space,
     loop_property_suite,
@@ -58,14 +57,14 @@ def test_monomial_caps():
 
 
 def test_expand_single_leaf_is_component_map():
-    comps = expand_monomial(T, L(0), nvars=1)
+    comps = identity_residual(T, [(1, L(0))])
     for i, p in enumerate(comps):
         exp = tuple(1 if j == i else 0 for j in range(4))
         assert p.terms == {exp: 1}
 
 
 def test_expand_product_tree_matches_product_formula():
-    comps = expand_monomial(T, N(L(0), L(1)), nvars=2)
+    comps = identity_residual(T, [(1, N(L(0), L(1)))])
     ex = Expander(T, 2)
     prod = T.generic_element("x", ex.vars) * T.generic_element("y", ex.vars)
     assert all((a - b).is_zero for a, b in zip(comps, prod.coeffs))
@@ -124,13 +123,13 @@ def test_expand_monomial_matches_nested_tensor_products(name, tree):
     degree 8, where an exponent no longer fits in 3 bits."""
     algebra = ORACLE_ALGEBRAS[name]
     nvars = max(tree.leaves()) + 1
-    assert expand_monomial(algebra, tree) == _tensor_oracle(algebra, tree, nvars)
+    assert identity_residual(algebra, [(1, tree)]) == _tensor_oracle(algebra, tree, nvars)
 
 
 def test_power_bracketings_differ_symbolically():
     """x(xx) vs (xx)x differ, certifying non-power-associativity."""
-    left = expand_monomial(T, N(L(0), N(L(0), L(0))), nvars=1)
-    right = expand_monomial(T, N(N(L(0), L(0)), L(0)), nvars=1)
+    left = identity_residual(T, [(1, N(L(0), N(L(0), L(0))))])
+    right = identity_residual(T, [(1, N(N(L(0), L(0)), L(0)))])
     assert any(not (a - b).is_zero for a, b in zip(left, right))
 
 

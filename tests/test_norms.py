@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistdiv.algebra import tesseranion_algebra, tesseranion_algebra_mod
+from twistdiv.algebra import IntegersModP, quaternion_algebra, tesseranion_algebra
+from twistdiv.deform import family_constant
 from twistdiv.norms import (
     InvalidKey,
     IteratedNormSpec,
@@ -18,10 +19,13 @@ from twistdiv.norms import (
     norm4_monomial_expressions,
     nth_root_leq,
     positive_homogeneity_check,
+    pure_factor_defects,
     quartic_norm4,
     schwarz_defect4,
     schwarz_equality_pure,
+    schwarz_table,
     triangle_check,
+    triangle_sweep,
 )
 
 T = tesseranion_algebra()
@@ -51,6 +55,23 @@ def test_schwarz_numbers():
     assert schwarz_defect4(p, p) == -16
     assert schwarz_defect4(p, q) == 0
     assert schwarz_defect4(s, t) == 8
+
+
+def test_schwarz_table():
+    assert schwarz_table(T) == {"(p,p)": -16, "(p,q)": 0, "(s,t)": 8}
+
+
+def test_pure_factor_defects_vanish_on_t_and_h_only():
+    assert pure_factor_defects(T, random.Random(1), 50) == 0
+    assert pure_factor_defects(quaternion_algebra(), random.Random(1), 50) == 0
+    # the sampler can fail: a deformed member breaks pure-factor equality
+    assert pure_factor_defects(family_constant(1, 2).algebra(), random.Random(1), 50) > 0
+
+
+def test_triangle_sweep_covers_every_level_and_width():
+    results = triangle_sweep(random.Random(1), 5)
+    assert list(results) == [f"j={j},n={n}" for j in range(1, 5) for n in range(1, 4)]
+    assert all(v is True for v in results.values())
 
 
 def test_pure_equality_and_precondition():
@@ -114,7 +135,7 @@ def test_elements_with_odd_part_generate():
 
 
 def test_generation_over_the_integers_mod_p():
-    T13 = tesseranion_algebra_mod(13)
+    T13 = tesseranion_algebra(IntegersModP(13))
     assert generates_whole_algebra(T13.element([0, 1, 0, 0]))
     assert not generates_whole_algebra(T13.element([1, 0, 0, 0]))
 
