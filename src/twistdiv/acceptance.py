@@ -19,6 +19,7 @@ from .algebra import (
     TABLE_COMPLEX,
     TABLE_QUATERNION,
     TABLE_TESSERANION,
+    AlgebraElement,
     complex_algebra,
     quaternion_algebra,
     tesseranion_algebra,
@@ -31,6 +32,7 @@ from .classify import (
     det_polynomial,
     det_polynomials,
     non_isomorphism_fingerprint,
+    verify_verdict,
 )
 from .deform import (
     TES_PARAMS,
@@ -77,6 +79,9 @@ from .structure import (
 
 SEED = 20240 + 817
 
+# the level-1 iterated norm on R^4: the squared Euclidean norm
+SQUARED_NORM = IteratedNormSpec(1, 4)
+
 
 @dataclass
 class CriterionResult:
@@ -87,16 +92,12 @@ class CriterionResult:
     seconds: float
 
 
-def _freeze(table):
-    return tuple(tuple(row) for row in table)
-
-
 def criterion_1():
     """Shaped classification: unique survivors, byte-exact tables, < 1 s each."""
     runs = [
-        ("Z2", LEFT_STANDARD, _freeze(TABLE_COMPLEX)),
-        ("Z2xZ2", RIGHT_STANDARD, _freeze(TABLE_QUATERNION)),
-        ("Z4", LEFT_STANDARD, _freeze(TABLE_TESSERANION)),
+        ("Z2", LEFT_STANDARD, TABLE_COMPLEX),
+        ("Z2xZ2", RIGHT_STANDARD, TABLE_QUATERNION),
+        ("Z4", LEFT_STANDARD, TABLE_TESSERANION),
     ]
     details = []
     ok = True
@@ -117,29 +118,18 @@ def criterion_1():
 
 
 def criterion_2():
-    """Survivor determinants equal the stated closed forms exactly."""
-    det_l_h, det_r_h = det_polynomials(quaternion_algebra().constant)
-    y = MultiPoly.variables(det_l_h.vars)
-    x = MultiPoly.variables(det_r_h.vars)
-    sum_sq_y = sum((v * v for v in y[1:]), start=y[0] * y[0])
-    sum_sq_x = sum((v * v for v in x[1:]), start=x[0] * x[0])
-    ok_h = (det_l_h - sum_sq_y**2).is_zero and (det_r_h - sum_sq_x**2).is_zero
-    det_l_t, det_r_t = det_polynomials(tesseranion_algebra().constant)
-    y0, y1, y2, y3 = MultiPoly.variables(det_l_t.vars)
-    x0, x1, x2, x3 = MultiPoly.variables(det_r_t.vars)
-    form_y = (y0 * y0 + y2 * y2) ** 2 + (y1 * y1 + y3 * y3) ** 2
-    form_x = (x0 * x0 + x2 * x2) ** 2 + (x1 * x1 + x3 * x3) ** 2
-    ok_t = (det_l_t - form_y).is_zero and (det_r_t - form_x).is_zero
+    """Survivor determinants equal the stated closed forms exactly: the
+    squared sum of squares for H, the quartic norm for T."""
+    H, T = quaternion_algebra(), tesseranion_algebra()
+    ok_h = all(
+        (det - iterated_norm_power(SQUARED_NORM, MultiPoly.variables(det.vars))**2).is_zero
+        for det in det_polynomials(H.constant)
+    )
+    ok_t = all(
+        (det - quartic_norm4(AlgebraElement(T, MultiPoly.variables(det.vars)))).is_zero
+        for det in det_polynomials(T.constant)
+    )
     return ok_h and ok_t, f"quaternion forms: {ok_h}; tesseranion forms: {ok_t}"
-
-
-def _verify_rejection(candidate, witness):
-    det_l = det_polynomial(candidate.constant)
-    if isinstance(witness, SignChangeWitness):
-        return witness.verify(det_l.evaluate)
-    if isinstance(witness, RealRootRejection):
-        return witness.verify(det_l)
-    return False
 
 
 def criterion_3():
@@ -164,10 +154,13 @@ def criterion_3():
         1 for _, w in repk.rejected if isinstance(w, SignChangeWitness)
     )
     ok = ok and sign4 == 62 and root4 == 1 and signk == 31
-    ok = ok and all(_verify_rejection(c, w) for c, w in rep4.rejected)
-    ok = ok and all(_verify_rejection(c, w) for c, w in repk.rejected)
+    ok = ok and all(
+        verify_verdict(c.constant, w) for c, w in rep4.rejected + repk.rejected
+    )
     # the real-root candidate's determinant is provably PSD (SOS on file)
-    ok = ok and len(rep4.psd_annotations) == 1
+    ok = ok and sum(
+        w.psd is not None for _, w in rep4.rejected if isinstance(w, RealRootRejection)
+    ) == 1
     return ok, (
         f"Z4: 62 sign-change + {root4} real-root certificate (PSD candidate), "
         f"verified; Klein: {signk} sign-change, verified; undetermined empty"
@@ -358,11 +351,12 @@ def criterion_9():
     y = H.generic_element("y", names)
 
     def norm2(v):
-        return sum((c * c for c in v.coeffs[1:]), start=v.coeffs[0] * v.coeffs[0])
+        return iterated_norm_power(SQUARED_NORM, v.coeffs)
 
     strict = (norm2(x * y) - norm2(x) * norm2(y)).is_zero
     ok = vals == (-16, 0, 8) and bad == 0 and strict
-    return ok, f"defects={vals}; {100 - bad} pure pairings exact; H strict Schwarz={strict}"
+    defects = ", ".join(map(str, vals))
+    return ok, f"defects={defects}; {100 - bad} pure pairings exact; H strict Schwarz={strict}"
 
 
 def criterion_10():
@@ -412,9 +406,9 @@ def criterion_11():
     }
     from .algebra import TwistedAlgebra
 
-    verified = sum(_verify_rejection(c, w) for c, w in rep.rejected)
-    for cand, cert in rep.survivors:
-        verified += 2 * cert.verify(*det_polynomials(cand.constant))
+    # a survivor carries two certificates, one per determinant
+    verified = sum(verify_verdict(c.constant, w) for c, w in rep.rejected)
+    verified += 2 * sum(verify_verdict(c.constant, cert) for c, cert in rep.survivors)
     certificates = len(rep.rejected) + 2 * len(rep.survivors)
     ok = ok and verified == certificates
     fps = [

@@ -28,6 +28,8 @@ Every zero divisor on a rational line, whether found by the line search,
 carried along a sign-rescaling orbit, or forced by an odd-order cyclic
 subgroup, is built by ``RealRootRejection.on_line``, which shares its
 restriction to the line with ``RealRootRejection.verify``.
+``verify_verdict`` is the one re-check of any verdict on its table's own
+determinants.
 """
 
 from __future__ import annotations
@@ -211,7 +213,6 @@ class ClassificationReport:
     rejected: list  # (CandidateConstant, witness)
     survivors: list  # (CandidateConstant, SurvivorCertificate)
     undetermined: list  # CandidateConstant
-    psd_annotations: dict  # candidate index -> SosCertificate (PSD evidence)
 
     def counts(self):
         return {
@@ -341,48 +342,50 @@ def _rescaled_tables(constant):
         yield table, s
 
 
+def verify_verdict(constant, verdict):
+    """True iff ``verdict`` certifies ``constant``: a sign change by the
+    exact det M^L at its two points, a line root by ``RealRootRejection.verify``
+    on det M^L, a survivor by ``SurvivorCertificate.verify`` on both."""
+    if isinstance(verdict, SignChangeWitness):
+        algebra = TwistedAlgebra(constant, RATIONALS)
+        # AlgebraElement keeps integer points in ints, which algebra.element
+        # would coerce to Fractions; symbolic_det returns a Fraction either way
+        return verdict.verify(
+            lambda p: symbolic_det(algebra.mult_matrix_left(AlgebraElement(algebra, p)))
+        )
+    if isinstance(verdict, RealRootRejection):
+        return verdict.verify(det_polynomial(constant))
+    if isinstance(verdict, SurvivorCertificate):
+        return verdict.verify(*det_polynomials(constant))
+    return False
+
+
 def _transport(result, s, candidate):
     """The result of C carried to the candidate with table C^s.
 
-    A sign change or survivor certificate is mapped by y -> s o y and
-    re-verified exactly on the candidate's own multiplication matrices; a
-    line root is rebuilt on the mapped line, on the candidate's own
-    det M^L.  Returns None when a check fails or there is no certificate
-    to carry.
+    A line root is rebuilt on the mapped line, on the candidate's own
+    det M^L.  A sign change is mapped by y -> s o y and a survivor
+    certificate is carried as it is; either is returned only when
+    ``verify_verdict`` accepts it for the candidate.  Returns None when a
+    check fails or there is no certificate to carry.
     """
-    if result is None:
-        return None
-
-    def flip(point):
-        return tuple(si * v for si, v in zip(s, point))
-
-    if isinstance(result, SignChangeWitness):
-        # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
-        algebra = TwistedAlgebra(candidate.constant, RATIONALS)
-        witness = SignChangeWitness(
-            flip(result.positive_point),
-            flip(result.nonpositive_point),
-            result.positive_value,
-            result.nonpositive_value,
-        )
-        # AlgebraElement keeps integer points in ints, which algebra.element
-        # would coerce to Fractions; symbolic_det returns a Fraction either way
-        certified = witness.verify(
-            lambda p: symbolic_det(
-                algebra.mult_matrix_left(AlgebraElement(algebra, p))
-            )
-        )
-        return witness if certified else None
     if isinstance(result, RealRootRejection):
         det_l = det_polynomial(candidate.constant)
         # the line y_i = t, y_j = base_j of C is, under y -> s o y, the
         # line y_i = t, y_j = s_j base_j of C^s (t -> s_i t spans it too)
         others = (v for i, v in enumerate(s) if i != result.position)
-        base = tuple(si * v for si, v in zip(others, result.base))
+        base = tuple(map(operator.mul, others, result.base))
         return RealRootRejection.on_line(det_l, result.position, base)
+    if isinstance(result, SignChangeWitness):
+        # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
+        result = SignChangeWitness(
+            tuple(map(operator.mul, s, result.positive_point)),
+            tuple(map(operator.mul, s, result.nonpositive_point)),
+            result.positive_value,
+            result.nonpositive_value,
+        )
     # the SOS bases are monomials, whose squares are unchanged by y -> s o y
-    certified = result.verify(*det_polynomials(candidate.constant))
-    return result if certified else None
+    return result if verify_verdict(candidate.constant, result) else None
 
 
 def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
@@ -396,7 +399,7 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
 
     The first candidate of each sign-rescaling orbit is classified; a
     later candidate of the same orbit gets that result mapped by
-    y -> s o y, its certificates re-verified on its own determinants,
+    y -> s o y and re-checked on its own determinants (``_transport``),
     and is classified itself if any check fails.
     """
     if isinstance(group, str):
@@ -405,11 +408,11 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     if group.order == 1:
         cert = SurvivorCertificate("odd-dimension-unit", None, None)
         return ClassificationReport(
-            group.name, convention, mode, 1, [], [(candidates[0], cert)], [], {}
+            group.name, convention, mode, 1, [], [(candidates[0], cert)], []
         )
-    rejected, survivors, undetermined, psd_notes = [], [], [], {}
+    rejected, survivors, undetermined = [], [], []
     orbit_results = {}  # table C^s -> (result for C, s)
-    for idx, cand in enumerate(candidates):
+    for cand in candidates:
         known = orbit_results.get(cand.constant.values)
         result = _transport(*known, cand) if known else None
         if result is None:
@@ -417,18 +420,12 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
             if known is None:
                 for table, s in _rescaled_tables(cand.constant):
                     orbit_results.setdefault(table, (result, s))
-        psd = None
         if isinstance(result, SurvivorCertificate):
             survivors.append((cand, result))
         elif result is None:
             undetermined.append(cand)
-            psd = find_psd_sos(det_polynomial(cand.constant))
         else:
             rejected.append((cand, result))
-            if isinstance(result, RealRootRejection):
-                psd = result.psd
-        if psd is not None:
-            psd_notes[idx] = psd
     return ClassificationReport(
         group.name,
         convention,
@@ -437,7 +434,6 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
         rejected,
         survivors,
         undetermined,
-        psd_notes,
     )
 
 

@@ -248,6 +248,8 @@ def cmd_analyze(args):
 def cmd_norms(args):
     import random
 
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     algebra = algebra_by_name("tes")
     data = {"seed": args.seed}

@@ -6,7 +6,7 @@ claim; the suite prints one pass/fail line per criterion.
 
 import pytest
 
-from twistdiv.acceptance import CRITERIA
+from twistdiv.acceptance import CRITERIA, criterion_9
 
 
 @pytest.mark.parametrize(
@@ -18,3 +18,9 @@ def test_acceptance_criterion(number, description, fn, capsys):
         mark = "PASS" if passed else "FAIL"
         print(f"\n[{mark}] criterion {number:2d}: {description} -- {detail}")
     assert passed, f"criterion {number} ({description}): {detail}"
+
+
+def test_criterion_9_prints_the_defects_as_numbers():
+    """The defects read the way ``twistdiv norms`` prints them, not as reprs."""
+    _, detail = criterion_9()
+    assert detail.startswith("defects=-16, 0, 8; ")

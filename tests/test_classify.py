@@ -29,6 +29,7 @@ from twistdiv.classify import (
     non_isomorphism_fingerprint,
     odd_order_zero_divisor,
     opposite_uniqueness_check,
+    verify_verdict,
 )
 from twistdiv.groups import (
     CONVENTIONS,
@@ -199,6 +200,39 @@ def test_survivor_verify_checks_each_certificate_on_its_own_side():
     assert swapped.verify(det_l, det_r) is False
 
 
+@pytest.mark.parametrize(
+    "group,convention,mode",
+    [("Z4", LEFT_STANDARD, SHAPED), ("Z2xZ2", LEFT_STANDARD, RAW)],
+    ids=["shaped-Z4", "raw-Z2xZ2"],
+)
+def test_verify_verdict_accepts_every_verdict(group, convention, mode):
+    rep = classify(group, convention, mode)
+    verdicts = rep.rejected + rep.survivors
+    assert len(verdicts) == rep.candidates_examined
+    assert all(verify_verdict(c.constant, v) for c, v in verdicts)
+
+
+def test_verify_verdict_rejects_a_changed_verdict_of_each_kind():
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    (root_cand, root), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
+    sign_cand, sign = next(
+        (c, w) for c, w in rep.rejected if isinstance(w, SignChangeWitness)
+    )
+    survivor = rep.survivors[0][1]
+    assert verify_verdict(sign_cand.constant, sign)
+    assert verify_verdict(root_cand.constant, root)
+    changed_sign = dataclasses.replace(sign, positive_value=sign.positive_value + 1)
+    assert verify_verdict(sign_cand.constant, changed_sign) is False
+    coefficients = (root.coefficients[0] + 1,) + root.coefficients[1:]
+    changed_root = dataclasses.replace(root, coefficients=coefficients)
+    assert verify_verdict(root_cand.constant, changed_root) is False
+    # the survivor's certificates do not prove a rejected table definite
+    assert verify_verdict(sign_cand.constant, survivor) is False
+    assert verify_verdict(sign_cand.constant, None) is False
+
+
 def test_each_witness_writes_its_own_kind(raw_z4_sign_change):
     rep = classify("Z4", LEFT_STANDARD, SHAPED)
     (_, root), = [
@@ -213,10 +247,11 @@ def test_psd_candidate_sos_identity():
     SOS decomposition, and its only rational zero is the origin on a
     dense grid."""
     rep = classify("Z4", LEFT_STANDARD, SHAPED)
-    (idx, cert), = rep.psd_annotations.items()
-    cand = enumerate_candidates("Z4", LEFT_STANDARD, SHAPED)[idx]
+    (cand, witness), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
     det_l, det_r = det_polynomials(cand.constant)
-    assert verify_sos(det_l, cert)
+    assert witness.psd is not None and verify_sos(det_l, witness.psd)
     assert det_l.terms == det_r.terms  # same polynomial in renamed variables
     import itertools
 

@@ -452,11 +452,14 @@ _MALFORMED_DOCS = {
         ["analyze", "--algebra", "tes", "--report", "bogus"],
         ["deform", "--family", "1", "--k", "2", "--checks", "bogus"],
         ["accept", "--only", ""],
+        ["norms", "--check", "triangle", "--samples", "-3"],
+        ["norms", "--check", "schwarz", "--samples", "0"],
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
          "not-object", "num-only-entry", "string-entry", "pattern-9", "k-0",
          "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
-         "unknown-criterion", "unknown-report", "unknown-check", "empty-only"],
+         "unknown-criterion", "unknown-report", "unknown-check", "empty-only",
+         "negative-samples", "zero-samples"],
 )
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {}
