@@ -24,6 +24,15 @@ determinant); a table no route decides is left undetermined.  A
 positive-definite certificate and a sign change exclude each other, so
 the order of the first two routes cannot change a verdict.
 
+Both determinants are read off one Leibniz table per (group, side),
+built on first use (``_leibniz_table``): each entry of M^L(y) is one cell
+C(a, b) times one y_b, so each permutation's sign, monomial and cells
+depend on the group alone, and ``det_polynomial`` only multiplies out
+the cells of the table at hand (sign cells and rational deformation cells
+alike).  ``verify_verdict`` re-checks a sign change by ``symbolic_det``
+of the numeric matrix M^L at its two points instead, so that re-check
+does not share the table it checks.
+
 Every zero divisor on a rational line, whether found by the line search,
 carried along a sign-rescaling orbit, or forced by an odd-order cyclic
 subgroup, is built by ``RealRootRejection.on_line``, which shares its
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +54,7 @@ from .algebra import RATIONALS, AlgebraElement, StructureConstant, TwistedAlgebr
 from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
+    MultiPoly,
     SignChangeWitness,
     certifies_positive_definite,
     count_real_roots,
@@ -260,15 +271,58 @@ def enumerate_candidates(group, convention, mode=SHAPED):
     return out
 
 
-def det_polynomial(constant, left=True):
-    """det M^L in y (``left``) or det M^R in x, as an exact polynomial."""
-    algebra = TwistedAlgebra(constant, RATIONALS)
+@functools.cache
+def _leibniz_table(group, left):
+    """det M^L (``left``) or det M^R of every table over ``group``, as
+    (variables, ((exponent, ((sign, cells), ...)), ...)); built once per
+    (group, side) on first use.
+
+    Cell (ab, a) of M^L(y) is C(a, b) y_b and cell (ab, b) of M^R(x) is
+    x_a C(a, b), so each permutation of the Leibniz sum contributes its
+    sign times a product of cells times a monomial, and which cells and
+    which monomial depend on the group alone.  ``cells`` indexes the
+    row-major flattened table; a unit cell (a or b the identity) is 1
+    and left out.  The coefficient of each exponent is then
+    sum(sign * prod(C[cells])) for any commutative cell values.
+    """
+    n = group.order
+    if n > 8:
+        raise ValueError("determinant of an order above 8")
+    # (variable, cells) of matrix cell (row, column)
+    entries = [[None] * n for _ in range(n)]
+    for a, row in enumerate(group.cayley):
+        for b, ab in enumerate(row):
+            cell = (a * n + b,) if a and b else ()
+            entries[ab][a if left else b] = (b if left else a, cell)
+    terms = {}  # packed exponent -> [(sign, cells), ...]
+    # permutations come in lexicographic order, as do their Lehmer codes,
+    # whose digit sum is the number of inversions
+    codes = itertools.product(*map(range, range(n, 0, -1)))
+    for perm, code in zip(itertools.permutations(range(n)), codes):
+        key, cells = 0, ()
+        for row, col in zip(entries, perm):
+            var, cell = row[col]
+            key += 1 << (4 * var)  # each exponent is at most n <= 8 < 16
+            cells += cell
+        terms.setdefault(key, []).append((-1 if sum(code) & 1 else 1, cells))
     prefix = "y" if left else "x"
-    names = tuple(f"{prefix}{i}" for i in range(constant.group.order))
-    v = algebra.generic_element(prefix, names)
-    return symbolic_det(
-        algebra.mult_matrix_left(v) if left else algebra.mult_matrix_right(v)
+    return tuple(f"{prefix}{i}" for i in range(n)), tuple(
+        (tuple((key >> (4 * v)) & 15 for v in range(n)), tuple(products))
+        for key, products in terms.items()
     )
+
+
+def det_polynomial(constant, left=True):
+    """det M^L in y (``left``) or det M^R in x, as an exact polynomial,
+    read off the group's Leibniz table (``_leibniz_table``)."""
+    names, table = _leibniz_table(constant.group, left)
+    cells = [v for row in constant.values for v in row].__getitem__
+    terms = {}
+    for exponent, products in table:
+        coeff = sum(sign * math.prod(map(cells, idx)) for sign, idx in products)
+        if coeff:
+            terms[exponent] = coeff
+    return MultiPoly(names, terms, _normalize=False)
 
 
 def det_polynomials(constant):

@@ -402,9 +402,28 @@ def build_parser():
     return parser
 
 
+# options whose value may start with "-" without being a plain number
+SIGNED_VALUE_OPTIONS = ("--k", "--key", "--msg")
+
+
+def _attach_signed_values(argv):
+    """``--k -1/2`` as ``--k=-1/2``: argparse reads a spaced value that
+    starts with "-" as an option unless it is a plain negative number."""
+    out = []
+    for arg in argv:
+        signed = arg.startswith("-") and not arg.startswith("--")
+        if signed and out and out[-1] in SIGNED_VALUE_OPTIONS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -3,13 +3,18 @@ import hashlib
 import importlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistdiv
 from twistdiv.algebra import (
     TABLE_COMPLEX,
     TABLE_QUATERNION,
@@ -24,6 +29,7 @@ from twistdiv.classify import (
     SHAPED,
     RealRootRejection,
     classify,
+    det_polynomial,
     det_polynomials,
     enumerate_candidates,
     non_isomorphism_fingerprint,
@@ -31,6 +37,7 @@ from twistdiv.classify import (
     opposite_uniqueness_check,
     verify_verdict,
 )
+from twistdiv.deform import TES_PARAMS, family_constant, parametric_constant
 from twistdiv.groups import (
     CONVENTIONS,
     LEFT_STANDARD,
@@ -377,6 +384,93 @@ def test_symbolic_det_keeps_int_coefficients_and_fraction_scalars():
     assert zero == 0 and type(zero) is Fraction
 
 
+def _matrix_det(constant, left):
+    """det M^L or det M^R as ``symbolic_det`` of the multiplication matrix
+    of a generic element: the oracle for the Leibniz table."""
+    algebra = TwistedAlgebra(constant)
+    prefix = "y" if left else "x"
+    names = tuple(f"{prefix}{i}" for i in range(constant.group.order))
+    v = algebra.generic_element(prefix, names)
+    matrix = algebra.mult_matrix_left(v) if left else algebra.mult_matrix_right(v)
+    return symbolic_det(matrix)
+
+
+def _assert_leibniz_matches_matrix(constants):
+    for constant in constants:
+        for left in (True, False):
+            assert det_polynomial(constant, left) == _matrix_det(constant, left)
+
+
+def test_leibniz_determinants_match_the_matrix_route_on_every_raw_table():
+    constants = [
+        cand.constant
+        for group in ("Z2", "Z2xZ2", "Z4")
+        for convention in CONVENTIONS
+        for cand in enumerate_candidates(group, convention, RAW)
+    ]
+    assert 2 * len(constants) == 4104
+    _assert_leibniz_matches_matrix(constants)
+
+
+def _sign_table(group, signs, convention=LEFT_STANDARD):
+    """The unital table with ``signs`` in its non-unit cells, row by row."""
+    m = group.order - 1
+    rows = [[1] * (m + 1)] + [[1, *signs[a * m:(a + 1) * m]] for a in range(m)]
+    return StructureConstant(group, rows, convention)
+
+
+def test_leibniz_determinants_match_on_z3_and_larger_sign_tables():
+    """Every Z3 sign table, and seeded sign tables of orders 6 and 8."""
+    z3 = cyclic(3)
+    constants = [_sign_table(z3, s) for s in itertools.product((1, -1), repeat=4)]
+    rng = random.Random(20)
+    for name, convention in (
+        ("Z6", LEFT_STANDARD), ("Z6", RIGHT_STANDARD), ("D4", RIGHT_STANDARD),
+        ("Q8", LEFT_STANDARD), ("Z2xZ2xZ2", LEFT_STANDARD),
+    ):
+        group = cyclic(6) if name == "Z6" else group_by_name(name)
+        signs = [rng.choice((1, -1)) for _ in range((group.order - 1) ** 2)]
+        constants.append(_sign_table(group, signs, convention))
+    _assert_leibniz_matches_matrix(constants)
+
+
+def test_leibniz_determinants_match_on_rational_deformation_members():
+    """Families 1-8 at k = 2 and 3, whose cells are Fractions, and the
+    eps = -1 probe of acceptance criterion 12."""
+    probe = dict(TES_PARAMS)
+    probe.update({"alpha": 1, "beta": 1, "delta": -1, "epsilon": -1})
+    constants = [parametric_constant(probe)] + [
+        family_constant(family, k).constant() for family in range(1, 9) for k in (2, 3)
+    ]
+    _assert_leibniz_matches_matrix(constants)
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_det_polynomial_refuses_an_order_above_eight(left):
+    constant = StructureConstant(cyclic(9), [[1] * 9 for _ in range(9)])
+    with pytest.raises(ValueError, match="order above 8"):
+        det_polynomial(constant, left)
+
+
+def test_no_leibniz_table_is_built_at_import():
+    script = (
+        "import importlib, twistdiv.acceptance, twistdiv.cli\n"
+        "table = importlib.import_module('twistdiv.classify')._leibniz_table\n"
+        "print(table.cache_info().currsize)\n"
+    )
+    src = str(Path(twistdiv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
 def _leibniz_det(m):
     total = 0
     for perm in itertools.permutations(range(len(m))):
@@ -615,7 +709,7 @@ def test_odd_order_reduces_z6_to_its_order3_subgroup():
 @pytest.mark.parametrize("n", [11, 22])
 def test_odd_order_beyond_eight_is_a_value_error(n):
     """The least odd prime factor of 11 and 22 is 11; det M^L of an order
-    above 8 is then refused by ``symbolic_det``."""
+    above 8 is then refused by ``det_polynomial``."""
     G = cyclic(n)
     constant = StructureConstant(G, [[1] * n for _ in range(n)], LEFT_STANDARD)
     with pytest.raises(ValueError):

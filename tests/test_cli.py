@@ -389,6 +389,24 @@ def test_deform_fraction_k(capsys):
     assert json.loads(out)["in_range"] is True
 
 
+def test_deform_spaced_negative_fraction_k(capsys):
+    """``--k -1/2`` is read as ``--k=-1/2``, with the same output bytes."""
+    spaced = run_cli(capsys, "deform", "--family", "1", "--k", "-1/2")
+    joined = run_cli(capsys, "deform", "--family", "1", "--k=-1/2")
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["k"] == "-1/2"
+
+
+def test_encrypt_spaced_negative_key_and_message(capsys):
+    spaced = run_cli(
+        capsys, "encrypt", "--p", "257", "--key", "-1,1,0,0", "--msg", "-5,6,7,8"
+    )
+    joined = run_cli(
+        capsys, "encrypt", "--p", "257", "--key=-1,1,0,0", "--msg=-5,6,7,8"
+    )
+    assert spaced == joined and spaced[0] == 0
+
+
 def test_encrypt_round_trip(capsys):
     code, out = run_cli(
         capsys, "encrypt", "--p", "257", "--key", "1,1,0,0", "--msg", "5,6,7,8"
