@@ -14,10 +14,12 @@ coefficients, with a pure even power of every variable, which makes
 each a positive-definite sum of squares of monomials (det M^R is built
 only once det M^L has passed, since no other route reads it); otherwise the
 structured probes look for a rational sign-change pair for det M^L (a
-point with positive value and a nonzero point with nonpositive value);
-failing that, det M^L is restricted to rational lines until one has a
-real root, isolated with a Sturm certificate (the handful of sign arrays
-this rejects have positive *semi*definite determinants whose nontrivial
+point with positive value and a nonzero point with nonpositive value;
+a probe slice on which det M^L is a one-signed sum of even monomials
+has one sign, so at most its first probe is evaluated); failing that,
+det M^L is restricted to rational lines until one has a real root,
+isolated with a Sturm certificate (the handful of sign arrays this
+rejects have positive *semi*definite determinants whose nontrivial
 real zeros are all irrational, so no rational sign-change pair exists,
 and each line witness carries the ``find_psd_sos`` evidence of its
 determinant); a table no route decides is left undetermined.  A

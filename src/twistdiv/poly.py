@@ -367,6 +367,23 @@ def verify_sos(p, cert):
     return (cert.polynomial() - p).is_zero
 
 
+def _even_sign(terms):
+    """Sign shared by (exponent, coefficient) terms with only even
+    exponents: 1 if every coefficient is > 0, -1 if every one is < 0, 0
+    for no term, None for an odd exponent or mixed signs.
+
+    A sum of terms of sign 1 (or -1) is > 0 (or < 0) at every point whose
+    coordinates are nonzero on the terms' variables.
+    """
+    sign = 0
+    for e, c in terms:
+        s = 1 if c > 0 else -1
+        if sign == -s or any(k % 2 for k in e):
+            return None
+        sign = s
+    return sign
+
+
 def _diagonal_support(base):
     """Variable set of a base that is a one-signed sum of pure powers.
 
@@ -375,20 +392,15 @@ def _diagonal_support(base):
     all coefficients of one sign vanishes exactly on {v1 = .. = vm = 0}
     when every exponent is even or there is a single summand.
     """
-    signs = set()
     support = set()
-    for e, c in base.terms.items():
+    for e in base.terms:
         nz = [i for i, k in enumerate(e) if k]
         if len(nz) != 1:
             return None
-        signs.add(c > 0)
         support.add(nz[0])
-    if len(signs) > 1 or not support:
+    if len(base.terms) > 1 and not _even_sign(base.terms.items()):
         return None
-    if len(base.terms) > 1:
-        if any(sum(e) % 2 for e in base.terms):
-            return None
-    return support
+    return support or None
 
 
 def certifies_positive_definite(p, cert):
@@ -418,14 +430,13 @@ def find_diagonal_sos(p):
     definite, which happens exactly when every variable has a pure even
     power among p's terms.
     """
-    parts = []
-    for e in sorted(p.terms):
-        c = Fraction(p.terms[e])
-        if c <= 0 or any(k % 2 for k in e):
-            return None
-        half = tuple(k // 2 for k in e)
-        parts.append((c, MultiPoly(p.vars, {half: 1}, _normalize=False)))
-    cert = SosCertificate(tuple(parts))
+    if _even_sign(p.terms.items()) != 1:
+        return None
+    cert = SosCertificate(tuple(
+        (Fraction(p.terms[e]),
+         MultiPoly(p.vars, {tuple(k // 2 for k in e): 1}, _normalize=False))
+        for e in sorted(p.terms)
+    ))
     return cert if certifies_positive_definite(p, cert) else None
 
 
@@ -529,7 +540,7 @@ def find_psd_sos(p):
 # -- sign-change witnesses ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignChangeWitness:
     """Rational points with p(pos) > 0 and p(nonpos) <= 0.
 
@@ -569,6 +580,30 @@ _SLICE_VALUES_2 = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
 _SLICE_VALUES_1 = (1, -1, 2, -2)
 
 
+def _probe_slices(nvars):
+    """(support bitmask, lazy points) for each slice of the structured
+    probes, in their order; a slice is the set of probes with one support.
+
+    The triples' zero sets in lexicographic order are the triples in
+    reverse lexicographic order.
+    """
+    supports = [*itertools.combinations(range(nvars), 2)]
+    supports += reversed([*itertools.combinations(range(nvars), 3)])
+    if nvars > 3:
+        supports.append(range(nvars))
+    for nonzero in supports:
+        yield sum(1 << i for i in nonzero), _slice_points(nvars, nonzero)
+
+
+def _slice_points(nvars, nonzero):
+    values = _SLICE_VALUES_2 if len(nonzero) == 2 else _SLICE_VALUES_1
+    point = [0] * nvars
+    for vals in itertools.product(values, repeat=len(nonzero)):
+        for i, v in zip(nonzero, vals):
+            point[i] = v
+        yield tuple(point)
+
+
 def structured_probes(nvars):
     """Deterministic probe points, coarse to fine.
 
@@ -579,23 +614,8 @@ def structured_probes(nvars):
     and no point repeats; at ``nvars`` = 3 the last stage would repeat the
     second, so it runs only for ``nvars`` > 3.
     """
-    for nonzero in itertools.combinations(range(nvars), 2):
-        for vals in itertools.product(_SLICE_VALUES_2, repeat=2):
-            point = [0] * nvars
-            for i, v in zip(nonzero, vals):
-                point[i] = v
-            yield tuple(point)
-    if nvars < 3:
-        return
-    for zero in itertools.combinations(range(nvars), nvars - 3):
-        nonzero = [i for i in range(nvars) if i not in zero]
-        for vals in itertools.product(_SLICE_VALUES_1, repeat=3):
-            point = [0] * nvars
-            for i, v in zip(nonzero, vals):
-                point[i] = v
-            yield tuple(point)
-    if nvars > 3:
-        yield from itertools.product(_SLICE_VALUES_1, repeat=nvars)
+    for _, points in _probe_slices(nvars):
+        yield from points
 
 
 def find_sign_change(p):
@@ -605,10 +625,19 @@ def find_sign_change(p):
     Returns a SignChangeWitness, whose values are ``Fraction``s, or None;
     absence is *not* a positivity proof.
 
-    Each probe is evaluated over the integers on its slice: only the
-    terms whose exponent is 0 off the probe's nonzero coordinates are
-    summed (they are filtered once per support), and with L the lcm of
-    p's coefficient denominators, D that of the probe's and d = deg p,
+    The probes are walked one slice (one support) at a time, and only the
+    terms whose exponent is 0 off the slice's support are kept.  When
+    those terms all have even exponents and coefficients of one sign, p
+    has one sign on the whole slice, because no probe coordinate is 0:
+    > 0 if every coefficient is > 0, and <= 0 if every one is < 0 or no
+    term is left.  Then only the slice's first point can be kept, so it
+    is evaluated only if no point of that sign is kept yet, and the rest
+    of the slice is skipped.  The kept points and values are those of the
+    full walk.
+
+    Each probe is evaluated over the integers on its slice: with L the
+    lcm of p's coefficient denominators, D that of the probe's and
+    d = deg p,
 
         p(x) = (L D^d)^-1 * sum (L c) D^(d - |e|) (D x)^e,
 
@@ -619,39 +648,34 @@ def find_sign_change(p):
         raise ValueError("polynomial must have at least one indeterminate")
     degree = max(p.degree(), 0)
     lcm = math.lcm(*[c.denominator for c in p.terms.values()])
-    # support bitmask -> [(L c, e, d - |e|)] for the terms on that slice.
-    # Keys are ints and exponents are p's own tuples: a tuple built from a
-    # generator is shrunk after allocation and, once freed, is kept in
-    # CPython's free list of its final size, which raised peak memory.
-    slices = {}
-    positive = None
-    nonpositive = None
-    for pt in structured_probes(len(p.vars)):
-        support = sum(1 << i for i, x in enumerate(pt) if x)
-        terms = slices.get(support)
-        if terms is None:
-            terms = slices[support] = [
-                (int(c * lcm), e, degree - sum(e))
-                for e, c in p.terms.items()
-                if all(x or not k for x, k in zip(pt, e))
-            ]
-        den = math.lcm(*[x.denominator for x in pt])
-        xs = [x.numerator * (den // x.denominator) for x in pt]
-        total = 0
-        for c, e, rest in terms:
-            for x, k in zip(xs, e):
-                if k:
-                    c *= x**k
-            total += c * den**rest
-        if total > 0:
-            if positive is None:
-                positive = pt, Fraction(total, lcm * den**degree)
-        elif nonpositive is None:
-            nonpositive = pt, Fraction(total, lcm * den**degree)
-        if positive and nonpositive:
-            return SignChangeWitness(
-                positive[0], nonpositive[0], positive[1], nonpositive[1]
-            )
+    # (support bitmask, e, L c) per term.  Exponents are p's own tuples: a
+    # tuple built from a generator is shrunk after allocation and, once
+    # freed, is kept in CPython's free list of its final size, which
+    # raised peak memory.
+    scaled = [
+        (sum(1 << i for i, k in enumerate(e) if k), e, int(c * lcm))
+        for e, c in p.terms.items()
+    ]
+    kept = {}  # total > 0 -> (point, value) of the first probe of that sign
+    for support, points in _probe_slices(len(p.vars)):
+        terms = {e: c for own, e, c in scaled if own | support == support}
+        sign = _even_sign(terms.items())
+        if sign is not None:
+            points = () if (sign > 0) in kept else (next(points),)
+        for pt in points:
+            den = math.lcm(*[x.denominator for x in pt])
+            xs = [x.numerator * (den // x.denominator) for x in pt]
+            total = 0
+            for e, c in terms.items():
+                for x, k in zip(xs, e):
+                    if k:
+                        c *= x**k
+                total += c * den ** (degree - sum(e))
+            if (total > 0) not in kept:
+                kept[total > 0] = pt, Fraction(total, lcm * den**degree)
+                if len(kept) == 2:
+                    (pos, pos_value), (nonpos, nonpos_value) = kept[True], kept[False]
+                    return SignChangeWitness(pos, nonpos, pos_value, nonpos_value)
     return None
 
 

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 import sympy
 
 from twistdiv.algebra import StructureConstant, TwistedAlgebra
+import twistdiv
 from twistdiv.cli import main
 from twistdiv.groups import LEFT_STANDARD, group_by_name
 
@@ -68,6 +73,21 @@ def test_classify_json(capsys):
     }
     assert data["survivors"][0]["C"] == [[1, 1], [1, -1]]
 
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout(capsys, tmp_path):
+    """``PYTHONPATH=src python -m twistdiv`` prints what ``twistdiv`` does."""
+    src = str(Path(twistdiv.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "twistdiv", "classify", "--group", "Z2"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(capsys, "classify", "--group", "Z2")[1]
 
 def test_classify_raw_json_ties_each_witness_to_its_table(capsys):
     """Raw rejections have no parameters; the table in each entry is what

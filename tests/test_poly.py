@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistdiv.algebra import ModInt
+from twistdiv.classify import RAW, det_polynomial, enumerate_candidates
+from twistdiv.groups import LEFT_STANDARD
 from twistdiv.poly import (
     MultiPoly,
     SosCertificate,
@@ -313,7 +315,9 @@ def _probe_polys(draw):
         st.integers(-9, 9),
         st.fractions(min_value=-9, max_value=9, max_denominator=12),
     )
-    kind = draw(st.sampled_from(("homogeneous", "mixed", "constant", "zero")))
+    kind = draw(st.sampled_from(
+        ("homogeneous", "mixed", "definite", "constant", "zero")
+    ))
     if kind == "zero":
         return MultiPoly.zero(names)
     if kind == "constant":
@@ -326,14 +330,23 @@ def _probe_polys(draw):
     exponent = st.lists(st.integers(0, nvars - 1), **sizes).map(
         lambda idx: tuple(idx.count(i) for i in range(nvars))
     )
-    return MultiPoly(names, draw(st.dictionaries(exponent, coeff, max_size=8)))
+    if kind != "definite":
+        return MultiPoly(names, draw(st.dictionaries(exponent, coeff, max_size=8)))
+    # even exponents and one-signed coefficients make many slices
+    # sign-definite, which random exponents almost never do; a few
+    # random terms may break that on some slices
+    sign = draw(st.sampled_from((1, -1)))
+    even = exponent.map(lambda e: tuple(2 * k for k in e))
+    terms = draw(st.dictionaries(
+        even, coeff.filter(bool).map(lambda c: sign * abs(c)), min_size=1, max_size=6
+    ))
+    terms.update(draw(st.dictionaries(exponent, coeff, max_size=2)))
+    return MultiPoly(names, terms)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_probe_polys())
-def test_find_sign_change_matches_full_evaluation(p):
-    """The integer slice kernel finds the reference walk's points and
-    values, always as Fractions."""
+def _assert_matches_reference(p):
+    """``find_sign_change(p)`` has the reference walk's points and values,
+    the values as Fractions."""
     found = find_sign_change(p)
     expected = _reference_sign_change(p)
     if expected is None:
@@ -346,6 +359,76 @@ def test_find_sign_change_matches_full_evaluation(p):
     )
     assert type(found.positive_value) is Fraction
     assert type(found.nonpositive_value) is Fraction
+
+
+@settings(max_examples=120, deadline=None)
+@given(_probe_polys())
+def test_find_sign_change_matches_full_evaluation(p):
+    """The integer slice kernel, skipping sign-definite slices, finds the
+    reference walk's points and values, always as Fractions."""
+    _assert_matches_reference(p)
+
+
+def _slice_rule_cases():
+    y0, y1, y2 = MultiPoly.variables(("y0", "y1", "y2"))
+    z0, z1, z2, z3 = _ys()
+    half = Fraction(1, 2)
+    return {
+        # the y1-y2 slice has no term: p reads 0 there, which is <= 0
+        "empty-slice-is-nonpositive": y0 * y0,
+        # y0^3 y3 lives only on slices with y0 and y3 nonzero
+        "odd-term-off-the-slice": z0**3 * z3 + z0 * z0 * z1 * z1,
+        # -y0^2 - 3 y1^4 is < 0 on the y0-y1 plane; y2 y3 changes sign later
+        "negative-definite-slice": -(z0 * z0) - 3 * z1**4 + z2 * z3,
+        # > 0 on the slices with y0 or y1, < 0 on the y2-y3 plane
+        "definite-slices-of-both-signs": z0 * z0 + z1 * z1 - z2 * z2 * z3 * z3,
+        "positive-constant": MultiPoly.constant(YVARS, 3),
+        "negative-constant": MultiPoly.constant(YVARS, -2),
+        "zero": MultiPoly.zero(YVARS),
+        "fraction-definite": Fraction(2, 3) * z0**4 + Fraction(5, 7) * z1 * z1,
+        "fraction-indefinite": y0 * y0 - Fraction(5, 2) * y0 * y1 + y1 * y1
+        + half * y2**4,
+        "fraction-negative-then-odd": -Fraction(1, 3) * y0 * y0 * y1 * y1
+        + Fraction(7, 4) * y1 * y2**3,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_slice_rule_cases()))
+def test_sign_definite_slices_keep_the_reference_witness(name):
+    _assert_matches_reference(_slice_rule_cases()[name])
+
+
+def test_sign_change_search_matches_the_reference_on_raw_determinants():
+    """Every det M^L of the raw Z2xZ2 and Z4 tables (512 each)."""
+    dets = [
+        det_polynomial(cand.constant)
+        for group in ("Z2xZ2", "Z4")
+        for cand in enumerate_candidates(group, LEFT_STANDARD, RAW)
+    ]
+    assert len(dets) == 1024
+    for p in dets:
+        _assert_matches_reference(p)
+
+
+def test_order_eight_norm_power_has_no_sign_change(monkeypatch):
+    """(y0^2 + ... + y7^2)^4 is positive on all 70 912 probes of 8
+    variables.  Every slice is positive-definite, so the search draws one
+    probe, where walking them all took about 20 s."""
+    ys = MultiPoly.variables(tuple(f"y{i}" for i in range(8)))
+    norm = ys[0] * ys[0]
+    for v in ys[1:]:
+        norm = norm + v * v
+    drawn = []
+    slice_points = POLY._slice_points
+
+    def counted(*args):
+        for point in slice_points(*args):
+            drawn.append(point)
+            yield point
+
+    monkeypatch.setattr(POLY, "_slice_points", counted)
+    assert find_sign_change(norm**4) is None
+    assert drawn == [(1, 1, 0, 0, 0, 0, 0, 0)]
 
 
 def test_structured_probes_exclude_origin():
