@@ -9,7 +9,9 @@ by its gcd, as in Bareiss, Math. Comp. 22, 1968), and the pivots are
 divided out once at the end.  The reduced row echelon form of a matrix
 is unique, so this gives the same Fraction rows as elimination over
 Fractions, at a fraction of the cost on the identity-space matrices:
-small integers, up to 420 columns, most rows repeated.
+small integers, up to 420 columns, most rows repeated.  ``nullspace``
+eliminates only a matrix's distinct columns, which over an associative
+algebra are few (30 of the 420 for H at (2,2,1)).
 """
 
 from __future__ import annotations
@@ -90,22 +92,35 @@ def nullspace(rows, ncols=None):
 
     The basis is the standard RREF parametrization, with the free variable
     set to 1 and pivot variables solved.  The RREF is unique, so the basis
-    does not depend on the order of the rows.
+    does not depend on the order of the rows.  Row operations keep equal
+    columns equal, and a repeat of an earlier column is never a pivot, so
+    only the distinct columns are eliminated: each column's entries are
+    read off its first copy.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    reduced, pivots = rref(rows)
+    distinct, copy_of, first = {}, [], []
+    for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
+        d = distinct.setdefault(col, len(distinct))
+        if d == len(first):
+            first.append(j)
+        copy_of.append(d)
+    reduced, pivots = rref(list(zip(*distinct)))
+    negated = [[-x for x in row] for row in reduced]
+    pivots = [first[d] for d in pivots]
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
+        vec = [zero] * ncols
+        vec[free] = one
+        d = copy_of[free]
+        for row, pc in zip(negated, pivots):
+            vec[pc] = row[d]
         basis.append(vec)
     return basis
 

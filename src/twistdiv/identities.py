@@ -105,10 +105,20 @@ def enumerate_monomials(pattern):
 class Expander:
     """Caches symbolic expansions of bracket trees over one algebra.
 
-    The algebra needs a ``dimension`` and structure-tensor ``entries``.
-    The ambient polynomial ring has one indeterminate per (variable,
+    The algebra needs a ``dimension`` and structure-tensor ``entries``;
+    an integral ``Fraction`` entry is stored as an int, so an algebra
+    with constants such as ``Fraction(2)`` expands over ints.  The
+    ambient polynomial ring has one indeterminate per (variable,
     component) pair, ordered x0.., y0.., z0..; a tree expands to one
-    component per basis index, computed once per distinct subtree.
+    component per basis index.
+
+    Each product is computed once per distinct pair of factors.  The
+    product of a tree with fewer than ``degree`` leaves may be a factor
+    of a larger tree, so it is looked up by its content and equal
+    products are one shared object (over an associative algebra, every
+    bracketing of a word).  A node's product is cached under the pair of
+    its children's shared objects; a tree with ``degree`` leaves is never
+    a factor and is not looked up by content.
 
     A component is kept packed: a dict from an exponent vector, packed
     into one int, to its coefficient.  Indeterminate t owns the bit field
@@ -124,7 +134,10 @@ class Expander:
     def __init__(self, algebra, nvars, degree=MAX_TOTAL_DEGREE):
         if nvars > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} distinct variables")
-        self.entries = algebra.entries
+        self.entries = tuple(
+            (i, j, k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+            for i, j, k, c in algebra.entries
+        )
         self.degree = degree
         self.width = max(degree, 1).bit_length()
         n = algebra.dimension
@@ -137,6 +150,10 @@ class Expander:
             ]
             for v in range(nvars)
         }
+        # content -> the shared product; (id, id) of two factors -> their
+        # product.  ``_cache`` holds every factor, so the ids stay valid.
+        self._shared = {}
+        self._products = {}
 
     def expand(self, tree):
         """Packed components of the tree's product."""
@@ -145,22 +162,33 @@ class Expander:
         if got is None:
             if isinstance(tree, Leaf):
                 raise ValueError(f"variable {tree.serialize()} is out of range")
-            if len(tree.leaves()) > self.degree:
+            leaves = len(tree.leaves())
+            if leaves > self.degree:
                 raise ValueError(f"tree has more than {self.degree} leaves")
             left, right = self.expand(tree.left), self.expand(tree.right)
-            got = [defaultdict(int) for _ in left]
-            for i, j, k, c in self.entries:
-                xi, yj = left[i], right[j]
-                if not xi or not yj:
-                    continue
-                acc = got[k]
-                for e1, c1 in xi.items():
-                    c1 *= c
-                    for e2, c2 in yj.items():
-                        acc[e1 + e2] += c1 * c2
-            got = [{e: c for e, c in acc.items() if c} for acc in got]
+            pair = id(left), id(right)
+            got = self._products.get(pair)
+            if got is None:
+                got = self._multiply(left, right)
+                if leaves < self.degree:
+                    content = tuple(frozenset(p.items()) for p in got)
+                    got = self._shared.setdefault(content, got)
+                self._products[pair] = got
             self._cache[key] = got
         return got
+
+    def _multiply(self, left, right):
+        out = [defaultdict(int) for _ in left]
+        for i, j, k, c in self.entries:
+            xi, yj = left[i], right[j]
+            if not xi or not yj:
+                continue
+            acc = out[k]
+            for e1, c1 in xi.items():
+                c1 *= c
+                for e2, c2 in yj.items():
+                    acc[e1 + e2] += c1 * c2
+        return [{e: c for e, c in acc.items() if c} for acc in out]
 
     def unpack(self, component):
         """The packed component as a ``MultiPoly`` over ``vars``."""
@@ -224,11 +252,6 @@ class IdentitySpace:
     nullspace_basis: list
     dimension: int
 
-    def contains(self, coefficients):
-        """Exact membership of a coefficient vector in the identity space."""
-        rows = [list(v) for v in self.nullspace_basis]
-        return _linalg.in_rowspace(rows, list(coefficients))
-
     def to_json(self):
         return {
             "pattern": list(self.pattern),
@@ -247,7 +270,8 @@ def identity_space(algebra, pattern):
     Rows are polynomial coefficient slots (component index, packed
     exponent of ``Expander``) that some expansion reaches, in the order
     they are first met; each row is allocated when its slot first appears
-    and filled in one pass over the expansions' terms.  The row order
+    and filled in one pass over the terms of the distinct expansions, each
+    filling the columns of every monomial that shares it.  The row order
     does not matter: the reduced row echelon form is unique, so
     ``nullspace`` returns the same basis for any order of the rows.
     """
@@ -255,14 +279,19 @@ def identity_space(algebra, pattern):
     monomials = enumerate_monomials(pattern)
     expander = Expander(algebra, len(pattern), sum(pattern))
     m = len(monomials)
-    slots = {}
+    columns = {}
     for j, tree in enumerate(monomials):
-        for ci, p in enumerate(expander.expand(tree)):
+        got = expander.expand(tree)
+        columns.setdefault(id(got), (got, []))[1].append(j)
+    slots = {}
+    for got, cols in columns.values():
+        for ci, p in enumerate(got):
             for exp, c in p.items():
                 row = slots.get((ci, exp))
                 if row is None:
                     row = slots[ci, exp] = [0] * m
-                row[j] = c
+                for j in cols:
+                    row[j] = c
     basis = _linalg.nullspace(list(slots.values()), ncols=m)
     return IdentitySpace(pattern, monomials, basis, len(basis))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twistdiv import _linalg
 from twistdiv import identity_families as fam
 from twistdiv.algebra import (
     complex_algebra,
@@ -22,6 +23,8 @@ from twistdiv.identities import (
     Leaf,
     Node,
     VARIABLE_NAMES,
+    _bracketings,
+    _leaf_words,
     counterexample,
     enumerate_monomials,
     identity_residual,
@@ -74,6 +77,8 @@ ORACLE_ALGEBRAS = {
     "H": quaternion_algebra(),
     "T": T,
     "family5(k=7/2)": family_constant(5, Fraction(7, 2)).algebra(),
+    # integral Fraction constants, which the expander stores as ints
+    "family4(k=2)": family_constant(4, 2).algebra(),
     "T^-": commutator_algebra(T),
 }
 
@@ -124,6 +129,49 @@ def test_expand_monomial_matches_nested_tensor_products(name, tree):
     algebra = ORACLE_ALGEBRAS[name]
     nvars = max(tree.leaves()) + 1
     assert identity_residual(algebra, [(1, tree)]) == _tensor_oracle(algebra, tree, nvars)
+
+
+def test_every_bracketing_of_a_word_is_one_object_over_H():
+    """H is associative, so an expander whose products of 5 leaves are
+    factors shares each word's 14 bracketings as one object: the 420
+    monomials of (2, 2, 1) have 30 distinct expansions."""
+    expander = Expander(quaternion_algebra(), 3)
+    objects = set()
+    for word in _leaf_words((2, 2, 1)):
+        shared = {id(expander.expand(tree)) for tree in _bracketings(word)}
+        assert len(shared) == 1
+        objects |= shared
+    assert len(objects) == 30
+
+
+def test_identity_space_eliminates_the_30_distinct_columns_over_H(monkeypatch):
+    widths = []
+    rref = _linalg.rref
+
+    def recording(rows):
+        widths.append(len(rows[0]))
+        return rref(rows)
+
+    monkeypatch.setattr(_linalg, "rref", recording)
+    space = identity_space(quaternion_algebra(), (2, 2, 1))
+    assert (len(space.monomials), widths) == (420, [30])
+
+
+def test_integral_fraction_constants_expand_over_ints():
+    algebra = ORACLE_ALGEBRAS["family4(k=2)"]
+    assert any(type(c) is Fraction for *_, c in algebra.entries)
+    expander = Expander(algebra, 2)
+    assert all(type(c) is int for *_, c in expander.entries)
+    product = expander.expand(N(N(L(0), L(1)), L(0)))
+    assert all(type(c) is int for p in product for c in p.values())
+
+
+def test_bracketings_of_a_power_stay_distinct_over_T():
+    """T has no two equal bracketings of x^6, so none are shared, even
+    when the products of 6 leaves are looked up by content."""
+    expander = Expander(T, 1, 7)
+    products = [expander.expand(tree) for tree in _bracketings((0,) * 6)]
+    assert len({id(p) for p in products}) == len(products) == 42
 
 
 def test_power_bracketings_differ_symbolically():
@@ -227,6 +275,11 @@ def test_family_free_name_validation():
         fam.instantiate_family("quintic", {"a1": 1})
 
 
+def _contains(space, coefficients):
+    """Exact membership of a coefficient vector in the identity space."""
+    return _linalg.in_rowspace(space.nullspace_basis, list(coefficients))
+
+
 def test_paper_combos_lie_in_computed_nullspace():
     """Unit instantiations of each family land inside the identity space."""
     space22 = identity_space(T, (2, 2))
@@ -236,7 +289,7 @@ def test_paper_combos_lie_in_computed_nullspace():
         vec = [Fraction(0)] * len(space22.monomials)
         for coeff, tree in combo:
             vec[order[tree.serialize()]] += coeff
-        assert space22.contains(vec)
+        assert _contains(space22, vec)
 
 
 def test_variable_swap_closure():
@@ -254,7 +307,7 @@ def test_variable_swap_closure():
         swapped = [Fraction(0)] * len(vec)
         for i, v in enumerate(vec):
             swapped[perm[i]] = v
-        assert space.contains(swapped)
+        assert _contains(space, swapped)
 
 
 def test_polarization_of_cubic_identity():

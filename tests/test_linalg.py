@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ ENTRIES = st.one_of(
 @st.composite
 def _matrices(draw):
     """Random int/Fraction matrices, often with zero rows, rows repeated
-    up to sign and scale, and more rows than columns."""
+    up to sign and scale, repeated columns, and more rows than columns."""
     ncols = draw(st.integers(1, 6))
     row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=1, max_size=5))
@@ -29,7 +30,9 @@ def _matrices(draw):
     for i, scale in extras:
         rows.append([scale * x for x in rows[i]])
     order = draw(st.permutations(range(len(rows))))
-    return [rows[i] for i in order]
+    copies = draw(st.lists(st.integers(0, ncols - 1), max_size=4))
+    columns = draw(st.permutations(list(range(ncols)) + copies))
+    return [[rows[i][j] for j in columns] for i in order]
 
 
 def _sympy(rows):
@@ -62,6 +65,28 @@ def test_nullspace_vectors_are_annihilated(rows):
     assert len(basis) == ncols - _linalg.rank(rows)
     for vec in basis:
         assert _times(rows, vec) == [0] * len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_nullspace_matches_sympy(rows):
+    """The same basis as sympy's, vector for vector: one per free column,
+    that column set to 1 and the pivot columns solved."""
+    oracle = [[Fraction(int(v.p), int(v.q)) for v in vec]
+              for vec in _sympy(rows).nullspace()]
+    assert _linalg.nullspace(rows) == oracle
+
+
+@pytest.mark.parametrize("rows", [[], [[0, 0, 0]], [[0, 0, 0], [0, 0, 0]]])
+def test_nullspace_of_a_zero_matrix_frees_every_column(rows):
+    assert _linalg.nullspace(rows, ncols=3) == [
+        [int(i == j) for i in range(3)] for j in range(3)
+    ]
+
+
+def test_nullspace_of_no_rows_needs_ncols():
+    with pytest.raises(ValueError):
+        _linalg.nullspace([])
 
 
 @settings(max_examples=60, deadline=None)
