@@ -87,20 +87,17 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows, ncols):
     """Basis of the right nullspace of the matrix, one vector per free column.
 
-    The basis is the standard RREF parametrization, with the free variable
-    set to 1 and pivot variables solved.  The RREF is unique, so the basis
-    does not depend on the order of the rows.  Row operations keep equal
+    The matrix has ``ncols`` columns and may have no rows.  The basis is
+    the standard RREF parametrization, with the free variable set to 1
+    and pivot variables solved.  The RREF is unique, so the basis does
+    not depend on the order of the rows.  Row operations keep equal
     columns equal, and a repeat of an earlier column is never a pivot, so
     only the distinct columns are eliminated: each column's entries are
     read off its first copy.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
     distinct, copy_of, first = {}, [], []
     for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
         d = distinct.setdefault(col, len(distinct))

@@ -93,7 +93,12 @@ class CriterionResult:
 
 
 def criterion_1():
-    """Shaped classification: unique survivors, byte-exact tables, < 1 s each."""
+    """Shaped classification: unique survivors, byte-exact tables, < 1 s each.
+
+    Each group is classified in the convention its table is written in
+    and in the mirrored one, whose unique survivor is the transposed
+    table (the opposite algebra; Z2's survivor is its own transpose).
+    """
     runs = [
         ("Z2", LEFT_STANDARD, TABLE_COMPLEX),
         ("Z2xZ2", RIGHT_STANDARD, TABLE_QUATERNION),
@@ -105,15 +110,24 @@ def criterion_1():
         t0 = time.perf_counter()
         rep = classify(name, convention, SHAPED)
         dt = time.perf_counter() - t0
+        survivor = rep.survivors[0][0].constant
+        mirror = RIGHT_STANDARD if convention == LEFT_STANDARD else LEFT_STANDARD
+        opposite = classify(name, mirror, SHAPED)
+        match = survivor.values == expected
+        transposed = (
+            opposite.survivors[0][0].constant.values == survivor.transpose().values
+        )
         good = (
             len(rep.survivors) == 1
-            and rep.survivors[0][0].constant.values == expected
+            and match
             and dt < 1.0
+            and len(opposite.survivors) == 1
+            and transposed
         )
         ok = ok and good
         details.append(f"{name}/{convention}: survivors={len(rep.survivors)} "
-                       f"match={rep.survivors[0][0].constant.values == expected} "
-                       f"{dt:.2f}s")
+                       f"match={match} {dt:.2f}s, {mirror}: "
+                       f"survivors={len(opposite.survivors)} transposed={transposed}")
     return ok, "; ".join(details)
 
 

@@ -224,9 +224,9 @@ class StructureConstant:
     def __repr__(self):
         return f"StructureConstant({self.group.name}, {self.values})"
 
-    def markdown_table(self, title="C"):
+    def markdown_table(self):
         labels = self.group.element_labels
-        head = "| " + title + " | " + " | ".join(labels) + " |"
+        head = "| C | " + " | ".join(labels) + " |"
         sep = "|" + "---|" * (self.group.order + 1)
         lines = [head, sep]
         for a in range(self.group.order):

@@ -493,28 +493,6 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     )
 
 
-def opposite_uniqueness_check(group):
-    """The mirrored convention's unique survivor is the transpose.
-
-    For each order-4 group the shaped classification in either basis
-    convention yields one survivor, and the two survivors are each
-    other's transposed arrays (the opposite algebra).  Z2's survivor is
-    its own transpose.  The primary convention is the one the group's
-    shape is written in.
-    """
-    if isinstance(group, str):
-        group = group_by_name(group)
-    primary = _shape(group.name)[0]
-    mirror = RIGHT_STANDARD if primary == LEFT_STANDARD else LEFT_STANDARD
-    rep_a = classify(group, primary, SHAPED)
-    rep_b = classify(group, mirror, SHAPED)
-    if len(rep_a.survivors) != 1 or len(rep_b.survivors) != 1:
-        return False
-    const_a = rep_a.survivors[0][0].constant
-    const_b = rep_b.survivors[0][0].constant
-    return const_b.values == const_a.transpose().values
-
-
 @dataclass(frozen=True)
 class Fingerprint:
     """Isomorphism-separating invariants of a 4-dimensional candidate."""

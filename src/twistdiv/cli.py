@@ -127,7 +127,7 @@ def cmd_classify(args):
             "",
         ]
         for cand, cert in report.survivors:
-            lines.append(cand.constant.markdown_table("C"))
+            lines.append(cand.constant.markdown_table())
             lines.append("")
         return "\n".join(lines)
 

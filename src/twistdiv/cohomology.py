@@ -79,37 +79,6 @@ def q_function(constant):
     return SignTable(table, 2)
 
 
-def associativity_defect_verified(algebra, r=None):
-    """Check v_a (v_b v_c) = r(a,b,c) (v_a v_b) v_c with actual products."""
-    if r is None:
-        r = r_function(algebra.constant)
-    n = algebra.group.order
-    for a in range(n):
-        va = algebra.basis_element(a)
-        for b in range(n):
-            vb = algebra.basis_element(b)
-            for c in range(n):
-                vc = algebra.basis_element(c)
-                lhs = va * (vb * vc)
-                rhs = r(a, b, c) * ((va * vb) * vc)
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def commutativity_defect_verified(algebra, q=None):
-    """Check v_a v_b = q(a,b) v_b v_a with actual products."""
-    if q is None:
-        q = q_function(algebra.constant)
-    n = algebra.group.order
-    for a in range(n):
-        for b in range(n):
-            va, vb = algebra.basis_element(a), algebra.basis_element(b)
-            if va * vb != q(a, b) * (vb * va):
-                return False
-    return True
-
-
 def is_2cocycle(q, group):
     """(delta q)(g,h,t) = q(h,t) q(gh,t)^-1 q(g,ht) q(g,h)^-1 = 1 on G^3."""
     n = group.order
@@ -194,10 +163,6 @@ def q_quat_closed(a, b):
 def kappa_quat_closed(a):
     n, m = a
     return _parity_sign(-n * m, 1)
-
-
-def r_quat_closed(a, b, c):
-    return 1
 
 
 def c_tes_closed(n, m):

@@ -34,7 +34,7 @@ from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_a
 from .classify import PARAM_NAMES, det_polynomial, shaped_constant, zero_divisor_witness
 from .groups import LEFT_STANDARD
 from .norms import generates_whole_algebra
-from .poly import MultiPoly, rational_root, symbolic_det
+from .poly import rational_root
 from .structure import commutator_algebra
 
 TES_PARAMS = {"alpha": -1, "beta": -1, "delta": 1, "epsilon": 1, "phi": -1, "omega": 1}
@@ -231,16 +231,3 @@ def commutator_rescaling(k):
     }
     return True, rescaled == reference
 
-
-# -- the generic determinant --------------------------------------------
-
-GENERIC_VARS = PARAM_NAMES + ("y0", "y1", "y2", "y3")
-
-
-def generic_det_ml():
-    """det M^L with all six parameters and all four components symbolic."""
-    params = MultiPoly.variables(GENERIC_VARS)[: len(PARAM_NAMES)]
-    constant = shaped_constant("Z4", dict(zip(PARAM_NAMES, params)), LEFT_STANDARD)
-    algebra = TwistedAlgebra(constant, RATIONALS)
-    y = algebra.generic_element("y", GENERIC_VARS)
-    return symbolic_det(algebra.mult_matrix_left(y))

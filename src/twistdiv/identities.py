@@ -117,8 +117,9 @@ class Expander:
     of a larger tree, so it is looked up by its content and equal
     products are one shared object (over an associative algebra, every
     bracketing of a word).  A node's product is cached under the pair of
-    its children's shared objects; a tree with ``degree`` leaves is never
-    a factor and is not looked up by content.
+    its children's shared objects, so a call walks the tree and no tree is
+    a key; a tree with ``degree`` leaves is never a factor and is not
+    looked up by content.
 
     A component is kept packed: a dict from an exponent vector, packed
     into one int, to its coefficient.  Indeterminate t owns the bit field
@@ -131,7 +132,7 @@ class Expander:
     ``MultiPoly``; the packed form does not leave this module.
     """
 
-    def __init__(self, algebra, nvars, degree=MAX_TOTAL_DEGREE):
+    def __init__(self, algebra, nvars, degree):
         if nvars > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} distinct variables")
         self.entries = tuple(
@@ -144,37 +145,35 @@ class Expander:
         self.vars = tuple(
             f"{VARIABLE_NAMES[v]}{i}" for v in range(nvars) for i in range(n)
         )
-        self._cache = {
-            Leaf(v).serialize(): [
-                {1 << ((v * n + i) * self.width): 1} for i in range(n)
-            ]
+        # the components of each variable, by ``Leaf.var``
+        self._leaves = [
+            [{1 << ((v * n + i) * self.width): 1} for i in range(n)]
             for v in range(nvars)
-        }
+        ]
         # content -> the shared product; (id, id) of two factors -> their
-        # product.  ``_cache`` holds every factor, so the ids stay valid.
+        # product.  ``_leaves`` and ``_shared`` hold every factor, so the
+        # ids stay valid.
         self._shared = {}
         self._products = {}
 
     def expand(self, tree):
         """Packed components of the tree's product."""
-        key = tree.serialize()
-        got = self._cache.get(key)
+        if isinstance(tree, Leaf):
+            if not 0 <= tree.var < len(self._leaves):
+                raise ValueError(f"variable {tree.var} is out of range")
+            return self._leaves[tree.var]
+        leaves = len(tree.leaves())
+        if leaves > self.degree:
+            raise ValueError(f"tree has more than {self.degree} leaves")
+        left, right = self.expand(tree.left), self.expand(tree.right)
+        pair = id(left), id(right)
+        got = self._products.get(pair)
         if got is None:
-            if isinstance(tree, Leaf):
-                raise ValueError(f"variable {tree.serialize()} is out of range")
-            leaves = len(tree.leaves())
-            if leaves > self.degree:
-                raise ValueError(f"tree has more than {self.degree} leaves")
-            left, right = self.expand(tree.left), self.expand(tree.right)
-            pair = id(left), id(right)
-            got = self._products.get(pair)
-            if got is None:
-                got = self._multiply(left, right)
-                if leaves < self.degree:
-                    content = tuple(frozenset(p.items()) for p in got)
-                    got = self._shared.setdefault(content, got)
-                self._products[pair] = got
-            self._cache[key] = got
+            got = self._multiply(left, right)
+            if leaves < self.degree:
+                content = tuple(frozenset(p.items()) for p in got)
+                got = self._shared.setdefault(content, got)
+            self._products[pair] = got
         return got
 
     def _multiply(self, left, right):

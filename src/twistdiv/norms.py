@@ -49,14 +49,6 @@ def norm4_monomial_expressions(x):
     ]
 
 
-def is_pure_even(x):
-    return x.coeffs[1] == 0 and x.coeffs[3] == 0
-
-
-def is_pure_odd(x):
-    return x.coeffs[0] == 0 and x.coeffs[2] == 0
-
-
 def schwarz_defect4(x, y):
     """|x|^4 |y|^4 - |x*y|^4, on the fourth-power convention.
 
@@ -100,13 +92,6 @@ def pure_factor_defects(algebra, rng, samples):
             x, y = y, x
         bad += schwarz_defect4(x, y) != 0
     return bad
-
-
-def schwarz_equality_pure(x, y):
-    """Defect for a pure factor; raises if neither factor is pure."""
-    if not (is_pure_even(x) or is_pure_odd(x) or is_pure_even(y) or is_pure_odd(y)):
-        raise ValueError("one factor must be pure even or pure odd")
-    return schwarz_defect4(x, y) == 0
 
 
 def inverse_formulas(x):
@@ -175,11 +160,6 @@ def iterated_norm_power(spec, vec):
         iterated_norm_power(sub, vec[:half]) ** 2
         + iterated_norm_power(sub, vec[half:]) ** 2
     )
-
-
-def iterated_norm(spec, vec):
-    """Float value of the norm (the exact object is the 2^j-th power)."""
-    return float(iterated_norm_power(spec, vec)) ** (1.0 / 2**spec.j)
 
 
 MAX_ROOT_SCALE = 256

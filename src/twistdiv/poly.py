@@ -682,15 +682,11 @@ def find_sign_change(p):
 # -- univariate exact real-root analysis --------------------------------
 
 
-def uni_coeffs(p, var=None):
-    """Ascending coefficient list of a univariate MultiPoly."""
-    used = p.used_variables()
-    if len(used) > 1:
+def uni_coeffs(p, var):
+    """Ascending coefficient list of a MultiPoly univariate in ``var``."""
+    if len(p.used_variables()) > 1:
         raise ValueError("polynomial is not univariate")
-    if var is None:
-        idx = used.pop() if used else 0
-    else:
-        idx = p.vars.index(var)
+    idx = p.vars.index(var)
     deg = max((e[idx] for e in p.terms), default=0)
     coeffs = [Fraction(0)] * (deg + 1)
     for e, c in p.terms.items():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistdiv
+from twistdiv.acceptance import criterion_1
 from twistdiv.algebra import (
     TABLE_COMPLEX,
     TABLE_QUATERNION,
@@ -34,7 +35,6 @@ from twistdiv.classify import (
     enumerate_candidates,
     non_isomorphism_fingerprint,
     odd_order_zero_divisor,
-    opposite_uniqueness_check,
     verify_verdict,
 )
 from twistdiv.deform import TES_PARAMS, family_constant, parametric_constant
@@ -306,9 +306,10 @@ def test_survivor_mult_matrix_nonsingular_spot_check():
 
 
 def test_opposite_uniqueness():
-    assert opposite_uniqueness_check("Z2xZ2")
-    assert opposite_uniqueness_check("Z4")
-    assert opposite_uniqueness_check("Z2")
+    """Acceptance criterion 1 finds the mirrored convention's one survivor
+    to be the transposed table for each shaped group."""
+    passed, detail = criterion_1()
+    assert passed and detail.count("survivors=1 transposed=True") == 3
     # Z2's survivor is its own transpose
     rep = classify("Z2", LEFT_STANDARD, SHAPED)
     c = rep.survivors[0][0].constant

@@ -10,22 +10,31 @@ from pathlib import Path
 import pytest
 
 import twistdiv
-from twistdiv.algebra import TABLE_TESSERANION, tesseranion_algebra
-from twistdiv.classify import RealRootRejection, det_polynomials
+from twistdiv.algebra import (
+    RATIONALS,
+    TABLE_TESSERANION,
+    TwistedAlgebra,
+    tesseranion_algebra,
+)
+from twistdiv.classify import (
+    PARAM_NAMES,
+    RealRootRejection,
+    det_polynomials,
+    shaped_constant,
+)
 from twistdiv.deform import (
-    GENERIC_VARS,
     TES_PARAMS,
     commutator_rescaling,
     family_constant,
-    generic_det_ml,
     k_inverse_isomorphism,
     neccons_check,
     parametric_constant,
     structure_constant_from_generator,
     witness_search,
 )
+from twistdiv.groups import LEFT_STANDARD
 from twistdiv.identities import loop_property_suite
-from twistdiv.poly import MultiPoly
+from twistdiv.poly import MultiPoly, symbolic_det
 from twistdiv.structure import (
     CHIRAL,
     anticommutator_algebra,
@@ -97,6 +106,18 @@ def test_parametric_constant_validation():
         parametric_constant({"alpha": 1})
     with pytest.raises(ValueError):
         parametric_constant({**TES_PARAMS, "omega": 0})
+
+
+GENERIC_VARS = PARAM_NAMES + ("y0", "y1", "y2", "y3")
+
+
+def generic_det_ml():
+    """det M^L with all six parameters and all four components symbolic."""
+    params = MultiPoly.variables(GENERIC_VARS)[: len(PARAM_NAMES)]
+    constant = shaped_constant("Z4", dict(zip(PARAM_NAMES, params)), LEFT_STANDARD)
+    algebra = TwistedAlgebra(constant, RATIONALS)
+    y = algebra.generic_element("y", GENERIC_VARS)
+    return symbolic_det(algebra.mult_matrix_left(y))
 
 
 def generic_det_ml_reference():

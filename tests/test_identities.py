@@ -68,7 +68,7 @@ def test_expand_single_leaf_is_component_map():
 
 def test_expand_product_tree_matches_product_formula():
     comps = identity_residual(T, [(1, N(L(0), L(1)))])
-    ex = Expander(T, 2)
+    ex = Expander(T, 2, 2)
     prod = T.generic_element("x", ex.vars) * T.generic_element("y", ex.vars)
     assert all((a - b).is_zero for a, b in zip(comps, prod.coeffs))
 
@@ -135,7 +135,7 @@ def test_every_bracketing_of_a_word_is_one_object_over_H():
     """H is associative, so an expander whose products of 5 leaves are
     factors shares each word's 14 bracketings as one object: the 420
     monomials of (2, 2, 1) have 30 distinct expansions."""
-    expander = Expander(quaternion_algebra(), 3)
+    expander = Expander(quaternion_algebra(), 3, 6)
     objects = set()
     for word in _leaf_words((2, 2, 1)):
         shared = {id(expander.expand(tree)) for tree in _bracketings(word)}
@@ -160,10 +160,18 @@ def test_identity_space_eliminates_the_30_distinct_columns_over_H(monkeypatch):
 def test_integral_fraction_constants_expand_over_ints():
     algebra = ORACLE_ALGEBRAS["family4(k=2)"]
     assert any(type(c) is Fraction for *_, c in algebra.entries)
-    expander = Expander(algebra, 2)
+    expander = Expander(algebra, 2, 3)
     assert all(type(c) is int for *_, c in expander.entries)
     product = expander.expand(N(N(L(0), L(1)), L(0)))
     assert all(type(c) is int for p in product for c in p.values())
+
+
+def test_expander_refuses_an_unknown_variable_and_too_many_leaves():
+    expander = Expander(T, 2, 3)
+    with pytest.raises(ValueError, match="variable 2 is out of range"):
+        expander.expand(N(L(0), L(2)))
+    with pytest.raises(ValueError, match="more than 3 leaves"):
+        expander.expand(N(N(L(0), L(1)), N(L(0), L(1))))
 
 
 def test_bracketings_of_a_power_stay_distinct_over_T():

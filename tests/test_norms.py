@@ -12,9 +12,6 @@ from twistdiv.norms import (
     encrypt,
     generates_whole_algebra,
     inverse_formulas,
-    is_pure_even,
-    is_pure_odd,
-    iterated_norm,
     iterated_norm_power,
     norm4_monomial_expressions,
     nth_root_leq,
@@ -22,7 +19,6 @@ from twistdiv.norms import (
     pure_factor_defects,
     quartic_norm4,
     schwarz_defect4,
-    schwarz_equality_pure,
     schwarz_table,
     triangle_check,
     triangle_sweep,
@@ -74,19 +70,16 @@ def test_triangle_sweep_covers_every_level_and_width():
     assert all(v is True for v in results.values())
 
 
-def test_pure_equality_and_precondition():
+def test_pure_factor_equality():
+    """The Schwarz defect vanishes when one factor is pure even or pure odd."""
     rng = random.Random(6)
     for _ in range(60):
         x = T.element([rng.randint(-9, 9), 0, rng.randint(-9, 9), 0])
         y = T.element([Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)])
-        assert is_pure_even(x)
-        assert schwarz_equality_pure(x, y)
+        assert schwarz_defect4(x, y) == 0
         z = T.element([0, rng.randint(-9, 9), 0, rng.randint(-9, 9)])
-        assert is_pure_odd(z)
-        assert schwarz_equality_pure(y, z)
-    assert schwarz_equality_pure(T.one(), T.element([2, 3, 4, 5]))
-    with pytest.raises(ValueError):
-        schwarz_equality_pure(T.element([1, 1, 0, 0]), T.element([1, 0, 0, 1]))
+        assert schwarz_defect4(y, z) == 0
+    assert schwarz_defect4(T.one(), T.element([2, 3, 4, 5])) == 0
 
 
 def test_inverse_formulas():
@@ -142,9 +135,7 @@ def test_generation_over_the_integers_mod_p():
 
 def test_iterated_norm_values():
     assert iterated_norm_power(IteratedNormSpec(1, 2), [3, 4]) == 25
-    assert iterated_norm(IteratedNormSpec(1, 2), [3, 4]) == 5.0
     assert iterated_norm_power(IteratedNormSpec(2, 2), [1, 0, 1, 0]) == 2
-    assert abs(iterated_norm(IteratedNormSpec(2, 2), [1, 0, 1, 0]) - 2 ** 0.25) < 1e-12
     with pytest.raises(ValueError):
         iterated_norm_power(IteratedNormSpec(2, 2), [1, 2, 3])
     with pytest.raises(ValueError):

@@ -540,7 +540,9 @@ def test_sturm_code_against_sympy_oracle(coeffs):
 
 def test_uni_coeffs_round_trip():
     p = _uni([Fraction(1, 2), 0, 3])
-    assert uni_coeffs(p) == [Fraction(1, 2), Fraction(0), Fraction(3)]
+    assert uni_coeffs(p, "s") == [Fraction(1, 2), Fraction(0), Fraction(3)]
+    with pytest.raises(ValueError, match="univariate"):
+        uni_coeffs(MultiPoly(("s", "t"), {(1, 1): 1}), "s")
 
 
 def test_homogeneous_determinant_degree():

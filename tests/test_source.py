@@ -57,3 +57,60 @@ def test_the_unused_import_rule_sees_a_dead_import():
         "__all__ = ['symbolic_det']\nprint(os.sep)\n"
     )
     assert _unused_imports(tree) == {"MultiPoly": 2}
+
+
+# Public functions and classes that no code in the package reads, each
+# with the reason it stays.
+KEPT_WITHOUT_A_CALLER = {
+    "classify.odd_order_zero_divisor": "the odd-order line witness, for "
+    "`classify --group` once it takes groups of odd order",
+    "poly.structured_probes": "the probe order; bench/tracing.py counts "
+    "its points",
+}
+
+
+def _unread_public_names(trees):
+    """``module.name`` of each public module-level function or class that
+    no code in ``trees`` (module name -> AST) reads outside its own
+    definition, whether as a name or as an attribute."""
+    readers = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = module, getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(owner)
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not readers.get(node.name, set()) - {(module, node.name)}
+    }
+
+
+def test_every_public_function_has_a_caller_an_export_or_a_reason():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in SOURCES
+    }
+    unread = {
+        name for name in _unread_public_names(trees)
+        if name.split(".")[1] not in twistdiv.__all__
+    }
+    assert unread == set(KEPT_WITHOUT_A_CALLER), unread
+
+
+def test_the_caller_rule_sees_a_dead_function():
+    trees = {
+        "a": ast.parse(
+            "def used():\n    return 1\n\n"
+            "def dead(n):\n    return dead(n - 1) if n else used()\n\n"
+            "def _private():\n    pass\n"
+        ),
+        "b": ast.parse("from . import a\n\nclass Unused:\n    x = a.used()\n"),
+    }
+    assert _unread_public_names(trees) == {"a.dead", "b.Unused"}
