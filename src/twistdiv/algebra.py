@@ -239,8 +239,18 @@ class StructureConstant:
 #
 # An algebra is compiled once into sparse entries (i, j, k, c), meaning
 # "e_i * e_j has coefficient c on e_k"; a twisted group algebra has the
-# n^2 entries (a, b, ab, C(a, b)).  Every product and multiplication
-# matrix is read off these entries by the two functions below.
+# n^2 entries (a, b, ab, C(a, b)) of ``structure_entries``.  Every product
+# and multiplication matrix is read off these entries by
+# ``tensor_product`` and ``mult_matrix``.
+
+
+def structure_entries(constant):
+    """The n^2 entries (a, b, ab, C(a, b)) of the table ``constant``."""
+    return tuple(
+        (a, b, ab, c)
+        for a, (row, cells) in enumerate(zip(constant.group.cayley, constant.values))
+        for b, (ab, c) in enumerate(zip(row, cells))
+    )
 
 
 def _scalar_zero(f):
@@ -353,12 +363,8 @@ class TwistedAlgebra:
         self.constant = constant
         self.group = constant.group
         self.ring = ring
-        self.dimension = n = self.group.order
-        self.entries = tuple(
-            (a, b, self.group.mul(a, b), constant(a, b))
-            for a in range(n)
-            for b in range(n)
-        )
+        self.dimension = self.group.order
+        self.entries = structure_entries(constant)
         self._zero = ring.coerce(0)
 
     # -- element construction -------------------------------------------

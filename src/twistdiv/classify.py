@@ -31,9 +31,13 @@ built on first use (``_leibniz_table``): each entry of M^L(y) is one cell
 C(a, b) times one y_b, so each permutation's sign, monomial and cells
 depend on the group alone, and ``det_polynomial`` only multiplies out
 the cells of the table at hand (sign cells and rational deformation cells
-alike).  ``verify_verdict`` re-checks a sign change by ``symbolic_det``
-of the numeric matrix M^L at its two points instead, so that re-check
-does not share the table it checks.
+alike).  ``verify_verdict`` reads no Leibniz table, so it shares
+neither the table nor the polynomial it checks: it re-checks a sign
+change on the numeric matrix M^L at its two points, built by
+``algebra.mult_matrix`` at the point with its denominators cleared and
+reduced by the fraction-free ``_linalg.det``, and a line root or a
+survivor on determinants that ``symbolic_det`` expands from the
+polynomial matrices ``algebra.mult_matrix`` builds.
 
 Every zero divisor on a rational line, whether found by the line search,
 carried along a sign-rescaling orbit, or forced by an odd-order cyclic
@@ -52,7 +56,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RATIONALS, AlgebraElement, StructureConstant, TwistedAlgebra
+from . import _linalg
+from .algebra import StructureConstant, mult_matrix, structure_entries
 from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
@@ -367,52 +372,84 @@ def _classify_one(candidate):
     return zero_divisor_witness(det_l)
 
 
+def _flat(constant):
+    """The table's cells in row-major order, as one tuple."""
+    return tuple(itertools.chain.from_iterable(constant.values))
+
+
 @functools.cache
 def _rescaling_signs(group):
     """(signs, s) for every sign vector s with s_0 = 1, where
-    signs[a][b] = s_a s_b s_ab; built once per group."""
+    signs[a * n + b] = s_a s_b s_ab (row-major, n the group order);
+    built once per group."""
     out = []
     for rest in _sign_options(group.order - 1):
         s = (1,) + rest
         signs = tuple(
-            tuple(s[a] * s[b] * s[ab] for b, ab in enumerate(row))
+            s[a] * s[b] * s[ab]
             for a, row in enumerate(group.cayley)
+            for b, ab in enumerate(row)
         )
         out.append((signs, s))
     return tuple(out)
 
 
 def _rescaled_tables(constant):
-    """(table, s) for every sign vector s with s_0 = 1.
+    """(flat table, s) for every sign vector s with s_0 = 1, the table's
+    cells in row-major order.
 
     Rescaling the basis, v_g -> s_g v_g, turns C into the table
     C^s(a, b) = s_a s_b s_ab C(a, b).  The map w_g -> s_g v_g is a graded
     isomorphism from the algebra of C^s onto that of C, so
     det M^L_{C^s}(y) = det M^L_C(s o y), and likewise for M^R.
     """
+    cells = _flat(constant)
     for signs, s in _rescaling_signs(constant.group):
-        table = tuple(
-            tuple(map(operator.mul, sign_row, row))
-            for sign_row, row in zip(signs, constant.values)
-        )
-        yield table, s
+        yield tuple(map(operator.mul, signs, cells)), s
+
+
+def _det_left_at(constant):
+    """det M^L of the table as an exact function of a rational point (None
+    for a point of the wrong length), with no polynomial built.
+
+    M^L(y) is linear in y, so det M^L(p) = det M^L(D p) / D^n, where D
+    clears the denominators of p; M^L(D p) comes from the product kernel
+    ``mult_matrix`` and its determinant from ``_linalg.det``.
+    """
+    entries = structure_entries(constant)
+    n = constant.group.order
+
+    def det_l(point):
+        if len(point) != n:
+            return None
+        den, ints = _linalg.clear_denominators(point)
+        return Fraction(_linalg.det(mult_matrix(entries, ints, True, 0)), den**n)
+
+    return det_l
+
+
+def _det_expanded(constant, left=True):
+    """det M^L in y (``left``) or det M^R in x, the same polynomial as
+    ``det_polynomial``, by ``symbolic_det``'s minor expansion of the
+    polynomial matrix that ``mult_matrix`` builds: no Leibniz table."""
+    prefix = "y" if left else "x"
+    v = MultiPoly.variables(f"{prefix}{i}" for i in range(constant.group.order))
+    return symbolic_det(mult_matrix(structure_entries(constant), v, left, 0))
 
 
 def verify_verdict(constant, verdict):
     """True iff ``verdict`` certifies ``constant``: a sign change by the
-    exact det M^L at its two points, a line root by ``RealRootRejection.verify``
-    on det M^L, a survivor by ``SurvivorCertificate.verify`` on both."""
+    exact det M^L at its two points (``_det_left_at``), a line root by
+    ``RealRootRejection.verify`` on det M^L, a survivor by
+    ``SurvivorCertificate.verify`` on both, each determinant expanded by
+    ``_det_expanded``.  No branch reads the Leibniz table that the search
+    used."""
     if isinstance(verdict, SignChangeWitness):
-        algebra = TwistedAlgebra(constant, RATIONALS)
-        # AlgebraElement keeps integer points in ints, which algebra.element
-        # would coerce to Fractions; symbolic_det returns a Fraction either way
-        return verdict.verify(
-            lambda p: symbolic_det(algebra.mult_matrix_left(AlgebraElement(algebra, p)))
-        )
+        return verdict.verify(_det_left_at(constant))
     if isinstance(verdict, RealRootRejection):
-        return verdict.verify(det_polynomial(constant))
+        return verdict.verify(_det_expanded(constant))
     if isinstance(verdict, SurvivorCertificate):
-        return verdict.verify(*det_polynomials(constant))
+        return verdict.verify(_det_expanded(constant), _det_expanded(constant, False))
     return False
 
 
@@ -467,9 +504,9 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
             group.name, convention, mode, 1, [], [(candidates[0], cert)], []
         )
     rejected, survivors, undetermined = [], [], []
-    orbit_results = {}  # table C^s -> (result for C, s)
+    orbit_results = {}  # flat table C^s -> (result for C, s)
     for cand in candidates:
-        known = orbit_results.get(cand.constant.values)
+        known = orbit_results.get(_flat(cand.constant))
         result = _transport(*known, cand) if known else None
         if result is None:
             result = _classify_one(cand)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from . import _linalg
@@ -74,15 +75,34 @@ def normalize_pattern(pattern):
     return pattern
 
 
+@cache
+def _shapes(size):
+    """Every full binary tree with ``size`` leaves, a leaf as None and a
+    node as a (left, right) pair, ordered by split position, then by the
+    left shape, then by the right."""
+    if size == 1:
+        return (None,)
+    return tuple(
+        (left, right)
+        for k in range(1, size)
+        for left in _shapes(k)
+        for right in _shapes(size - k)
+    )
+
+
+def _fill(shape, leaves):
+    """The tree of ``shape`` with the leaves taken in order from the
+    iterator ``leaves``."""
+    if shape is None:
+        return next(leaves)
+    left, right = shape
+    return Node(_fill(left, leaves), _fill(right, leaves))
+
+
 def _bracketings(word):
-    if len(word) == 1:
-        return [Leaf(word[0])]
-    out = []
-    for k in range(1, len(word)):
-        for left in _bracketings(word[:k]):
-            for right in _bracketings(word[k:]):
-                out.append(Node(left, right))
-    return out
+    """Every bracketing of the word, in the order of ``_shapes``."""
+    leaves = [Leaf(v) for v in word]
+    return [_fill(shape, iter(leaves)) for shape in _shapes(len(word))]
 
 
 def _leaf_words(pattern):

@@ -683,10 +683,11 @@ def find_sign_change(p):
 
 
 def uni_coeffs(p, var):
-    """Ascending coefficient list of a MultiPoly univariate in ``var``."""
-    if len(p.used_variables()) > 1:
-        raise ValueError("polynomial is not univariate")
+    """Ascending coefficient list of a MultiPoly univariate in ``var``;
+    a ValueError when any other variable is in use."""
     idx = p.vars.index(var)
+    if p.used_variables() - {idx}:
+        raise ValueError(f"polynomial is not univariate in {var}")
     deg = max((e[idx] for e in p.terms), default=0)
     coeffs = [Fraction(0)] * (deg + 1)
     for e, c in p.terms.items():

@@ -140,7 +140,8 @@ def test_line_root_transported_across_a_flipped_coordinate():
     witness = RealRootRejection.on_line(det_polynomials(cand.constant)[0], 1, base)
     assert witness is not None
     s = (1, -1, 1, 1)
-    table = next(t for t, sv in CLASSIFY._rescaled_tables(cand.constant) if sv == s)
+    flat = next(t for t, sv in CLASSIFY._rescaled_tables(cand.constant) if sv == s)
+    table = [flat[i:i + 4] for i in range(0, 16, 4)]
     flipped = CLASSIFY.CandidateConstant(
         StructureConstant(cand.constant.group, table, LEFT_STANDARD), ()
     )
@@ -444,6 +445,80 @@ def test_leibniz_determinants_match_on_rational_deformation_members():
         family_constant(family, k).constant() for family in range(1, 9) for k in (2, 3)
     ]
     _assert_leibniz_matches_matrix(constants)
+
+
+def test_sign_change_recheck_matches_the_determinant_polynomial():
+    """The re-check's exact det M^L (``_linalg.det`` of the numeric
+    matrix) equals det_polynomial evaluated at the same point, on seeded
+    unital sign tables of orders 4 and 8 at integer and half-integer
+    points: two routes that share no code agree."""
+    rng = random.Random(24)
+    values = (-2, -1, 0, 1, 2, Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))
+    for name in ("Z2xZ2", "Z4", "Z2xZ2xZ2", "Q8", "Z8"):
+        group = group_by_name(name)
+        for _ in range(3):
+            signs = [rng.choice((1, -1)) for _ in range((group.order - 1) ** 2)]
+            constant = _sign_table(group, signs, rng.choice(CONVENTIONS))
+            det_l = det_polynomial(constant)
+            value_at = CLASSIFY._det_left_at(constant)
+            for _ in range(4):
+                point = tuple(rng.choice(values) for _ in range(group.order))
+                assert value_at(point) == det_l.evaluate(point)
+            assert value_at((0,) * group.order) == 0
+            assert value_at((1,) * (group.order - 1)) is None
+
+
+def test_sign_change_recheck_reads_no_leibniz_table_or_polynomial(monkeypatch):
+    """The sign-change branch of ``verify_verdict`` stays independent of
+    the search it checks: it builds no determinant polynomial."""
+    rep = classify("Z4", LEFT_STANDARD, RAW)
+    verdicts = [(c.constant, w) for c, w in rep.rejected
+                if isinstance(w, SignChangeWitness)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sign-change re-check built a polynomial")
+
+    for name in ("_leibniz_table", "det_polynomial", "det_polynomials",
+                 "symbolic_det"):
+        monkeypatch.setattr(CLASSIFY, name, refuse)
+    assert len(verdicts) == 504
+    assert all(verify_verdict(c, w) for c, w in verdicts)
+
+
+def test_line_root_and_survivor_rechecks_read_no_leibniz_table(monkeypatch):
+    """The other branches of ``verify_verdict`` expand their determinants
+    with ``symbolic_det``; none reads the Leibniz table of the search."""
+    rep = classify("Z4", LEFT_STANDARD, RAW)
+    verdicts = [(c.constant, w) for c, w in rep.rejected + rep.survivors
+                if not isinstance(w, SignChangeWitness)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the re-check read the Leibniz table")
+
+    for name in ("_leibniz_table", "det_polynomial", "det_polynomials"):
+        monkeypatch.setattr(CLASSIFY, name, refuse)
+    assert len(verdicts) == 8
+    assert all(verify_verdict(c, w) for c, w in verdicts)
+
+
+def test_verify_verdict_refuses_a_sign_change_at_a_doubled_point():
+    """det M^L(2p) = 2^n det M^L(p), so a witness whose point is doubled
+    but whose values are kept must fail: cleared denominators have to be
+    divided back out, not dropped with a common factor."""
+    rep = classify("Z4", LEFT_STANDARD, RAW)
+    verdicts = [(c.constant, w) for c, w in rep.rejected
+                if isinstance(w, SignChangeWitness)]
+    assert any(any(type(x) is Fraction for x in w.positive_point)
+               for _, w in verdicts)
+    for constant, w in verdicts:
+        doubled = dataclasses.replace(
+            w, positive_point=tuple(2 * x for x in w.positive_point))
+        assert verify_verdict(constant, doubled) is False
+        halved = dataclasses.replace(
+            w, positive_point=tuple(Fraction(x, 2) for x in w.positive_point))
+        assert verify_verdict(constant, halved) is False
+        short = dataclasses.replace(w, positive_point=w.positive_point[:-1])
+        assert verify_verdict(constant, short) is False
 
 
 @pytest.mark.parametrize("left", [True, False])

@@ -122,3 +122,61 @@ def test_rref_of_int_and_fraction_rows():
     assert all(type(v) is Fraction for row in reduced for v in row)
     assert _linalg.rref([[0, 0], [0, 0]]) == ([], [])
     assert _linalg.rref([]) == ([], [])
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square matrices of order 1 to 8, all ints or ints and Fractions;
+    some made singular by a row that is a multiple of another, some with
+    zeros at the top of the first column, so that the leading pivot is 0."""
+    n = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([st.integers(-6, 6), ENTRIES]))
+    row = st.lists(entries, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["any", "singular", "zero-pivot"]))
+    if kind == "singular" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.sampled_from([0, 1, -1, 2, Fraction(-3, 4)]))
+        rows[j] = [scale * x for x in rows[i]]
+    elif kind == "zero-pivot":
+        for r in rows[:draw(st.integers(1, n))]:
+            r[0] = 0
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices())
+def test_det_matches_sympy(rows):
+    oracle = _sympy(rows).det(method="berkowitz")
+    got = _linalg.det(rows)
+    assert got == Fraction(int(oracle.p), int(oracle.q))
+    if all(type(x) is int for row in rows for x in row):
+        assert type(got) is int
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([[5]], 5),
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 2, 1], [0, 1, 3], [4, 0, 0]], 20),
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+    ([[1, 2], [2, 4]], 0),
+    ([[Fraction(1, 2), 0], [0, Fraction(2, 3)]], Fraction(1, 3)),
+    ([[Fraction(1, 2), 1], [1, 2]], 0),
+], ids=["1x1", "swap", "leading-zero-pivot", "zero-column", "singular",
+        "fraction-diagonal", "fraction-singular"])
+def test_det_of_known_matrices(rows, expected):
+    assert _linalg.det(rows) == expected
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]]],
+                         ids=["empty", "1x2", "ragged", "2x1"])
+def test_det_refuses_empty_and_non_square_input(rows):
+    with pytest.raises(ValueError, match="empty|square"):
+        _linalg.det(rows)
+
+
+def test_det_leaves_its_input_unchanged():
+    rows = [[0, 1, 2], [3, Fraction(1, 2), 5], [6, 7, 9]]
+    copy = [list(row) for row in rows]
+    _linalg.det(rows)
+    assert rows == copy

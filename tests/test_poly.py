@@ -545,6 +545,16 @@ def test_uni_coeffs_round_trip():
         uni_coeffs(MultiPoly(("s", "t"), {(1, 1): 1}), "s")
 
 
+def test_uni_coeffs_refuses_a_polynomial_in_another_variable():
+    """t^2 + 3 is univariate, but not in s: its coefficients must not be
+    summed into the constant term."""
+    p = MultiPoly(("s", "t"), {(0, 2): 1, (0, 0): 3})
+    with pytest.raises(ValueError, match="univariate in s"):
+        uni_coeffs(p, "s")
+    assert uni_coeffs(p, "t") == [3, 0, 1]
+    assert uni_coeffs(MultiPoly(("s", "t"), {(0, 0): 5}), "s") == [5]
+
+
 def test_homogeneous_determinant_degree():
     """det M^L of any unital sign constant is homogeneous of degree |G|."""
     from twistdiv.classify import det_polynomials, enumerate_candidates
