@@ -18,10 +18,12 @@ point with positive value and a nonzero point with nonpositive value;
 a probe slice on which det M^L is a one-signed sum of even monomials
 has one sign, so at most its first probe is evaluated); failing that,
 det M^L is restricted to rational lines until one has a real root,
-isolated with a Sturm certificate (the handful of sign arrays this
-rejects have positive *semi*definite determinants whose nontrivial
-real zeros are all irrational, so no rational sign-change pair exists,
-and each line witness carries the ``find_psd_sos`` evidence of its
+isolated with a Sturm certificate over the integers (the handful of
+sign arrays this rejects have positive *semi*definite determinants whose
+nontrivial real zeros are all irrational, so no rational sign-change
+pair exists; a searched line witness carries the ``find_psd_sos``
+evidence of its determinant, and a witness carried along a rescaling
+orbit carries that evidence mapped by y -> s o y, re-checked on its own
 determinant); a table no route decides is left undetermined.  A
 positive-definite certificate and a sign change exclude each other, so
 the order of the first two routes cannot change a verdict.
@@ -49,6 +51,7 @@ determinants.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -63,6 +66,7 @@ from .identities import identity_space, loop_property_suite
 from .poly import (
     MultiPoly,
     SignChangeWitness,
+    SosCertificate,
     certifies_positive_definite,
     count_real_roots,
     find_diagonal_sos,
@@ -142,7 +146,7 @@ def _restrict_to_line(det_poly, position, base):
     if not 0 <= position < nvars or len(base) != nvars - 1 or not any(base):
         return None
     others = (v for i, v in enumerate(det_poly.vars) if i != position)
-    bindings = {name: Fraction(v) for name, v in zip(others, base)}
+    bindings = dict(zip(others, base))
     return uni_coeffs(det_poly.specialize(bindings), det_poly.vars[position])
 
 
@@ -155,7 +159,8 @@ class RealRootRejection:
     all zero, so the line avoids the origin).  ``coefficients`` is the
     restricted determinant, which has a real root inside ``interval``.
     ``psd`` is an SOS certificate that the determinant is nonnegative
-    everywhere, when ``find_psd_sos`` finds one.
+    everywhere: ``find_psd_sos``'s for a searched line, the representative's
+    mapped along its rescaling orbit for a transported one, or None.
     """
 
     position: int
@@ -166,9 +171,10 @@ class RealRootRejection:
     psd: object = None
 
     @classmethod
-    def on_line(cls, det_poly, position, base):
-        """The verified witness on this line, or None when the restriction
-        has no real root (or the line is malformed)."""
+    def on_line(cls, det_poly, position, base, psd=None):
+        """The verified witness on this line, carrying ``psd`` as given, or
+        None when the restriction has no real root, the line is malformed
+        or ``psd`` is not a certificate for ``det_poly``."""
         coeffs = _restrict_to_line(det_poly, position, base)
         if coeffs is None or len(coeffs) <= 1:
             return None
@@ -176,18 +182,22 @@ class RealRootRejection:
         if interval is None:
             return None
         # the isolating interval holds exactly one root
-        witness = cls(
-            position, tuple(base), tuple(coeffs), interval, 1, find_psd_sos(det_poly)
-        )
+        witness = cls(position, tuple(base), tuple(coeffs), interval, 1, psd)
         return witness if witness.verify(det_poly) else None
 
     def verify(self, det_poly):
+        """True iff the restriction to the line is ``coefficients``, it has
+        a root in the interval, and ``psd`` (if any) verifies on
+        ``det_poly``; False, not an error, for a malformed line or an
+        interval with lo >= hi."""
         coeffs = _restrict_to_line(det_poly, self.position, self.base)
         if coeffs is None or [Fraction(c) for c in self.coefficients] != coeffs:
             return False
         lo, hi = self.interval
-        return count_real_roots(coeffs, lo, hi) >= self.root_count >= 1 and (
-            self.psd is None or verify_sos(det_poly, self.psd)
+        return (
+            lo < hi
+            and count_real_roots(coeffs, lo, hi) >= self.root_count >= 1
+            and (self.psd is None or verify_sos(det_poly, self.psd))
         )
 
     def to_json(self):
@@ -338,14 +348,16 @@ def det_polynomials(constant):
 
 
 def line_root_rejection(det_poly):
-    """First rational-line restriction of the determinant with a real root."""
+    """First rational-line restriction of the determinant with a real root,
+    annotated with ``find_psd_sos``'s certificate for the determinant."""
     nvars = len(det_poly.vars)
     bases = list(itertools.product((1, 0, -1, 2), repeat=nvars - 1))
     for position in range(nvars):
         for base in bases:
             witness = RealRootRejection.on_line(det_poly, position, base)
             if witness is not None:
-                return witness
+                # find_psd_sos returns only certificates that verify
+                return dataclasses.replace(witness, psd=find_psd_sos(det_poly))
     return None
 
 
@@ -457,10 +469,11 @@ def _transport(result, s, candidate):
     """The result of C carried to the candidate with table C^s.
 
     A line root is rebuilt on the mapped line, on the candidate's own
-    det M^L.  A sign change is mapped by y -> s o y and a survivor
-    certificate is carried as it is; either is returned only when
-    ``verify_verdict`` accepts it for the candidate.  Returns None when a
-    check fails or there is no certificate to carry.
+    det M^L, with C's PSD certificate mapped by y -> s o y (each base
+    evaluated at s o y) and re-checked there.  A sign change is mapped by
+    y -> s o y and a survivor certificate is carried as it is; either is
+    returned only when ``verify_verdict`` accepts it for the candidate.
+    Returns None when a check fails or there is no certificate to carry.
     """
     if isinstance(result, RealRootRejection):
         det_l = det_polynomial(candidate.constant)
@@ -468,7 +481,12 @@ def _transport(result, s, candidate):
         # line y_i = t, y_j = s_j base_j of C^s (t -> s_i t spans it too)
         others = (v for i, v in enumerate(s) if i != result.position)
         base = tuple(map(operator.mul, others, result.base))
-        return RealRootRejection.on_line(det_l, result.position, base)
+        psd = result.psd
+        if psd is not None:
+            # det_{C^s}(y) = det_C(s o y) = sum c * base(s o y)^2
+            point = list(map(operator.mul, s, MultiPoly.variables(det_l.vars)))
+            psd = SosCertificate(tuple((c, b.evaluate(point)) for c, b in psd.parts))
+        return RealRootRejection.on_line(det_l, result.position, base, psd)
     if isinstance(result, SignChangeWitness):
         # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
         result = SignChangeWitness(

@@ -679,19 +679,19 @@ def find_sign_change(p):
     return None
 
 
-# -- univariate exact real-root analysis --------------------------------
+# -- univariate exact real-root analysis over the integers ---------------
 
 
 def uni_coeffs(p, var):
-    """Ascending coefficient list of a MultiPoly univariate in ``var``;
-    a ValueError when any other variable is in use."""
+    """Ascending coefficients, ints kept, of a MultiPoly univariate in
+    ``var``; a ValueError when any other variable is in use."""
     idx = p.vars.index(var)
     if p.used_variables() - {idx}:
         raise ValueError(f"polynomial is not univariate in {var}")
     deg = max((e[idx] for e in p.terms), default=0)
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (deg + 1)
     for e, c in p.terms.items():
-        coeffs[e[idx]] += Fraction(c)
+        coeffs[e[idx]] += c
     return _trim(coeffs)
 
 
@@ -701,135 +701,135 @@ def _trim(coeffs):
     return coeffs
 
 
-def uni_eval(coeffs, x):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
+def _primitive(coeffs):
+    """The positive multiple of ``coeffs`` (ints or Fractions) with coprime
+    integer coefficients, trimmed; [0] for the zero polynomial."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    ints = _trim([c.numerator * (den // c.denominator) for c in coeffs])
+    content = math.gcd(*ints)
+    return [c // content for c in ints] if content else ints
 
 
-def uni_derivative(coeffs):
-    if len(coeffs) <= 1:
-        return [Fraction(0)]
-    return [Fraction(k * c) for k, c in enumerate(coeffs)][1:]
+def _derivative(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:] or [0]
 
 
-def uni_gcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while any(c != 0 for c in b):
-        a, b = b, _uni_divmod(a, b)[1]
-    if all(c == 0 for c in a):
-        return [Fraction(0)]
-    lead = a[-1]
-    return [c / lead for c in a]
+def _pseudo_divmod(a, b):
+    """(q, r) with |lc(b)|^k a = q b + r, deg r < deg b, for integer lists
+    a and b != 0: q and r are positive multiples of the rational quotient
+    and remainder, as each step scales by |lc(b)| > 0 alone."""
+    lead, db = abs(b[-1]), len(b) - 1
+    q, r = [0] * max(len(a) - db, 1), list(a)
+    while len(r) > db and any(r):
+        f = r[-1] if b[-1] > 0 else -r[-1]
+        shift = len(r) - 1 - db
+        q = [lead * c for c in q]
+        q[shift] += f
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r = _trim(r[:-1])  # the leading term cancelled
+    return q, r
 
 
 def squarefree_part(coeffs):
-    g = uni_gcd(coeffs, uni_derivative(coeffs))
-    if len(g) == 1:
-        return _trim([Fraction(c) for c in coeffs])
-    q, _ = _uni_divmod(coeffs, g)
-    return q
-
-
-def _uni_divmod(a, b):
-    a = [Fraction(c) for c in a]
-    b = _trim([Fraction(c) for c in b])
-    db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    r = list(a)
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        f = r[-1] / b[-1]
-        shift = len(r) - 1 - db
-        q[shift] = f
-        for i in range(db + 1):
-            r[shift + i] -= f * b[i]
-        r = _trim(r)
-        if all(c == 0 for c in r):
-            break
-    return _trim(q), _trim(r)
+    """p / gcd(p, p') as coprime integers, a positive multiple of the
+    rational squarefree part: the distinct roots of p, each once.  The
+    gcd comes from Collins' primitive remainder sequence."""
+    p = _primitive(coeffs)
+    a, b = p, _derivative(p)
+    while any(b):
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    # times lc(a), the quotient is a positive multiple of p / monic(a)
+    return p if len(a) == 1 else _primitive(
+        [a[-1] * c for c in _pseudo_divmod(p, a)[0]])
 
 
 def sturm_chain(coeffs):
-    p0 = _trim([Fraction(c) for c in coeffs])
-    chain = [p0, uni_derivative(p0)]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        r = _uni_divmod(chain[-2], chain[-1])[1]
-        if all(c == 0 for c in r):
+    """Sturm chain p, p', -rem(p, p'), ... of ``coeffs`` as integer lists,
+    up to a zero remainder or a constant member.  Each member is the
+    primitive part of a negated pseudo-remainder, a positive multiple of
+    the classical member, so every sign variation count is classical."""
+    p0 = _primitive(coeffs)
+    chain = [p0, _primitive(_derivative(p0))]
+    while len(chain[-1]) > 1:
+        r = _primitive(_pseudo_divmod(chain[-2], chain[-1])[1])
+        if not any(r):
             break
         chain.append([-c for c in r])
-        if len(chain[-1]) == 1:
-            break
     return chain
 
 
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(chain, a, b):
+    """Sign variations of the chain at a / b (b > 0), zeros dropped; a
+    member c_0 .. c_d is evaluated as the integer
+    sum c_i a^i b^(d - i) = b^d p(a / b), of the sign of p(a / b)."""
+    signs = []
+    for coeffs in chain:
+        value, power = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            power *= b
+            value = value * a + c * power
+        if value:
+            signs.append(value > 0)
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
-def _sign_at(coeffs, x):
-    v = uni_eval(coeffs, x)
-    return 1 if v > 0 else -1 if v < 0 else 0
-
-
-def _roots_between(chain, lo, hi):
-    """Sturm's theorem: distinct roots in (lo, hi] of the chain's head."""
-    va = _variations([_sign_at(c, lo) for c in chain])
-    vb = _variations([_sign_at(c, hi) for c in chain])
-    return va - vb
+def _squarefree_chain(coeffs):
+    """(Sturm chain, Cauchy bound) of the squarefree part; a constant has
+    no chain, so no sign variations anywhere.  An empty list is a
+    ValueError."""
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    sf = squarefree_part(coeffs)
+    return ([], 1) if len(sf) == 1 else (sturm_chain(sf), cauchy_bound(sf))
 
 
 def count_real_roots(coeffs, lo=None, hi=None):
     """Distinct real roots of the polynomial in (lo, hi] via Sturm.
 
-    Works on the squarefree part, so multiplicities are ignored (a root
-    of even multiplicity still counts once).  An omitted end is taken at
-    minus or plus the ``cauchy_bound``, which strictly encloses every
-    root, so the count is the same as at -inf or +inf.
+    Counts on the integer chain of the squarefree part, so a multiple
+    root counts once.  An omitted end is taken at minus or plus the
+    ``cauchy_bound``, which strictly encloses every root, so the count is
+    the same as at -inf or +inf.  An empty list or lo > hi is a ValueError.
     """
-    sf = squarefree_part(coeffs)
-    if len(sf) == 1:
-        return 0
-    bound = cauchy_bound(sf)
-    return _roots_between(
-        sturm_chain(sf),
-        -bound if lo is None else lo,
-        bound if hi is None else hi,
-    )
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"empty interval: lo {lo} > hi {hi}")
+    chain, bound = _squarefree_chain(coeffs)
+    lo = Fraction(-bound if lo is None else lo)
+    hi = Fraction(bound if hi is None else hi)
+    return (_variations(chain, lo.numerator, lo.denominator)
+            - _variations(chain, hi.numerator, hi.denominator))
 
 
 def cauchy_bound(coeffs):
-    coeffs = _trim([Fraction(c) for c in coeffs])
+    coeffs = _trim(list(coeffs))
     lead = abs(coeffs[-1])
     if lead == 0:
         raise ValueError("zero polynomial")
-    return 1 + max((abs(c) / lead for c in coeffs[:-1]), default=Fraction(0))
+    return 1 + Fraction(max(map(abs, coeffs[:-1]), default=0), lead)
 
 
 ROOT_INTERVAL_WIDTH = Fraction(1, 16)
 
 
 def isolate_real_root(coeffs):
-    """Rational interval (lo, hi] containing exactly one real root.
-
-    Returns None when the polynomial has no real roots.  The interval is
-    produced by Sturm-guided bisection from the Cauchy bound and is
-    narrowed to at most ``ROOT_INTERVAL_WIDTH``.  The Sturm chain is built
-    once and every bisection step counts sign variations against it.
-    """
-    sf = squarefree_part(coeffs)
-    if len(sf) == 1:
+    """Rational interval (lo, hi] of width at most ``ROOT_INTERVAL_WIDTH``
+    holding exactly one real root, or None when there is none; an empty
+    list is a ValueError.  Sturm-guided bisection of the Cauchy interval
+    on one integer chain: the ends share a denominator, doubled at each
+    step, and their sign variations are kept, so a step evaluates the
+    chain once, at the midpoint."""
+    chain, bound = _squarefree_chain(coeffs)
+    a_lo, a_hi, den = -bound.numerator, bound.numerator, bound.denominator
+    v_lo, v_hi = _variations(chain, a_lo, den), _variations(chain, a_hi, den)
+    if v_lo == v_hi:
         return None
-    chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
-    lo, hi = -bound, bound
-    if _roots_between(chain, lo, hi) == 0:
-        return None
-    while _roots_between(chain, lo, hi) > 1 or hi - lo > ROOT_INTERVAL_WIDTH:
-        mid = (lo + hi) / 2
-        if _roots_between(chain, lo, mid) > 0:
-            hi = mid
+    while v_lo - v_hi > 1 or a_hi - a_lo > ROOT_INTERVAL_WIDTH * den:
+        mid, a_lo, a_hi, den = a_lo + a_hi, 2 * a_lo, 2 * a_hi, 2 * den
+        v_mid = _variations(chain, mid, den)
+        if v_lo > v_mid:  # a root in (lo, mid]
+            a_hi, v_hi = mid, v_mid
         else:
-            lo = mid
-    return lo, hi
+            a_lo, v_lo = mid, v_mid
+    return Fraction(a_lo, den), Fraction(a_hi, den)

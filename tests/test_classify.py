@@ -49,9 +49,10 @@ from twistdiv.poly import (
     MultiPoly,
     SignChangeWitness,
     certifies_positive_definite,
+    SosCertificate,
     count_real_roots,
+    find_psd_sos,
     symbolic_det,
-    uni_eval,
     verify_sos,
 )
 
@@ -128,6 +129,15 @@ def test_classify_z4_left():
     assert witness.verify(det_l)
 
 
+def _rescaled_candidate(cand, s):
+    """The candidate with table C^s, for C the table of ``cand``."""
+    flat = next(t for t, sv in CLASSIFY._rescaled_tables(cand.constant) if sv == s)
+    table = [flat[i:i + 4] for i in range(0, 16, 4)]
+    return CLASSIFY.CandidateConstant(
+        StructureConstant(cand.constant.group, table, LEFT_STANDARD), ()
+    )
+
+
 def test_line_root_transported_across_a_flipped_coordinate():
     """s flips y1, the coordinate the line runs along: the witness is
     rebuilt on C^s's own det M^L at the same position, with base s o base,
@@ -137,20 +147,72 @@ def test_line_root_transported_across_a_flipped_coordinate():
         (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
     ]
     base = (1, 1, 0)
-    witness = RealRootRejection.on_line(det_polynomials(cand.constant)[0], 1, base)
+    det_c = det_polynomials(cand.constant)[0]
+    witness = RealRootRejection.on_line(det_c, 1, base, find_psd_sos(det_c))
     assert witness is not None
     s = (1, -1, 1, 1)
-    flat = next(t for t, sv in CLASSIFY._rescaled_tables(cand.constant) if sv == s)
-    table = [flat[i:i + 4] for i in range(0, 16, 4)]
-    flipped = CLASSIFY.CandidateConstant(
-        StructureConstant(cand.constant.group, table, LEFT_STANDARD), ()
-    )
+    flipped = _rescaled_candidate(cand, s)
     moved = CLASSIFY._transport(witness, s, flipped)
     det_l = det_polynomials(flipped.constant)[0]
     assert isinstance(moved, RealRootRejection) and moved.verify(det_l)
     assert moved.position == 1
     assert moved.base == tuple(si * v for si, v in zip((s[0],) + s[2:], base))
     assert moved.psd is not None and verify_sos(det_l, moved.psd)
+
+
+def test_raw_z4_searches_one_psd_certificate_and_carries_it(monkeypatch):
+    """Of raw Z4's 4 line roots one is searched; the other 3 are carried
+    along its rescaling orbit with its PSD certificate mapped by
+    y -> s o y, which verifies on each table's own det M^L."""
+    calls = []
+    search = CLASSIFY.find_psd_sos
+
+    def counting(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(CLASSIFY, "find_psd_sos", counting)
+    rep = classify("Z4", LEFT_STANDARD, RAW)
+    roots = [(c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)]
+    assert len(calls) == 1 and len(roots) == 4
+    for cand, witness in roots:
+        det_l = det_polynomials(cand.constant)[0]
+        assert witness.psd is not None and verify_sos(det_l, witness.psd)
+
+
+def test_transport_rechecks_the_carried_psd_certificate():
+    """A corrupted certificate fails on the candidate's own determinant, so
+    nothing is carried; a representative without one passes none on."""
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    (cand, witness), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
+    s = (1, -1, 1, -1)
+    flipped = _rescaled_candidate(cand, s)
+    assert CLASSIFY._transport(witness, s, flipped).psd is not None
+    (coeff, base), *rest = witness.psd.parts
+    corrupted = SosCertificate(((coeff + 1, base), *rest))
+    assert verify_sos(det_polynomials(cand.constant)[0], corrupted) is False
+    changed = dataclasses.replace(witness, psd=corrupted)
+    assert CLASSIFY._transport(changed, s, flipped) is None
+    bare = dataclasses.replace(witness, psd=None)
+    moved = CLASSIFY._transport(bare, s, flipped)
+    assert moved is not None and moved.psd is None
+
+
+@pytest.mark.parametrize(
+    "empty", [lambda lo, hi: (hi, hi), lambda lo, hi: (hi, lo)],
+    ids=["lo-equals-hi", "lo-above-hi"],
+)
+def test_line_root_verify_is_false_on_an_empty_interval(empty):
+    """count_real_roots refuses lo > hi; verify answers False instead."""
+    rep = classify("Z4", LEFT_STANDARD, SHAPED)
+    (cand, witness), = [
+        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
+    ]
+    det_l = det_polynomials(cand.constant)[0]
+    changed = dataclasses.replace(witness, interval=empty(*witness.interval))
+    assert changed.verify(det_l) is False
 
 
 @pytest.mark.parametrize(
@@ -747,7 +809,7 @@ def test_odd_order_zero_divisor_cyclic3():
     coeffs = [Fraction(c) for c in witness.coefficients]
     assert count_real_roots(coeffs, lo, hi) >= 1
     # trivial constant: det = y^3 + 2 - 3y = (y-1)^2 (y+2)
-    assert uni_eval(coeffs, Fraction(-2)) == 0
+    assert sum(c * (-2) ** k for k, c in enumerate(coeffs)) == 0
 
 
 def test_odd_order_zero_divisor_all_sign_constants_on_z3():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistdiv.algebra import ModInt
@@ -24,9 +24,9 @@ from twistdiv.poly import (
     perfect_square_root,
     squarefree_part,
     structured_probes,
+    sturm_chain,
     symbolic_det,
     uni_coeffs,
-    uni_eval,
     verify_sos,
 )
 
@@ -488,6 +488,16 @@ def test_sturm_count_matches_sympy(coeffs):
     assert count_real_roots([Fraction(c) for c in coeffs]) == distinct
 
 
+def test_real_root_edge_cases():
+    with pytest.raises(ValueError, match="empty"):
+        count_real_roots([])
+    with pytest.raises(ValueError, match="empty"):
+        isolate_real_root([])
+    with pytest.raises(ValueError, match="lo 2 > hi 1"):
+        count_real_roots([-2, 0, 1], 2, 1)
+    assert count_real_roots([-2, 0, 1], 1, 1) == 0
+
+
 def test_isolate_real_root_brackets_a_root():
     lo, hi = isolate_real_root([Fraction(-2), Fraction(0), Fraction(1)])
     sf = squarefree_part([Fraction(-2), Fraction(0), Fraction(1)])
@@ -509,6 +519,21 @@ def test_isolate_real_root_builds_one_sturm_chain(monkeypatch):
     interval = isolate_real_root([Fraction(c) for c in (-4, 0, 0, 0, 1)])
     assert len(calls) == 1
     assert interval == (Fraction(-185, 128), Fraction(-45, 32))  # -sqrt(2)
+
+
+def test_bisection_evaluates_the_chain_once_per_step(monkeypatch):
+    """The chain is evaluated at both ends of the Cauchy interval, then
+    once per step: (-5, 5] halves 8 times to the width 5/128."""
+    calls = []
+    variations = POLY._variations
+
+    def counting(chain, a, b):
+        calls.append(Fraction(a, b))
+        return variations(chain, a, b)
+
+    monkeypatch.setattr(POLY, "_variations", counting)
+    lo, hi = isolate_real_root([-4, 0, 0, 0, 1])
+    assert hi - lo == Fraction(5, 128) and len(calls) == 2 + 8
 
 
 def _sympy_rational(x):
@@ -600,3 +625,195 @@ def test_psd_sos_of_an_exact_square_and_of_an_indefinite_quartic():
     assert cert is not None and cert.parts == ((1, q),)
     assert verify_sos(q * q, cert)
     assert find_psd_sos(y0**4 - y1**4) is None
+
+
+# -- reference oracle: the classical Sturm route over the rationals -------
+#
+# Remainders by Fraction long division, the squarefree part p / gcd(p, p')
+# with a monic gcd, and bisection that counts roots in (lo, mid] from
+# scratch at each step.  The integer core must give the same counts and
+# intervals, and chains that are positive multiples of these.
+
+
+def uni_eval(coeffs, x):
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _trim(coeffs):
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _oracle_derivative(coeffs):
+    if len(coeffs) <= 1:
+        return [Fraction(0)]
+    return [Fraction(k * c) for k, c in enumerate(coeffs)][1:]
+
+
+def _oracle_divmod(a, b):
+    a = [Fraction(c) for c in a]
+    b = _trim([Fraction(c) for c in b])
+    db = len(b) - 1
+    q = [Fraction(0)] * max(1, len(a) - db)
+    r = list(a)
+    while len(r) - 1 >= db and any(c != 0 for c in r):
+        f = r[-1] / b[-1]
+        shift = len(r) - 1 - db
+        q[shift] = f
+        for i in range(db + 1):
+            r[shift + i] -= f * b[i]
+        r = _trim(r)
+        if all(c == 0 for c in r):
+            break
+    return _trim(q), _trim(r)
+
+
+def _oracle_gcd(a, b):
+    a, b = _trim(list(a)), _trim(list(b))
+    while any(c != 0 for c in b):
+        a, b = b, _oracle_divmod(a, b)[1]
+    if all(c == 0 for c in a):
+        return [Fraction(0)]
+    return [c / a[-1] for c in a]
+
+
+def oracle_squarefree_part(coeffs):
+    g = _oracle_gcd(coeffs, _oracle_derivative(coeffs))
+    if len(g) == 1:
+        return _trim([Fraction(c) for c in coeffs])
+    return _oracle_divmod(coeffs, g)[0]
+
+
+def oracle_sturm_chain(coeffs):
+    p0 = _trim([Fraction(c) for c in coeffs])
+    chain = [p0, _oracle_derivative(p0)]
+    while len(chain[-1]) > 1 or chain[-1][0] != 0:
+        r = _oracle_divmod(chain[-2], chain[-1])[1]
+        if all(c == 0 for c in r):
+            break
+        chain.append([-c for c in r])
+        if len(chain[-1]) == 1:
+            break
+    return chain
+
+
+def _oracle_roots_between(chain, lo, hi):
+    def variations(x):
+        values = [v for v in (uni_eval(c, x) for c in chain) if v != 0]
+        return sum(1 for a, b in zip(values, values[1:]) if a * b < 0)
+
+    return variations(lo) - variations(hi)
+
+
+def _oracle_bound(coeffs):
+    lead = abs(coeffs[-1])
+    return 1 + max((abs(c) / lead for c in coeffs[:-1]), default=Fraction(0))
+
+
+def oracle_count_real_roots(coeffs, lo=None, hi=None):
+    sf = oracle_squarefree_part(coeffs)
+    if len(sf) == 1:
+        return 0
+    bound = _oracle_bound(sf)
+    return _oracle_roots_between(
+        oracle_sturm_chain(sf),
+        -bound if lo is None else lo,
+        bound if hi is None else hi,
+    )
+
+
+def oracle_isolate_real_root(coeffs):
+    sf = oracle_squarefree_part(coeffs)
+    if len(sf) == 1:
+        return None
+    chain = oracle_sturm_chain(sf)
+    bound = _oracle_bound(sf)
+    lo, hi = -bound, bound
+    if _oracle_roots_between(chain, lo, hi) == 0:
+        return None
+    while _oracle_roots_between(chain, lo, hi) > 1 or hi - lo > Fraction(1, 16):
+        mid = (lo + hi) / 2
+        if _oracle_roots_between(chain, lo, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _expand(factors, scale):
+    """Ascending coefficients of scale * prod(factors)."""
+    coeffs = [scale]
+    for f in factors:
+        out = [Fraction(0)] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        coeffs = out
+    return coeffs
+
+
+_RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+# den * t - num has the root num / den, dyadic for den in {1, 2, 4, 8}, so
+# it can land on a bisection midpoint; a factor drawn twice is a repeated
+# root, t^2 - k an irrational or no real root
+_LINEAR = st.builds(
+    lambda num, den: [Fraction(-num), Fraction(den)],
+    st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 8)),
+)
+_QUADRATIC = st.builds(
+    lambda k: [Fraction(-k), Fraction(0), Fraction(1)], st.integers(-3, 5)
+)
+_POLYNOMIALS = st.one_of(
+    st.lists(_RATIONALS, min_size=1, max_size=7).filter(lambda c: c[-1] != 0),
+    st.builds(
+        _expand,
+        st.lists(st.one_of(_LINEAR, _QUADRATIC), min_size=1, max_size=5),
+        _RATIONALS.filter(bool),
+    ),
+)
+_ENDS = st.one_of(st.none(), st.fractions(min_value=-8, max_value=8,
+                                          max_denominator=8))
+
+
+def _positive_multiple(ints, fractions):
+    """True iff ``ints`` is lambda * ``fractions`` for some lambda > 0."""
+    if not any(fractions):
+        return ints == [0] and fractions == [0]
+    scale = Fraction(ints[-1]) / fractions[-1]
+    return len(ints) == len(fractions) and scale > 0 and all(
+        i == scale * f for i, f in zip(ints, fractions)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYNOMIALS, _ENDS, _ENDS)
+# t (2t - 1) (t + 3): roots -3, 0 and 1/2, a bisection midpoint
+@example([0, -3, 5, 2], Fraction(1, 4), Fraction(3, 4))
+@example([0, -3, 5, 2], None, None)
+@example([Fraction(1, 2), 0, Fraction(-1, 4)], None, None)  # -(t^2 - 2) / 4
+@example([-8, 12, -6, 1], 0, 2)  # (t - 2)^3
+@example([0, 0, 4, 0, -1], None, None)  # t^2 (4 - t^2)
+def test_integer_sturm_core_matches_the_fraction_oracle(coeffs, lo, hi):
+    """Counts, intervals, squarefree parts and chains of the integer core
+    agree with the classical Fraction route: counts and intervals exactly,
+    polynomials up to a positive factor, with int coefficients."""
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    sf = squarefree_part(coeffs)
+    assert _positive_multiple(sf, oracle_squarefree_part(coeffs))
+    for chain, oracle in ((sturm_chain(coeffs), oracle_sturm_chain(coeffs)),
+                          (sturm_chain(sf), oracle_sturm_chain(sf))):
+        assert all(type(c) is int for member in chain for c in member)
+        assert len(chain) == len(oracle)
+        assert all(map(_positive_multiple, chain, oracle))
+    assert count_real_roots(coeffs) == oracle_count_real_roots(coeffs)
+    assert count_real_roots(coeffs, lo, hi) == oracle_count_real_roots(coeffs, lo, hi)
+    interval = oracle_isolate_real_root(coeffs)
+    if interval is not None:
+        assert count_real_roots(coeffs, *interval) == 1
+    # last: with wrong counts the bisection need not end
+    assert isolate_real_root(coeffs) == interval
