@@ -486,6 +486,9 @@ class TwistedAlgebra:
         missing = [key for key in ("group", "C") if key not in data]
         if missing:
             raise ValueError(f"algebra JSON lacks {', '.join(missing)}")
+        unknown = sorted(map(repr, set(data) - {"group", "basis", "ring", "C"}))
+        if unknown:
+            raise ValueError(f"algebra JSON has unknown keys {', '.join(unknown)}")
         group = group_by_name(data["group"])
         ring_name = data.get("ring", "rational")
         if ring_name == "rational":

@@ -21,12 +21,13 @@ det M^L is restricted to rational lines until one has a real root,
 isolated with a Sturm certificate over the integers (the handful of
 sign arrays this rejects have positive *semi*definite determinants whose
 nontrivial real zeros are all irrational, so no rational sign-change
-pair exists; a searched line witness carries the ``find_psd_sos``
-evidence of its determinant, and a witness carried along a rescaling
-orbit carries that evidence mapped by y -> s o y, re-checked on its own
-determinant); a table no route decides is left undetermined.  A
+pair exists; a line witness carries the ``find_psd_sos`` evidence of
+its determinant); a table no route decides is left undetermined.  A
 positive-definite certificate and a sign change exclude each other, so
-the order of the first two routes cannot change a verdict.
+the order of the first two routes cannot change a verdict.  Tables with
+the same det M^L have the same zero-divisor answer, so within one
+``classify`` call each distinct det M^L goes through the probes and the
+line search once, and every table with it gets that witness.
 
 Both determinants are read off one Leibniz table per (group, side),
 built on first use (``_leibniz_table``): each entry of M^L(y) is one cell
@@ -41,9 +42,9 @@ reduced by the fraction-free ``_linalg.det``, and a line root or a
 survivor on determinants that ``symbolic_det`` expands from the
 polynomial matrices ``algebra.mult_matrix`` builds.
 
-Every zero divisor on a rational line, whether found by the line search,
-carried along a sign-rescaling orbit, or forced by an odd-order cyclic
-subgroup, is built by ``RealRootRejection.on_line``, which shares its
+Every zero divisor on a rational line, whether found by the line search
+or forced by an odd-order cyclic subgroup, is built by
+``RealRootRejection.on_line``, which shares its
 restriction to the line with ``RealRootRejection.verify``.
 ``verify_verdict`` is the one re-check of any verdict on its table's own
 determinants.
@@ -55,7 +56,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,7 +66,6 @@ from .identities import identity_space, loop_property_suite
 from .poly import (
     MultiPoly,
     SignChangeWitness,
-    SosCertificate,
     certifies_positive_definite,
     count_real_roots,
     find_diagonal_sos,
@@ -158,9 +157,8 @@ class RealRootRejection:
     runs over t and the others take the rational values in ``base`` (not
     all zero, so the line avoids the origin).  ``coefficients`` is the
     restricted determinant, which has a real root inside ``interval``.
-    ``psd`` is an SOS certificate that the determinant is nonnegative
-    everywhere: ``find_psd_sos``'s for a searched line, the representative's
-    mapped along its rescaling orbit for a transported one, or None.
+    ``psd`` is ``find_psd_sos``'s certificate that the determinant is
+    nonnegative everywhere, or None.
     """
 
     position: int
@@ -171,10 +169,9 @@ class RealRootRejection:
     psd: object = None
 
     @classmethod
-    def on_line(cls, det_poly, position, base, psd=None):
-        """The verified witness on this line, carrying ``psd`` as given, or
-        None when the restriction has no real root, the line is malformed
-        or ``psd`` is not a certificate for ``det_poly``."""
+    def on_line(cls, det_poly, position, base):
+        """The verified witness on this line, with no ``psd``, or None when
+        the restriction has no real root or the line is malformed."""
         coeffs = _restrict_to_line(det_poly, position, base)
         if coeffs is None or len(coeffs) <= 1:
             return None
@@ -182,20 +179,21 @@ class RealRootRejection:
         if interval is None:
             return None
         # the isolating interval holds exactly one root
-        witness = cls(position, tuple(base), tuple(coeffs), interval, 1, psd)
+        witness = cls(position, tuple(base), tuple(coeffs), interval, 1)
         return witness if witness.verify(det_poly) else None
 
     def verify(self, det_poly):
         """True iff the restriction to the line is ``coefficients``, it has
         a root in the interval, and ``psd`` (if any) verifies on
-        ``det_poly``; False, not an error, for a malformed line or an
-        interval with lo >= hi."""
+        ``det_poly``; False, not an error, for a malformed line, a constant
+        or zero restriction, or an interval with lo >= hi."""
         coeffs = _restrict_to_line(det_poly, self.position, self.base)
         if coeffs is None or [Fraction(c) for c in self.coefficients] != coeffs:
             return False
         lo, hi = self.interval
         return (
-            lo < hi
+            len(coeffs) > 1
+            and lo < hi
             and count_real_roots(coeffs, lo, hi) >= self.root_count >= 1
             and (self.psd is None or verify_sos(det_poly, self.psd))
         )
@@ -372,52 +370,24 @@ def zero_divisor_witness(det_l):
     return find_sign_change(det_l) or line_root_rejection(det_l)
 
 
-def _classify_one(candidate):
+def _classify_one(candidate, witnesses):
     """The table's survivor certificate or zero-divisor witness, or None;
-    det M^R is built only once det M^L has its survivor certificate."""
+    det M^R is built only once det M^L has its survivor certificate.
+
+    ``witnesses`` maps the terms of each det M^L searched so far to its
+    ``zero_divisor_witness``: a table whose det M^L is already there gets
+    that witness, which is a witness for its own det M^L, with no search.
+    """
     det_l = det_polynomial(candidate.constant)
     cert_l = find_diagonal_sos(det_l)
     if cert_l is not None:
         cert_r = find_diagonal_sos(det_polynomial(candidate.constant, left=False))
         if cert_r is not None:
             return SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
-    return zero_divisor_witness(det_l)
-
-
-def _flat(constant):
-    """The table's cells in row-major order, as one tuple."""
-    return tuple(itertools.chain.from_iterable(constant.values))
-
-
-@functools.cache
-def _rescaling_signs(group):
-    """(signs, s) for every sign vector s with s_0 = 1, where
-    signs[a * n + b] = s_a s_b s_ab (row-major, n the group order);
-    built once per group."""
-    out = []
-    for rest in _sign_options(group.order - 1):
-        s = (1,) + rest
-        signs = tuple(
-            s[a] * s[b] * s[ab]
-            for a, row in enumerate(group.cayley)
-            for b, ab in enumerate(row)
-        )
-        out.append((signs, s))
-    return tuple(out)
-
-
-def _rescaled_tables(constant):
-    """(flat table, s) for every sign vector s with s_0 = 1, the table's
-    cells in row-major order.
-
-    Rescaling the basis, v_g -> s_g v_g, turns C into the table
-    C^s(a, b) = s_a s_b s_ab C(a, b).  The map w_g -> s_g v_g is a graded
-    isomorphism from the algebra of C^s onto that of C, so
-    det M^L_{C^s}(y) = det M^L_C(s o y), and likewise for M^R.
-    """
-    cells = _flat(constant)
-    for signs, s in _rescaling_signs(constant.group):
-        yield tuple(map(operator.mul, signs, cells)), s
+    key = frozenset(det_l.terms.items())
+    if key not in witnesses:
+        witnesses[key] = zero_divisor_witness(det_l)
+    return witnesses[key]
 
 
 def _det_left_at(constant):
@@ -465,40 +435,6 @@ def verify_verdict(constant, verdict):
     return False
 
 
-def _transport(result, s, candidate):
-    """The result of C carried to the candidate with table C^s.
-
-    A line root is rebuilt on the mapped line, on the candidate's own
-    det M^L, with C's PSD certificate mapped by y -> s o y (each base
-    evaluated at s o y) and re-checked there.  A sign change is mapped by
-    y -> s o y and a survivor certificate is carried as it is; either is
-    returned only when ``verify_verdict`` accepts it for the candidate.
-    Returns None when a check fails or there is no certificate to carry.
-    """
-    if isinstance(result, RealRootRejection):
-        det_l = det_polynomial(candidate.constant)
-        # the line y_i = t, y_j = base_j of C is, under y -> s o y, the
-        # line y_i = t, y_j = s_j base_j of C^s (t -> s_i t spans it too)
-        others = (v for i, v in enumerate(s) if i != result.position)
-        base = tuple(map(operator.mul, others, result.base))
-        psd = result.psd
-        if psd is not None:
-            # det_{C^s}(y) = det_C(s o y) = sum c * base(s o y)^2
-            point = list(map(operator.mul, s, MultiPoly.variables(det_l.vars)))
-            psd = SosCertificate(tuple((c, b.evaluate(point)) for c, b in psd.parts))
-        return RealRootRejection.on_line(det_l, result.position, base, psd)
-    if isinstance(result, SignChangeWitness):
-        # det_{C^s}(s o p) = det_C(p): both values carry over unchanged
-        result = SignChangeWitness(
-            tuple(map(operator.mul, s, result.positive_point)),
-            tuple(map(operator.mul, s, result.nonpositive_point)),
-            result.positive_value,
-            result.nonpositive_value,
-        )
-    # the SOS bases are monomials, whose squares are unchanged by y -> s o y
-    return result if verify_verdict(candidate.constant, result) else None
-
-
 def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     """Full classification run; deterministic given the enumeration order.
 
@@ -508,10 +444,10 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
     the undetermined bucket; for the shaped runs of the supported groups
     that bucket is empty.
 
-    The first candidate of each sign-rescaling orbit is classified; a
-    later candidate of the same orbit gets that result mapped by
-    y -> s o y and re-checked on its own determinants (``_transport``),
-    and is classified itself if any check fails.
+    A table is rejected exactly when det M^L or det M^R vanishes off 0,
+    so tables with the same det M^L share one zero-divisor answer: each
+    distinct det M^L is searched once per call, and its witness is kept
+    only until the call returns.
     """
     if isinstance(group, str):
         group = group_by_name(group)
@@ -522,15 +458,9 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
             group.name, convention, mode, 1, [], [(candidates[0], cert)], []
         )
     rejected, survivors, undetermined = [], [], []
-    orbit_results = {}  # flat table C^s -> (result for C, s)
+    witnesses = {}  # terms of det M^L -> its zero_divisor_witness
     for cand in candidates:
-        known = orbit_results.get(_flat(cand.constant))
-        result = _transport(*known, cand) if known else None
-        if result is None:
-            result = _classify_one(cand)
-            if known is None:
-                for table, s in _rescaled_tables(cand.constant):
-                    orbit_results.setdefault(table, (result, s))
+        result = _classify_one(cand, witnesses)
         if isinstance(result, SurvivorCertificate):
             survivors.append((cand, result))
         elif result is None:

@@ -776,11 +776,13 @@ def _variations(chain, a, b):
 
 
 def _squarefree_chain(coeffs):
-    """(Sturm chain, Cauchy bound) of the squarefree part; a constant has
-    no chain, so no sign variations anywhere.  An empty list is a
-    ValueError."""
+    """(Sturm chain, Cauchy bound) of the squarefree part; a nonzero
+    constant has no chain, so no sign variations anywhere.  An empty list
+    or the zero polynomial, which vanishes everywhere, is a ValueError."""
     if not coeffs:
         raise ValueError("empty coefficient list")
+    if not any(coeffs):
+        raise ValueError("zero polynomial")
     sf = squarefree_part(coeffs)
     return ([], 1) if len(sf) == 1 else (sturm_chain(sf), cauchy_bound(sf))
 
@@ -791,7 +793,8 @@ def count_real_roots(coeffs, lo=None, hi=None):
     Counts on the integer chain of the squarefree part, so a multiple
     root counts once.  An omitted end is taken at minus or plus the
     ``cauchy_bound``, which strictly encloses every root, so the count is
-    the same as at -inf or +inf.  An empty list or lo > hi is a ValueError.
+    the same as at -inf or +inf.  An empty list, the zero polynomial or
+    lo > hi is a ValueError.
     """
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"empty interval: lo {lo} > hi {hi}")
@@ -816,10 +819,10 @@ ROOT_INTERVAL_WIDTH = Fraction(1, 16)
 def isolate_real_root(coeffs):
     """Rational interval (lo, hi] of width at most ``ROOT_INTERVAL_WIDTH``
     holding exactly one real root, or None when there is none; an empty
-    list is a ValueError.  Sturm-guided bisection of the Cauchy interval
-    on one integer chain: the ends share a denominator, doubled at each
-    step, and their sign variations are kept, so a step evaluates the
-    chain once, at the midpoint."""
+    list or the zero polynomial is a ValueError.  Sturm-guided bisection
+    of the Cauchy interval on one integer chain: the ends share a
+    denominator, doubled at each step, and their sign variations are
+    kept, so a step evaluates the chain once, at the midpoint."""
     chain, bound = _squarefree_chain(coeffs)
     a_lo, a_hi, den = -bound.numerator, bound.numerator, bound.denominator
     v_lo, v_hi = _variations(chain, a_lo, den), _variations(chain, a_hi, den)

@@ -49,9 +49,7 @@ from twistdiv.poly import (
     MultiPoly,
     SignChangeWitness,
     certifies_positive_definite,
-    SosCertificate,
     count_real_roots,
-    find_psd_sos,
     symbolic_det,
     verify_sos,
 )
@@ -129,41 +127,10 @@ def test_classify_z4_left():
     assert witness.verify(det_l)
 
 
-def _rescaled_candidate(cand, s):
-    """The candidate with table C^s, for C the table of ``cand``."""
-    flat = next(t for t, sv in CLASSIFY._rescaled_tables(cand.constant) if sv == s)
-    table = [flat[i:i + 4] for i in range(0, 16, 4)]
-    return CLASSIFY.CandidateConstant(
-        StructureConstant(cand.constant.group, table, LEFT_STANDARD), ()
-    )
-
-
-def test_line_root_transported_across_a_flipped_coordinate():
-    """s flips y1, the coordinate the line runs along: the witness is
-    rebuilt on C^s's own det M^L at the same position, with base s o base,
-    and keeps its PSD annotation."""
-    rep = classify("Z4", LEFT_STANDARD, SHAPED)
-    (cand, _), = [
-        (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
-    ]
-    base = (1, 1, 0)
-    det_c = det_polynomials(cand.constant)[0]
-    witness = RealRootRejection.on_line(det_c, 1, base, find_psd_sos(det_c))
-    assert witness is not None
-    s = (1, -1, 1, 1)
-    flipped = _rescaled_candidate(cand, s)
-    moved = CLASSIFY._transport(witness, s, flipped)
-    det_l = det_polynomials(flipped.constant)[0]
-    assert isinstance(moved, RealRootRejection) and moved.verify(det_l)
-    assert moved.position == 1
-    assert moved.base == tuple(si * v for si, v in zip((s[0],) + s[2:], base))
-    assert moved.psd is not None and verify_sos(det_l, moved.psd)
-
-
-def test_raw_z4_searches_one_psd_certificate_and_carries_it(monkeypatch):
-    """Of raw Z4's 4 line roots one is searched; the other 3 are carried
-    along its rescaling orbit with its PSD certificate mapped by
-    y -> s o y, which verifies on each table's own det M^L."""
+def test_raw_z4_searches_a_psd_certificate_per_line_root(monkeypatch):
+    """Raw Z4's 4 line roots lie on 4 distinct det M^L, so each is
+    searched, with one ``find_psd_sos`` call, and its certificate
+    verifies on that table's own det M^L."""
     calls = []
     search = CLASSIFY.find_psd_sos
 
@@ -174,30 +141,51 @@ def test_raw_z4_searches_one_psd_certificate_and_carries_it(monkeypatch):
     monkeypatch.setattr(CLASSIFY, "find_psd_sos", counting)
     rep = classify("Z4", LEFT_STANDARD, RAW)
     roots = [(c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)]
-    assert len(calls) == 1 and len(roots) == 4
+    assert len(calls) == 4 and len(roots) == 4
     for cand, witness in roots:
         det_l = det_polynomials(cand.constant)[0]
         assert witness.psd is not None and verify_sos(det_l, witness.psd)
 
 
-def test_transport_rechecks_the_carried_psd_certificate():
-    """A corrupted certificate fails on the candidate's own determinant, so
-    nothing is carried; a representative without one passes none on."""
+def test_line_root_verify_is_false_on_an_interval_without_a_root():
+    """The coefficients match, but (0, 1] holds no root of (t^2 - 2)^2:
+    the Sturm count over the interval, not over the line, must decide."""
     rep = classify("Z4", LEFT_STANDARD, SHAPED)
     (cand, witness), = [
         (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
     ]
-    s = (1, -1, 1, -1)
-    flipped = _rescaled_candidate(cand, s)
-    assert CLASSIFY._transport(witness, s, flipped).psd is not None
-    (coeff, base), *rest = witness.psd.parts
-    corrupted = SosCertificate(((coeff + 1, base), *rest))
-    assert verify_sos(det_polynomials(cand.constant)[0], corrupted) is False
-    changed = dataclasses.replace(witness, psd=corrupted)
-    assert CLASSIFY._transport(changed, s, flipped) is None
-    bare = dataclasses.replace(witness, psd=None)
-    moved = CLASSIFY._transport(bare, s, flipped)
-    assert moved is not None and moved.psd is None
+    det_l = det_polynomials(cand.constant)[0]
+    assert witness.coefficients == (4, 0, -4, 0, 1) and witness.verify(det_l)
+    assert count_real_roots(list(witness.coefficients)) == 2
+    moved = dataclasses.replace(witness, interval=(Fraction(0), Fraction(1)))
+    assert moved.verify(det_l) is False
+
+
+def test_line_root_verify_is_false_on_a_survivor_line():
+    """On a survivor's det M^L no line restriction has a real root, so a
+    witness with the true coefficients and a wide interval still fails."""
+    cand, _ = classify("Z4", LEFT_STANDARD, SHAPED).survivors[0]
+    det_l = det_polynomials(cand.constant)[0]
+    coeffs = CLASSIFY._restrict_to_line(det_l, 0, (1, 0, -1))
+    assert len(coeffs) > 1 and count_real_roots(coeffs) == 0
+    forged = RealRootRejection(
+        0, (1, 0, -1), tuple(coeffs), (Fraction(-8), Fraction(8)), 1
+    )
+    assert forged.verify(det_l) is False
+    assert verify_verdict(cand.constant, forged) is False
+
+
+@pytest.mark.parametrize("base", [(0, 1, 1), (1, 0, 1)], ids=["zero", "constant"])
+def test_line_root_verify_is_false_on_a_constant_restriction(base):
+    """y1^2 y3^2 on a line along y0 is the zero polynomial where y1 = 0
+    and the constant 1 where y1 = y3 = 1; verify answers False, not an
+    error, though the Sturm core refuses the zero polynomial."""
+    y = MultiPoly.variables(("y0", "y1", "y2", "y3"))
+    p = y[1] * y[1] * y[3] * y[3]
+    coeffs = CLASSIFY._restrict_to_line(p, 0, base)
+    assert coeffs == [base[0]]
+    interval = (Fraction(-1), Fraction(1))
+    assert RealRootRejection(0, base, tuple(coeffs), interval, 1).verify(p) is False
 
 
 @pytest.mark.parametrize(
@@ -645,58 +633,7 @@ def _assert_report_verifies(rep):
 
 
 def _count_searches(monkeypatch):
-    calls = []
-    search = CLASSIFY._classify_one
-
-    def counting(candidate):
-        calls.append(candidate)
-        return search(candidate)
-
-    monkeypatch.setattr(CLASSIFY, "_classify_one", counting)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "group, mode, searches",
-    [("Z2", SHAPED, 2), ("Z2xZ2", SHAPED, 32), ("Z4", SHAPED, 64),
-     ("Z2xZ2", RAW, 256), ("Z4", RAW, 128)],
-)
-def test_one_search_per_rescaling_orbit(monkeypatch, group, mode, searches):
-    """Raw Z4 is 128 orbits of 4 tables and raw Z2xZ2 256 orbits of 2; a
-    shaped enumeration holds one table per orbit.  Every certificate,
-    transported or not, verifies independently of the search code."""
-    calls = _count_searches(monkeypatch)
-    rep = classify(group, LEFT_STANDARD, mode)
-    assert len(calls) == searches
-    assert not rep.undetermined
-    _assert_report_verifies(rep)
-
-
-def test_a_certificate_that_fails_its_check_is_searched_again(monkeypatch):
-    """Pair every table of an orbit with the identity rescaling, so that
-    witness points are carried unflipped: those whose values change fail
-    the exact re-check, and their candidates are classified themselves."""
-
-    def unflipped(constant):
-        n = constant.group.order
-        for table, _ in rescalings(constant):
-            yield table, (1,) * n
-
-    rescalings = CLASSIFY._rescaled_tables
-    monkeypatch.setattr(CLASSIFY, "_rescaled_tables", unflipped)
-    calls = _count_searches(monkeypatch)
-    rep = classify("Z4", LEFT_STANDARD, RAW)
-    assert 128 < len(calls) < 512
-    kinds = [type(w).__name__ for _, w in rep.rejected]
-    assert (kinds.count("SignChangeWitness"), kinds.count("RealRootRejection"),
-            len(rep.survivors)) == (504, 4, 4)
-    _assert_report_verifies(rep)
-
-
-@pytest.mark.parametrize("group, searches", [("Z2", 1), ("Z2xZ2", 31), ("Z4", 63)])
-def test_survivors_are_certified_before_the_probes(monkeypatch, group, searches):
-    """Only the rejected tables reach the sign-change search: a
-    positive-definite certificate and a sign change exclude each other."""
+    """The det M^L that each ``find_sign_change`` call is given."""
     calls = []
     search = CLASSIFY.find_sign_change
 
@@ -705,14 +642,72 @@ def test_survivors_are_certified_before_the_probes(monkeypatch, group, searches)
         return search(p)
 
     monkeypatch.setattr(CLASSIFY, "find_sign_change", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "group, mode, searches",
+    [("Z2", SHAPED, 1), ("Z2xZ2", SHAPED, 22), ("Z4", SHAPED, 42),
+     ("Z2xZ2", RAW, 101), ("Z4", RAW, 99)],
+)
+def test_one_search_per_distinct_det_m_l(monkeypatch, group, mode, searches):
+    """Each distinct det M^L of a rejected table is searched exactly once
+    per call (31 shaped Z2xZ2 rejections have 22, raw Z4's 508 have 99).
+    Every certificate, shared or not, verifies independently of the
+    search code."""
+    calls = _count_searches(monkeypatch)
+    rep = classify(group, LEFT_STANDARD, mode)
+    searched = {frozenset(p.terms.items()) for p in calls}
+    rejected = {
+        frozenset(det_polynomial(c.constant).terms.items()) for c, _ in rep.rejected
+    }
+    assert len(calls) == len(searched) == len(rejected) == searches
+    assert searched == rejected
+    assert not rep.undetermined
+    _assert_report_verifies(rep)
+
+
+@pytest.mark.parametrize("group", ["Z2xZ2", "Z4"])
+def test_raw_witnesses_are_the_search_on_their_own_det_m_l(group):
+    """A shared witness is the one a search on the table's own det M^L
+    finds, so no witness depends on the enumeration order."""
+    rep = classify(group, LEFT_STANDARD, RAW)
+    assert len(rep.rejected) in (508, 510)
+    for cand, witness in rep.rejected:
+        det_l = det_polynomial(cand.constant)
+        assert witness == CLASSIFY.zero_divisor_witness(det_l)
+
+
+def test_no_search_outlives_a_classify_call(monkeypatch):
+    """Two calls back to back each make the full search count and the
+    same report: the shared witnesses are dropped when a call returns."""
+    calls = _count_searches(monkeypatch)
+    first = classify("Z4", LEFT_STANDARD, SHAPED)
+    assert len(calls) == 42
+    second = classify("Z4", LEFT_STANDARD, SHAPED)
+    assert len(calls) == 84
+    assert calls[:42] == calls[42:]
+    assert first == second
+
+
+@pytest.mark.parametrize("group, rejected", [("Z2", 1), ("Z2xZ2", 31), ("Z4", 63)])
+def test_survivors_are_certified_before_the_probes(monkeypatch, group, rejected):
+    """Only the rejected tables reach the sign-change search, one search
+    per distinct det M^L: a positive-definite certificate and a sign
+    change exclude each other."""
+    calls = _count_searches(monkeypatch)
     rep = classify(group, LEFT_STANDARD, SHAPED)
-    assert len(calls) == searches
-    assert len(rep.survivors) == 1
+    assert len(rep.rejected) == rejected and len(rep.survivors) == 1
+    (survivor, _), = rep.survivors
+    assert det_polynomial(survivor.constant) not in calls
+    dets = (det_polynomial(c.constant) for c, _ in rep.rejected)
+    assert calls == list(dict.fromkeys(dets))
 
 
 def test_det_m_r_is_built_only_for_survivors(monkeypatch):
     """A rejected table builds det M^L only; a survivor builds det M^R
-    once det M^L has its certificate."""
+    once det M^L has its certificate.  A rejected table whose det M^L was
+    searched before builds det M^L and gets the same witness unsearched."""
     survivor = classify("Z4", LEFT_STANDARD, SHAPED).survivors[0][0]
     rejected = enumerate_candidates("Z4", LEFT_STANDARD, RAW)[0]
     sides = []
@@ -723,12 +718,18 @@ def test_det_m_r_is_built_only_for_survivors(monkeypatch):
         return build(constant, left)
 
     monkeypatch.setattr(CLASSIFY, "det_polynomial", counting)
-    witness = CLASSIFY._classify_one(rejected)
+    witnesses = {}
+    witness = CLASSIFY._classify_one(rejected, witnesses)
     assert isinstance(witness, (SignChangeWitness, RealRootRejection))
-    assert sides == [True]
+    assert sides == [True] and len(witnesses) == 1
     sides.clear()
-    assert isinstance(CLASSIFY._classify_one(survivor), CLASSIFY.SurvivorCertificate)
-    assert sides == [True, False]
+    calls = _count_searches(monkeypatch)
+    assert CLASSIFY._classify_one(rejected, witnesses) is witness
+    assert sides == [True] and not calls
+    sides.clear()
+    cert = CLASSIFY._classify_one(survivor, witnesses)
+    assert isinstance(cert, CLASSIFY.SurvivorCertificate)
+    assert sides == [True, False] and len(witnesses) == 1
 
 
 @pytest.mark.parametrize("nvars", [2, 6])

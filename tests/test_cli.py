@@ -171,13 +171,13 @@ CLASSIFY_SHA256 = [
     ("Z2", "right", "shaped", "21aac6c4d48fd70a1d6d8f988fcb34cd0d1a90b2fdd9d5d8fed9522ce3b5c76a"),
     ("Z2", "right", "raw", "1cd69c831053ff620212098025033ba37629471063172a6c88f9b6cb05b5c2f3"),
     ("Z2xZ2", "left", "shaped", "9ff97b533681a3e1deb61946bd976b8af1a36cb895c1567929d592dda4a1cdc1"),
-    ("Z2xZ2", "left", "raw", "55b95e32ffc1255bb995ff37eaadffba45ddd7fd8dfd6c862dc769b837be1ed6"),
+    ("Z2xZ2", "left", "raw", "f31a48e7ebb49756884692f59a2c33405f80cf47c3a5f3917bf4b9e223ac4629"),
     ("Z2xZ2", "right", "shaped", "07a90e34fec18761e30cb74d5ba23f6549d3a7c49ea5ecbab3a6c85a0b3ba607"),
-    ("Z2xZ2", "right", "raw", "1ee2e755699f5bfe5f24495c1780cfc2300701630c0f7e02c53bc8f89c877e2e"),
+    ("Z2xZ2", "right", "raw", "2d1e6eb7fea408451978a1bc58d0566384c1501d14fc228d1f9a5f8cc412f093"),
     ("Z4", "left", "shaped", "6c6bacf4c44b475c5cbe90e11f1265905162288c8ae2679899cedc44a014c2cd"),
-    ("Z4", "left", "raw", "a8b0511dada7213439807302e2bcfc6224d039fbe5bec5106cdeb84c1720e097"),
+    ("Z4", "left", "raw", "a5a3333d46c82d02923fcbeaba8b1f03e7297f1fa4349b295f7f7eeb57b8213d"),
     ("Z4", "right", "shaped", "a8114a8066f4f10add0c9f2c23323dc167a8a9135a9d7be4f187c33dea16b9b1"),
-    ("Z4", "right", "raw", "33a1d12ecd8b3b9f638b197bdc50a5968ac378a4598af2a71a1f61687aa79309"),
+    ("Z4", "right", "raw", "7853f17e887594f863b2d8bb82fca3ecb00900ba569ee491f0189b9c3e1d6b9e"),
 ]
 
 
@@ -465,6 +465,7 @@ _MALFORMED_DOCS = {
     "not_object": [1],
     "num_only": {"group": "Z2", "C": [[1, 1], [1, {"num": 1}]]},
     "string_entry": {"group": "Z2", "C": [[1, 1], [1, "-1"]]},
+    "unknown_key": {"group": "Z2", "C": [[1, 1], [1, -1]], "rings": "rational"},
 }
 
 
@@ -478,6 +479,7 @@ _MALFORMED_DOCS = {
         ["analyze", "--algebra", "{not_object}"],
         ["analyze", "--algebra", "{num_only}"],
         ["analyze", "--algebra", "{string_entry}"],
+        ["analyze", "--algebra", "{unknown_key}"],
         ["identities", "--algebra", "tes", "--pattern", "9"],
         ["deform", "--family", "1", "--k", "0"],
         ["deform", "--family", "1", "--k", "1/0"],
@@ -494,8 +496,8 @@ _MALFORMED_DOCS = {
         ["norms", "--check", "schwarz", "--samples", "0"],
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
-         "not-object", "num-only-entry", "string-entry", "pattern-9", "k-0",
-         "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
+         "not-object", "num-only-entry", "string-entry", "unknown-key",
+         "pattern-9", "k-0", "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
          "unknown-criterion", "unknown-report", "unknown-check", "empty-only",
          "negative-samples", "zero-samples"],
 )

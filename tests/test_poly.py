@@ -177,6 +177,22 @@ def test_verify_sos_examples():
     assert not verify_sos(indefinite, SosCertificate(((Fraction(1), y0),)))
 
 
+@pytest.mark.parametrize("weight", [-1, 0], ids=["negative", "zero"])
+def test_a_weight_of_at_most_zero_is_refused_though_the_sum_matches(weight):
+    """y0^2 + w y1^2 + y2^2 + y3^2 is exactly the polynomial of the parts,
+    and each base is a diagonal form, but with w <= 0 it is not positive
+    definite (it vanishes at v1, or changes sign): no weight <= 0 may
+    pass."""
+    y0, y1, y2, y3 = _ys()
+    p = y0 * y0 + weight * y1 * y1 + y2 * y2 + y3 * y3
+    cert = SosCertificate(tuple(
+        (Fraction(w), b) for w, b in ((1, y0), (weight, y1), (1, y2), (1, y3))
+    ))
+    assert (cert.polynomial() - p).is_zero
+    assert verify_sos(p, cert) is False
+    assert certifies_positive_definite(p, cert) is False
+
+
 def test_sos_positivity_spot_check():
     """verify_sos true implies nonnegative values at random points."""
     rng = random.Random(23)
@@ -496,6 +512,18 @@ def test_real_root_edge_cases():
     with pytest.raises(ValueError, match="lo 2 > hi 1"):
         count_real_roots([-2, 0, 1], 2, 1)
     assert count_real_roots([-2, 0, 1], 1, 1) == 0
+
+
+@pytest.mark.parametrize("zero", [[0], [Fraction(0)], [0, 0, 0]])
+def test_the_zero_polynomial_is_refused(zero):
+    """The zero polynomial vanishes everywhere, so neither a count nor an
+    isolating interval says anything about it."""
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_real_roots(zero)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_real_roots(zero, -1, 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        isolate_real_root(zero)
 
 
 def test_isolate_real_root_brackets_a_root():
