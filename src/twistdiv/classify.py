@@ -12,35 +12,35 @@ Each table is decided by exact routes, in this order: a survivor is
 certified when both determinants have only even exponents and positive
 coefficients, with a pure even power of every variable, which makes
 each a positive-definite sum of squares of monomials (det M^R is built
-only once det M^L has passed, since no other route reads it); otherwise the
-structured probes look for a rational sign-change pair for det M^L (a
-point with positive value and a nonzero point with nonpositive value;
-a probe slice on which det M^L is a one-signed sum of even monomials
-has one sign, so at most its first probe is evaluated); failing that,
-det M^L is restricted to rational lines until one has a real root,
-isolated with a Sturm certificate over the integers (the handful of
-sign arrays this rejects have positive *semi*definite determinants whose
-nontrivial real zeros are all irrational, so no rational sign-change
-pair exists; a line witness carries the ``find_psd_sos`` evidence of
-its determinant); a table no route decides is left undetermined.  A
-positive-definite certificate and a sign change exclude each other, so
-the order of the first two routes cannot change a verdict.  Tables with
-the same det M^L have the same zero-divisor answer, so within one
-``classify`` call each distinct det M^L goes through the probes and the
-line search once, and every table with it gets that witness.
+only once det M^L has passed, since no other route reads it); otherwise
+the structured probes look for a rational sign-change pair for det M^L
+(``find_sign_change``: each probe is evaluated over the integers on the
+nonzero coordinates of each term, and a probe slice on which det M^L is
+a one-signed sum of even monomials has one sign, so at most its first
+probe is evaluated); failing that, det M^L is restricted to rational
+lines until one has a real root, isolated with a Sturm certificate over
+the integers (the handful of sign arrays this rejects have positive
+*semi*definite determinants whose nontrivial real zeros are all
+irrational; a line witness carries the ``find_psd_sos`` evidence of its
+determinant); a table no route decides is left undetermined.  A
+positive-definite certificate and a zero witness exclude each other, so
+the order of the routes cannot change a verdict.  Tables with the same
+det M^L have the same zero-divisor answer, so within one ``classify``
+call each distinct det M^L goes through the probes and the line search
+once, and a later table with it gets that witness with no other route.
 
 Both determinants are read off one Leibniz table per (group, side),
 built on first use (``_leibniz_table``): each entry of M^L(y) is one cell
 C(a, b) times one y_b, so each permutation's sign, monomial and cells
-depend on the group alone, and ``det_polynomial`` only multiplies out
-the cells of the table at hand (sign cells and rational deformation cells
-alike).  ``verify_verdict`` reads no Leibniz table, so it shares
-neither the table nor the polynomial it checks: it re-checks a sign
-change on the numeric matrix M^L at its two points, built by
-``algebra.mult_matrix`` at the point with its denominators cleared and
-reduced by the fraction-free ``_linalg.det``, and a line root or a
-survivor on determinants that ``symbolic_det`` expands from the
-polynomial matrices ``algebra.mult_matrix`` builds.
+depend on the group alone, and ``det_polynomial`` only multiplies out,
+in plain loops, the cells of the flat table at hand (sign cells and
+rational deformation cells alike).  ``verify_verdict`` reads no Leibniz
+table, so it shares neither the table nor the polynomial it checks: it
+re-checks a sign change on the numeric matrix M^L at its two points,
+built by ``algebra.mult_matrix`` at the point with its denominators
+cleared and reduced by the fraction-free ``_linalg.det``, and a line
+root or a survivor on determinants that ``symbolic_det`` expands from
+the polynomial matrices ``algebra.mult_matrix`` builds.
 
 Every zero divisor on a rational line, whether found by the line search
 or forced by an odd-order cyclic subgroup, is built by
@@ -55,7 +55,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -249,10 +248,6 @@ class ClassificationReport:
         }
 
 
-def _sign_options(k):
-    return itertools.product((1, -1), repeat=k)
-
-
 def enumerate_candidates(group, convention, mode=SHAPED):
     """Candidate unital sign arrays for the group and basis convention.
 
@@ -269,7 +264,7 @@ def enumerate_candidates(group, convention, mode=SHAPED):
     out = []
     if mode == RAW:
         cells = [(a, b) for a in range(1, n) for b in range(1, n)]
-        for signs in _sign_options(len(cells)):
+        for signs in itertools.product((1, -1), repeat=len(cells)):
             values = [[1] * n for _ in range(n)]
             for (a, b), s in zip(cells, signs):
                 values[a][b] = s
@@ -279,7 +274,7 @@ def enumerate_candidates(group, convention, mode=SHAPED):
     if mode != SHAPED:
         raise ValueError(f"unknown enumeration mode {mode!r}")
     names = shape_parameters(group.name)
-    for signs in _sign_options(len(names)):
+    for signs in itertools.product((1, -1), repeat=len(names)):
         params = tuple(zip(names, signs))
         constant = shaped_constant(group, dict(params), convention)
         out.append(CandidateConstant(constant, params))
@@ -331,10 +326,14 @@ def det_polynomial(constant, left=True):
     """det M^L in y (``left``) or det M^R in x, as an exact polynomial,
     read off the group's Leibniz table (``_leibniz_table``)."""
     names, table = _leibniz_table(constant.group, left)
-    cells = [v for row in constant.values for v in row].__getitem__
+    flat = [v for row in constant.values for v in row]
     terms = {}
     for exponent, products in table:
-        coeff = sum(sign * math.prod(map(cells, idx)) for sign, idx in products)
+        coeff = 0
+        for sign, idx in products:
+            for i in idx:
+                sign *= flat[i]
+            coeff += sign
         if coeff:
             terms[exponent] = coeff
     return MultiPoly(names, terms, _normalize=False)
@@ -375,16 +374,20 @@ def _classify_one(candidate, witnesses):
     det M^R is built only once det M^L has its survivor certificate.
 
     ``witnesses`` maps the terms of each det M^L searched so far to its
-    ``zero_divisor_witness``: a table whose det M^L is already there gets
-    that witness, which is a witness for its own det M^L, with no search.
+    ``zero_divisor_witness``: a table whose det M^L is there with a
+    witness gets it, with no search and no survivor check, which it
+    would fail; one stored with None may still have a survivor's det M^R.
     """
     det_l = det_polynomial(candidate.constant)
+    key = frozenset(det_l.terms.items())
+    witness = witnesses.get(key)
+    if witness is not None:
+        return witness
     cert_l = find_diagonal_sos(det_l)
     if cert_l is not None:
         cert_r = find_diagonal_sos(det_polynomial(candidate.constant, left=False))
         if cert_r is not None:
             return SurvivorCertificate("positive-definite-sos", cert_l, cert_r)
-    key = frozenset(det_l.terms.items())
     if key not in witnesses:
         witnesses[key] = zero_divisor_witness(det_l)
     return witnesses[key]
@@ -467,15 +470,8 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
             undetermined.append(cand)
         else:
             rejected.append((cand, result))
-    return ClassificationReport(
-        group.name,
-        convention,
-        mode,
-        len(candidates),
-        rejected,
-        survivors,
-        undetermined,
-    )
+    return ClassificationReport(group.name, convention, mode, len(candidates),
+                                rejected, survivors, undetermined)
 
 
 @dataclass(frozen=True)

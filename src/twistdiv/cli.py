@@ -56,6 +56,7 @@ DEFAULT_SEED = 12345
 
 ANALYZE_REPORTS = ("lie", "jordan", "series", "inverses", "properties", "fingerprint")
 DEFORM_CHECKS = ("neccons", "witness", "inverse-iso", "commutator")
+MAX_SAMPLES = 100_000  # minutes of triangle sweep at about 1 ms a sample
 
 
 def _emit(data):
@@ -248,8 +249,8 @@ def cmd_analyze(args):
 def cmd_norms(args):
     import random
 
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must be 1 to {MAX_SAMPLES}, got {args.samples}")
     rng = random.Random(args.seed)
     algebra = algebra_by_name("tes")
     data = {"seed": args.seed}

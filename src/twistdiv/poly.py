@@ -635,9 +635,10 @@ def find_sign_change(p):
     of the slice is skipped.  The kept points and values are those of the
     full walk.
 
-    Each probe is evaluated over the integers on its slice: with L the
-    lcm of p's coefficient denominators, D that of the probe's and
-    d = deg p,
+    Each probe is evaluated over the integers on the nonzero coordinates
+    of each term: with L the lcm of p's coefficient denominators, D that
+    of the probe's (1 for an all-int probe, which is taken as it stands)
+    and d = deg p,
 
         p(x) = (L D^d)^-1 * sum (L c) D^(d - |e|) (D x)^e,
 
@@ -648,29 +649,31 @@ def find_sign_change(p):
         raise ValueError("polynomial must have at least one indeterminate")
     degree = max(p.degree(), 0)
     lcm = math.lcm(*[c.denominator for c in p.terms.values()])
-    # (support bitmask, e, L c) per term.  Exponents are p's own tuples: a
-    # tuple built from a generator is shrunk after allocation and, once
-    # freed, is kept in CPython's free list of its final size, which
-    # raised peak memory.
+    # (support bitmask, e, L c, nonzero (index, exponent) pairs, d - |e|)
+    # per term; e is p's own tuple and the pairs a list, since a tuple built
+    # from a generator is shrunk and, once freed, kept in CPython's free
+    # list of its final size, which raised peak memory.
     scaled = [
-        (sum(1 << i for i, k in enumerate(e) if k), e, int(c * lcm))
+        (sum(1 << i for i, _ in pairs), e, int(c * lcm), pairs, degree - sum(e))
         for e, c in p.terms.items()
+        for pairs in [[(i, k) for i, k in enumerate(e) if k]]
     ]
     kept = {}  # total > 0 -> (point, value) of the first probe of that sign
     for support, points in _probe_slices(len(p.vars)):
-        terms = {e: c for own, e, c in scaled if own | support == support}
-        sign = _even_sign(terms.items())
+        terms = [t for t in scaled if t[0] | support == support]
+        sign = _even_sign([(e, c) for _, e, c, _, _ in terms])
         if sign is not None:
             points = () if (sign > 0) in kept else (next(points),)
         for pt in points:
-            den = math.lcm(*[x.denominator for x in pt])
-            xs = [x.numerator * (den // x.denominator) for x in pt]
+            den, xs = 1, pt
+            if Fraction in map(type, pt):
+                den = math.lcm(*[x.denominator for x in pt])
+                xs = [x.numerator * (den // x.denominator) for x in pt]
             total = 0
-            for e, c in terms.items():
-                for x, k in zip(xs, e):
-                    if k:
-                        c *= x**k
-                total += c * den ** (degree - sum(e))
+            for _, _, c, pairs, deficit in terms:
+                for i, k in pairs:
+                    c *= xs[i] ** k
+                total += c * den**deficit
             if (total > 0) not in kept:
                 kept[total > 0] = pt, Fraction(total, lcm * den**degree)
                 if len(kept) == 2:

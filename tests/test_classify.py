@@ -56,6 +56,7 @@ from twistdiv.poly import (
 
 # the package re-exports the function ``classify`` under the module's name
 CLASSIFY = importlib.import_module("twistdiv.classify")
+POLY = importlib.import_module("twistdiv.poly")
 
 
 def test_enumerate_counts():
@@ -518,6 +519,32 @@ def test_sign_change_recheck_matches_the_determinant_polynomial():
             assert value_at((1,) * (group.order - 1)) is None
 
 
+def test_det_polynomial_keeps_int_and_fraction_coefficients():
+    """Coefficients are ints on every raw sign table.  On a rational
+    deformation member a coefficient is a Fraction exactly when one of
+    its Leibniz products reads a Fraction cell.  The Leibniz tests compare
+    with ==, which would not see the type drift."""
+    for group in ("Z2", "Z2xZ2", "Z4"):
+        for convention in CONVENTIONS:
+            for cand in enumerate_candidates(group, convention, RAW):
+                for det in det_polynomials(cand.constant):
+                    assert {type(c) for c in det.terms.values()} == {int}
+    for family in range(1, 9):
+        constant = family_constant(family, Fraction(1, 2)).constant()
+        flat = [v for row in constant.values for v in row]
+        for left in (True, False):
+            _, table = CLASSIFY._leibniz_table(constant.group, left)
+            det = det_polynomial(constant, left)
+            expected = {
+                exponent: Fraction if any(
+                    type(flat[i]) is Fraction for _, idx in products for i in idx
+                ) else int
+                for exponent, products in table if exponent in det.terms
+            }
+            assert {e: type(c) for e, c in det.terms.items()} == expected
+            assert Fraction in expected.values()
+
+
 def test_sign_change_recheck_reads_no_leibniz_table_or_polynomial(monkeypatch):
     """The sign-change branch of ``verify_verdict`` stays independent of
     the search it checks: it builds no determinant polynomial."""
@@ -632,16 +659,17 @@ def _assert_report_verifies(rep):
         assert certifies_positive_definite(det_r, cert.cert_right)
 
 
-def _count_searches(monkeypatch):
-    """The det M^L that each ``find_sign_change`` call is given."""
+def _count_searches(monkeypatch, name="find_sign_change"):
+    """The polynomial that each call of ``classify.<name>`` is given: by
+    default the det M^L of each sign-change search."""
     calls = []
-    search = CLASSIFY.find_sign_change
+    search = getattr(CLASSIFY, name)
 
     def counting(p):
         calls.append(p)
         return search(p)
 
-    monkeypatch.setattr(CLASSIFY, "find_sign_change", counting)
+    monkeypatch.setattr(CLASSIFY, name, counting)
     return calls
 
 
@@ -665,6 +693,52 @@ def test_one_search_per_distinct_det_m_l(monkeypatch, group, mode, searches):
     assert searched == rejected
     assert not rep.undetermined
     _assert_report_verifies(rep)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize(
+    "group, mode, checks",
+    [("Z2", SHAPED, 3), ("Z2xZ2", SHAPED, 24), ("Z4", SHAPED, 44),
+     ("Z2xZ2", RAW, 105), ("Z4", RAW, 107)],
+)
+def test_no_survivor_check_on_a_det_m_l_with_a_witness(
+    monkeypatch, group, mode, checks, convention
+):
+    """``find_diagonal_sos`` runs once per distinct det M^L of a rejected
+    table and twice per survivor (107 = 99 + 2 * 4 on raw Z4, 516 when
+    every table's det M^L was checked): a table whose det M^L already has
+    a witness in the call is not checked."""
+    calls = _count_searches(monkeypatch, "find_diagonal_sos")
+    rep = classify(group, convention, mode)
+    assert len(calls) == checks
+    assert not rep.undetermined
+
+
+@pytest.mark.parametrize("convention, draws", [
+    (LEFT_STANDARD, (5, 74, 920, 343, 2909)),
+    (RIGHT_STANDARD, (5, 80, 921, 343, 2909)),
+])
+def test_probe_draws_per_classify_call_are_pinned(monkeypatch, convention, draws):
+    """The probe walk draws the same points as before the per-support
+    kernel, per call of shaped Z2, Z2xZ2, Z4 and raw Z2xZ2, Z4: every draw
+    from ``poly._slice_points`` is counted."""
+    drawn = []
+    slice_points = POLY._slice_points
+
+    def counted(*args):
+        for point in slice_points(*args):
+            drawn.append(point)
+            yield point
+
+    monkeypatch.setattr(POLY, "_slice_points", counted)
+    runs = [("Z2", SHAPED), ("Z2xZ2", SHAPED), ("Z4", SHAPED),
+            ("Z2xZ2", RAW), ("Z4", RAW)]
+    counts = []
+    for group, mode in runs:
+        drawn.clear()
+        classify(group, convention, mode)
+        counts.append(len(drawn))
+    assert tuple(counts) == draws
 
 
 @pytest.mark.parametrize("group", ["Z2xZ2", "Z4"])

@@ -494,12 +494,15 @@ _MALFORMED_DOCS = {
         ["accept", "--only", ""],
         ["norms", "--check", "triangle", "--samples", "-3"],
         ["norms", "--check", "schwarz", "--samples", "0"],
+        ["norms", "--check", "triangle", "--samples", "100001"],
+        ["norms", "--check", "triangle", "--samples", "1" + "0" * 21],
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
          "not-object", "num-only-entry", "string-entry", "unknown-key",
          "pattern-9", "k-0", "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
          "unknown-criterion", "unknown-report", "unknown-check", "empty-only",
-         "negative-samples", "zero-samples"],
+         "negative-samples", "zero-samples", "samples-over-ceiling",
+         "samples-10-to-the-21"],
 )
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {}

@@ -406,7 +406,26 @@ def _slice_rule_cases():
         + half * y2**4,
         "fraction-negative-then-odd": -Fraction(1, 3) * y0 * y0 * y1 * y1
         + Fraction(7, 4) * y1 * y2**3,
+        # <= 0 at (1, 1, 0); the positive point (1, 1/2, 0) has D = 2, and
+        # the y0 term and the constant have deficits d - |e| of 1 and 2
+        "half-coordinate-positive-point": 2 * y0 - 4 * y1 * y1 + Fraction(1, 3),
+        # both kept points, (1, 2, 2) and (1, 1, 0), have D = 1
+        "int-points-fraction-coefficients": y0 * y1 * y2 + Fraction(1, 3) * y0
+        - Fraction(5, 2),
     }
+
+
+@pytest.mark.parametrize("name, positive, nonpositive", [
+    ("half-coordinate-positive-point", (1, Fraction(1, 2), 0), (1, 1, 0)),
+    ("int-points-fraction-coefficients", (1, 2, 2), (1, 1, 0)),
+])
+def test_slice_rule_cases_keep_the_points_they_are_built_for(
+    name, positive, nonpositive
+):
+    witness = find_sign_change(_slice_rule_cases()[name])
+    assert (witness.positive_point, witness.nonpositive_point) == (
+        positive, nonpositive
+    )
 
 
 @pytest.mark.parametrize("name", sorted(_slice_rule_cases()))
