@@ -37,15 +37,17 @@ in plain loops, the cells of the flat table at hand (sign cells and
 rational deformation cells alike).  ``verify_verdict`` reads no Leibniz
 table, so it shares neither the table nor the polynomial it checks: it
 re-checks a sign change on the numeric matrix M^L at its two points,
-built by ``algebra.mult_matrix`` at the point with its denominators
-cleared and reduced by the fraction-free ``_linalg.det``, and a line
-root or a survivor on determinants that ``symbolic_det`` expands from
-the polynomial matrices ``algebra.mult_matrix`` builds.
+built by ``algebra.mult_matrix`` at the point itself and reduced by the
+fraction-free ``_linalg.det``, which does the one clearing of
+denominators, row by row; it re-checks a line root or a survivor on
+determinants that ``symbolic_det`` expands from the polynomial matrices
+``algebra.mult_matrix`` builds.
 
 Every zero divisor on a rational line, whether found by the line search
 or forced by an odd-order cyclic subgroup, is built by
-``RealRootRejection.on_line``, which shares its
-restriction to the line with ``RealRootRejection.verify``.
+``RealRootRejection.on_line``, which shares its restriction to the line
+with ``RealRootRejection.verify``: ``_restrict_to_line`` reads the
+coefficients in t straight off the determinant's terms.
 ``verify_verdict`` is the one re-check of any verdict on its table's own
 determinants.
 """
@@ -65,6 +67,7 @@ from .identities import identity_space, loop_property_suite
 from .poly import (
     MultiPoly,
     SignChangeWitness,
+    _trim,
     certifies_positive_definite,
     count_real_roots,
     find_diagonal_sos,
@@ -72,7 +75,6 @@ from .poly import (
     find_sign_change,
     isolate_real_root,
     symbolic_det,
-    uni_coeffs,
     verify_sos,
 )
 
@@ -139,13 +141,25 @@ class CandidateConstant:
 def _restrict_to_line(det_poly, position, base):
     """Ascending coefficients in t of ``det_poly`` with component
     ``position`` set to t and the others to ``base``; None when the line
-    is malformed (position out of range, wrong base length, zero base)."""
+    is malformed (position out of range, wrong base length, zero base).
+
+    Each term's coefficient times the base powers is added into slot
+    ``e[position]``; a zero product is skipped and a slot that sums to
+    zero is reset to the int 0, so an int stays an int and a Fraction a
+    Fraction."""
     nvars = len(det_poly.vars)
     if not 0 <= position < nvars or len(base) != nvars - 1 or not any(base):
         return None
-    others = (v for i, v in enumerate(det_poly.vars) if i != position)
-    bindings = dict(zip(others, base))
-    return uni_coeffs(det_poly.specialize(bindings), det_poly.vars[position])
+    point = list(base)
+    point.insert(position, 1)
+    coeffs = [0] * (max((e[position] for e in det_poly.terms), default=0) + 1)
+    for e, c in det_poly.terms.items():
+        for x, k in zip(point, e):
+            if k:
+                c *= x**k
+        if c:
+            coeffs[e[position]] = coeffs[e[position]] + c or 0
+    return _trim(coeffs)
 
 
 @dataclass(frozen=True)
@@ -395,11 +409,10 @@ def _classify_one(candidate, witnesses):
 
 def _det_left_at(constant):
     """det M^L of the table as an exact function of a rational point (None
-    for a point of the wrong length), with no polynomial built.
-
-    M^L(y) is linear in y, so det M^L(p) = det M^L(D p) / D^n, where D
-    clears the denominators of p; M^L(D p) comes from the product kernel
-    ``mult_matrix`` and its determinant from ``_linalg.det``.
+    for a point of the wrong length), with no polynomial built: M^L at the
+    point comes from the product kernel ``mult_matrix`` and its
+    determinant from ``_linalg.det``, which clears each row's
+    denominators and divides the scales back out.
     """
     entries = structure_entries(constant)
     n = constant.group.order
@@ -407,8 +420,7 @@ def _det_left_at(constant):
     def det_l(point):
         if len(point) != n:
             return None
-        den, ints = _linalg.clear_denominators(point)
-        return Fraction(_linalg.det(mult_matrix(entries, ints, True, 0)), den**n)
+        return _linalg.det(mult_matrix(entries, point, True, 0))
 
     return det_l
 

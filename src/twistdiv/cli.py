@@ -148,6 +148,8 @@ def cmd_cohomology(args):
     if constant.group.is_abelian():
         q = coh.q_function(constant)
         kappa = coh.find_coboundary_kappa(q, constant.group)
+    elif args.check or args.show in ("q", "kappa"):
+        raise ValueError("checks on q require an abelian grading group")
     if args.show in (None, "r"):
         data["r"] = r.table
     if args.show in (None, "q") and q is not None:
@@ -156,8 +158,6 @@ def cmd_cohomology(args):
         data["kappa"] = kappa.table
     failures = 0
     if args.check:
-        if q is None:
-            raise ValueError("checks on q require an abelian grading group")
         results = {}
         if "cocycle" in args.check:
             results["cocycle"] = coh.is_2cocycle(q, constant.group)

@@ -168,11 +168,13 @@ MAX_ROOT_SCALE = 256
 def nth_root_leq(a_power, parts_powers, k):
     """Exact decision of a^(1/k) <= sum_i b_i^(1/k) for rationals >= 0.
 
-    Works on scaled integer k-th root enclosures, doubling the scale
-    until the enclosures separate.  Exact ties can only occur when the
-    ratios b_i/b_0 are perfect k-th powers of rationals (a sum of k-th
-    roots with a rational ratio collapses to a single root); that case is
-    decided exactly up front, so the refinement always terminates.
+    When every ratio b_i/b_0 is the k-th power of a rational r_i, the sum
+    is the single root (b_0 (sum_i r_i)^k)^(1/k) and the comparison is
+    exact.  Otherwise the k-th roots of positive rationals in different
+    classes modulo k-th powers are linearly independent over the
+    rationals (Mordell, 1953), so the sum is no k-th root of a rational and
+    no exact tie is possible: the scaled integer k-th root enclosures,
+    refined by doubling the scale, always separate.
     """
     a = Fraction(a_power)
     bs = [Fraction(b) for b in parts_powers if b != 0]
@@ -180,12 +182,9 @@ def nth_root_leq(a_power, parts_powers, k):
         return True
     if not bs:
         return False
-    if len(bs) == 1:
-        return a <= bs[0]
-    ratio = rational_root(bs[1] / bs[0], k)
-    if ratio is not None:
-        # b0^(1/k) + b1^(1/k) = ((1 + ratio)^k b0)^(1/k)
-        return a <= bs[0] * (1 + ratio) ** k
+    ratios = [rational_root(b / bs[0], k) for b in bs]
+    if None not in ratios:
+        return a <= bs[0] * sum(ratios) ** k
     scale = 16
     while scale <= MAX_ROOT_SCALE:
         shift = 1 << (k * scale)

@@ -163,12 +163,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def used_variables(self):
-        used = set()
-        for e in self.terms:
-            used.update(i for i, k in enumerate(e) if k)
-        return used
-
     def evaluate(self, point):
         """Evaluate at a full point (sequence aligned with ``vars``)."""
         if len(point) != len(self.vars):
@@ -683,19 +677,6 @@ def find_sign_change(p):
 
 
 # -- univariate exact real-root analysis over the integers ---------------
-
-
-def uni_coeffs(p, var):
-    """Ascending coefficients, ints kept, of a MultiPoly univariate in
-    ``var``; a ValueError when any other variable is in use."""
-    idx = p.vars.index(var)
-    if p.used_variables() - {idx}:
-        raise ValueError(f"polynomial is not univariate in {var}")
-    deg = max((e[idx] for e in p.terms), default=0)
-    coeffs = [0] * (deg + 1)
-    for e, c in p.terms.items():
-        coeffs[e[idx]] += c
-    return _trim(coeffs)
 
 
 def _trim(coeffs):

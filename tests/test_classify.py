@@ -220,6 +220,57 @@ def test_line_root_verify_rejects_malformed_witnesses(change):
     assert dataclasses.replace(witness, **change(witness)).verify(det_l) is False
 
 
+def _restrict_by_specialize(det_poly, position, base):
+    """The retired route to a line restriction, kept as an oracle: bind
+    the other components with ``specialize`` and collect the coefficients
+    by the exponent of the free one."""
+    nvars = len(det_poly.vars)
+    if not 0 <= position < nvars or len(base) != nvars - 1 or not any(base):
+        return None
+    others = [v for i, v in enumerate(det_poly.vars) if i != position]
+    restricted = det_poly.specialize(dict(zip(others, base)))
+    coeffs = [0] * (max((e[position] for e in restricted.terms), default=0) + 1)
+    for e, c in restricted.terms.items():
+        coeffs[e[position]] += c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_line_restriction_matches_the_specialize_oracle():
+    """Every distinct det M^L and det M^R of raw Z2xZ2 and raw Z4 in both
+    conventions and of the 32 criterion-12 deformation members, on every
+    position, the 64 line bases of the search (the zero base among them)
+    and the rational base (1/2, 1, 0): the same list with the same
+    element types, None on a malformed line."""
+    dets = {}
+    for group in ("Z2xZ2", "Z4"):
+        for convention in CONVENTIONS:
+            for cand in enumerate_candidates(group, convention, RAW):
+                for det in det_polynomials(cand.constant):
+                    dets.setdefault(frozenset(det.terms.items()), det)
+    for family in range(1, 9):
+        for k in (Fraction(2), Fraction(3), Fraction(4), Fraction(1, 2)):
+            for det in det_polynomials(family_constant(family, k).constant()):
+                dets.setdefault(frozenset(det.terms.items()), det)
+    bases = list(itertools.product((1, 0, -1, 2), repeat=3))
+    bases.append((Fraction(1, 2), 1, 0))
+    lines = [(position, base) for position in range(4) for base in bases]
+    lines += [(-1, (1, 1, 1)), (4, (1, 1, 1)), (0, (1, 1))]
+    types = set()
+    for det in dets.values():
+        for position, base in lines:
+            got = CLASSIFY._restrict_to_line(det, position, base)
+            want = _restrict_by_specialize(det, position, base)
+            assert got == want
+            if want is None:
+                assert got is None
+                continue
+            assert [type(c) for c in got] == [type(c) for c in want]
+            types.update(map(type, got))
+    assert types == {int, Fraction}
+
+
 @pytest.fixture(scope="module")
 def raw_z4_sign_change():
     """det M^L and the witness of the first raw Z4 sign-change rejection."""

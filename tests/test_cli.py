@@ -309,6 +309,22 @@ def test_cohomology_show_kappa(capsys):
     assert json.loads(out)["kappa"] == [1, 1, 1, -1]
 
 
+@pytest.mark.parametrize("group", ["Q8", "D4"])
+def test_cohomology_q_and_kappa_need_an_abelian_group(capsys, tmp_path, group):
+    """On a non-abelian grading group an explicit --show q or --show kappa
+    is the same one-line usage error as --check; no --show prints r only."""
+    path = tmp_path / f"{group}.json"
+    path.write_text(json.dumps({"group": group, "C": [[1] * 8] * 8}))
+    code, out = run_cli(capsys, "cohomology", "--algebra", str(path))
+    assert code == 0
+    assert sorted(json.loads(out)) == ["algebra", "group", "r"]
+    for extra in (["--show", "q"], ["--show", "kappa"], ["--check", "cocycle"]):
+        code = main(["cohomology", "--algebra", str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: checks on q require an abelian grading group\n"
+
+
 def test_analyze(capsys):
     code, out = run_cli(
         capsys, "analyze", "--algebra", "tes",

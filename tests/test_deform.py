@@ -19,6 +19,7 @@ from twistdiv.algebra import (
 from twistdiv.classify import (
     PARAM_NAMES,
     RealRootRejection,
+    _restrict_to_line,
     det_polynomials,
     shaped_constant,
 )
@@ -306,10 +307,8 @@ def test_eps_minus_one_probe_slice():
     probe = dict(TES_PARAMS)
     probe.update({"alpha": 1, "beta": 1, "delta": -1, "epsilon": -1})
     det_l, _ = det_polynomials(parametric_constant(probe))
-    restricted = det_l.specialize({"y0": 1, "y2": 1, "y3": 0})
-    from twistdiv.poly import uni_coeffs
-
-    assert uni_coeffs(restricted, "y1") == [
+    restricted = _restrict_to_line(det_l, 1, (1, 1, 0))
+    assert restricted == [
         Fraction(4), Fraction(0), Fraction(-4), Fraction(0), Fraction(1),
     ]
 

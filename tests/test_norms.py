@@ -196,6 +196,9 @@ def test_nth_root_leq_edge_cases():
     assert not nth_root_leq(5, (), 4)
     assert nth_root_leq(16, (1, 1), 4)        # exact tie 2 = 1 + 1
     assert not nth_root_leq(17, (1, 1), 4)
+    assert nth_root_leq(9, (1, 1, 1), 2)      # exact tie 3 = 1 + 1 + 1
+    assert nth_root_leq(16, (1, 4, 1), 2)     # exact tie 4 = 1 + 2 + 1
+    assert not nth_root_leq(10, (1, 1, 1), 2)
     assert nth_root_leq(Fraction(1, 16), (Fraction(1, 16),), 4)
 
 

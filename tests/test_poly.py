@@ -26,7 +26,6 @@ from twistdiv.poly import (
     structured_probes,
     sturm_chain,
     symbolic_det,
-    uni_coeffs,
     verify_sos,
 )
 
@@ -495,10 +494,6 @@ def test_structured_probes_pinned_order(n, length):
             assert points[index] == point
 
 
-def _uni(coeffs):
-    return MultiPoly(("s",), {(k,): c for k, c in enumerate(coeffs) if c != 0})
-
-
 def test_real_root_decisions():
     assert count_real_roots([-2, 0, 0, 1]) == 1  # s^3 - 2
     assert count_real_roots([1, 0, 1]) == 0  # s^2 + 1
@@ -608,23 +603,6 @@ def test_sturm_code_against_sympy_oracle(coeffs):
     lo, hi = (_sympy_rational(x) for x in interval)
     at_lo = 1 if oracle.eval(lo) == 0 else 0
     assert oracle.count_roots(lo, hi) - at_lo == 1
-
-
-def test_uni_coeffs_round_trip():
-    p = _uni([Fraction(1, 2), 0, 3])
-    assert uni_coeffs(p, "s") == [Fraction(1, 2), Fraction(0), Fraction(3)]
-    with pytest.raises(ValueError, match="univariate"):
-        uni_coeffs(MultiPoly(("s", "t"), {(1, 1): 1}), "s")
-
-
-def test_uni_coeffs_refuses_a_polynomial_in_another_variable():
-    """t^2 + 3 is univariate, but not in s: its coefficients must not be
-    summed into the constant term."""
-    p = MultiPoly(("s", "t"), {(0, 2): 1, (0, 0): 3})
-    with pytest.raises(ValueError, match="univariate in s"):
-        uni_coeffs(p, "s")
-    assert uni_coeffs(p, "t") == [3, 0, 1]
-    assert uni_coeffs(MultiPoly(("s", "t"), {(0, 0): 5}), "s") == [5]
 
 
 def test_homogeneous_determinant_degree():
