@@ -1,19 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain lists of lists; entries may be ints or
-Fractions.  ``rref`` eliminates over Python ints: each row is scaled to
-coprime integers (rows of ints take that path without building a
+Fractions.  ``_echelon`` eliminates over Python ints: each row is scaled
+to coprime integers (rows of ints take that path without building a
 Fraction), zero rows and rows that repeat another up to sign are
-dropped, Gauss-Jordan steps are fraction-free (each updated row divided
-by its gcd, as in Bareiss, Math. Comp. 22, 1968), and the pivots are
-divided out once at the end.  The reduced row echelon form of a matrix
-is unique, so this gives the same Fraction rows as elimination over
-Fractions, at a fraction of the cost on the identity-space matrices:
-small integers, up to 420 columns, most rows repeated.  ``nullspace``
-eliminates only a matrix's distinct columns, which over an associative
-algebra are few (30 of the 420 for H at (2,2,1)).  ``det`` is
-fraction-free Bareiss elimination over Python ints, the exact numeric
-determinant.
+dropped, and Gauss-Jordan steps are fraction-free (each updated row
+divided by its gcd, as in Bareiss, Math. Comp. 22, 1968).  ``rref``
+divides the pivots out once at the end; the reduced row echelon form is
+unique, so this gives the same Fraction rows as elimination over
+Fractions, at a fraction of the cost on the identity-space matrices.
+``nullspace`` takes a column map, so a matrix with repeated columns is
+passed with each written once; it eliminates only the distinct columns
+by content, few over an associative algebra (30 for the 420 monomials of
+H at (2,2,1)), and divides by the pivots once per distinct column.
+``det`` is fraction-free Bareiss elimination over Python ints.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ def _primitive_rows(rows):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns); the
-    rows are lists of Fractions, one per pivot."""
+def _echelon(rows):
+    """``rref`` over ints: each row is left scaled by its pivot entry."""
     m = _primitive_rows(rows)
     if not m:
         return [], []
@@ -84,6 +83,13 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns); the
+    rows are lists of Fractions, one per pivot."""
+    m, pivots = _echelon(rows)
     return [
         [Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)
     ], pivots
@@ -141,37 +147,40 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix, one vector per free column.
+def nullspace(rows, columns):
+    """Basis of the right nullspace of the matrix whose column j is column
+    ``columns[j]`` of ``rows`` (which may be empty), one vector per free
+    column; a column index outside ``rows`` raises ValueError.
 
-    The matrix has ``ncols`` columns and may have no rows.  The basis is
-    the standard RREF parametrization, with the free variable set to 1
-    and pivot variables solved.  The RREF is unique, so the basis does
-    not depend on the order of the rows.  Row operations keep equal
-    columns equal, and a repeat of an earlier column is never a pivot, so
-    only the distinct columns are eliminated: each column's entries are
-    read off its first copy.
+    The basis is the standard RREF parametrization, with the free
+    variable set to 1 and pivot variables solved.  The RREF is unique, so
+    the basis does not depend on the order of the rows.  Row operations
+    keep equal columns equal and a repeat of an earlier column is never a
+    pivot, so only the distinct columns by content are eliminated.
     """
-    distinct, copy_of, first = {}, [], []
-    for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
-        d = distinct.setdefault(col, len(distinct))
-        if d == len(first):
-            first.append(j)
+    source = list(zip(*rows))
+    distinct, merged, copy_of = {}, {}, []
+    for c in columns:
+        d = merged.get(c)
+        if d is None:
+            if c < 0 or rows and c >= len(source):
+                raise ValueError(f"column {c} is out of range")
+            d = merged[c] = distinct.setdefault(source[c] if rows else (), len(distinct))
         copy_of.append(d)
-    reduced, pivots = rref(list(zip(*distinct)))
-    negated = [[-x for x in row] for row in reduced]
-    pivots = [first[d] for d in pivots]
-    pivot_set = set(pivots)
+    echelon, pivots = _echelon(list(zip(*distinct)))
+    placed = [copy_of.index(d) for d in pivots]
+    pivot_set = set(placed)
     zero, one = Fraction(0), Fraction(1)
+    solved = [[Fraction(-row[d], row[p]) if row[d] else zero
+               for row, p in zip(echelon, pivots)] for d in range(len(distinct))]
     basis = []
-    for free in range(ncols):
+    for free, d in enumerate(copy_of):
         if free in pivot_set:
             continue
-        vec = [zero] * ncols
+        vec = [zero] * len(columns)
         vec[free] = one
-        d = copy_of[free]
-        for row, pc in zip(negated, pivots):
-            vec[pc] = row[d]
+        for pc, x in zip(placed, solved[d]):
+            vec[pc] = x
         basis.append(vec)
     return basis
 

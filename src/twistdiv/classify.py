@@ -410,9 +410,9 @@ def _classify_one(candidate, witnesses):
 def _det_left_at(constant):
     """det M^L of the table as an exact function of a rational point (None
     for a point of the wrong length), with no polynomial built: M^L at the
-    point comes from the product kernel ``mult_matrix`` and its
-    determinant from ``_linalg.det``, which clears each row's
-    denominators and divides the scales back out.
+    point, scaled to ints by its common denominator D, comes from the
+    product kernel ``mult_matrix``; its determinant from ``_linalg.det``
+    is divided by D^n, as det M^L is homogeneous of degree n.
     """
     entries = structure_entries(constant)
     n = constant.group.order
@@ -420,7 +420,9 @@ def _det_left_at(constant):
     def det_l(point):
         if len(point) != n:
             return None
-        return _linalg.det(mult_matrix(entries, point, True, 0))
+        den, ints = _linalg.clear_denominators(point)
+        d = _linalg.det(mult_matrix(entries, ints, True, 0))
+        return d if den == 1 else Fraction(d, den**n)
 
     return det_l
 

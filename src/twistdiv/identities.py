@@ -197,16 +197,21 @@ class Expander:
         return got
 
     def _multiply(self, left, right):
-        out = [defaultdict(int) for _ in left]
+        out = [{} for _ in left]
         for i, j, k, c in self.entries:
             xi, yj = left[i], right[j]
             if not xi or not yj:
                 continue
+            # sums and products commute: run the outer loop over the shorter
+            if len(xi) > len(yj):
+                xi, yj = yj, xi
             acc = out[k]
+            get = acc.get
             for e1, c1 in xi.items():
                 c1 *= c
                 for e2, c2 in yj.items():
-                    acc[e1 + e2] += c1 * c2
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
         return [{e: c for e, c in acc.items() if c} for acc in out]
 
     def unpack(self, component):
@@ -286,32 +291,30 @@ class IdentitySpace:
 def identity_space(algebra, pattern):
     """Exact nullspace of the monomial-expansion matrix for the pattern.
 
-    Rows are polynomial coefficient slots (component index, packed
-    exponent of ``Expander``) that some expansion reaches, in the order
-    they are first met; each row is allocated when its slot first appears
-    and filled in one pass over the terms of the distinct expansions, each
-    filling the columns of every monomial that shares it.  The row order
-    does not matter: the reduced row echelon form is unique, so
-    ``nullspace`` returns the same basis for any order of the rows.
+    The matrix is built with one column per distinct expansion object of
+    ``Expander``, numbered by ``id`` in first-seen order (over H at
+    (2,2,1), 120 for 420 monomials), each object's terms written once,
+    and ``nullspace`` gets the map from each monomial to its column.  Rows
+    are coefficient slots that some expansion reaches, one dict per
+    component from packed exponent to row.  The row order does not
+    matter: the reduced row echelon form is unique.
     """
     pattern = normalize_pattern(pattern)
     monomials = enumerate_monomials(pattern)
     expander = Expander(algebra, len(pattern), sum(pattern))
-    m = len(monomials)
-    columns = {}
-    for j, tree in enumerate(monomials):
+    objects, columns = {}, []
+    for tree in monomials:
         got = expander.expand(tree)
-        columns.setdefault(id(got), (got, []))[1].append(j)
-    slots = {}
-    for got, cols in columns.values():
-        for ci, p in enumerate(got):
+        columns.append(objects.setdefault(id(got), (len(objects), got))[0])
+    slots = [{} for _ in range(algebra.dimension)]
+    for j, got in objects.values():
+        for slot, p in zip(slots, got):
             for exp, c in p.items():
-                row = slots.get((ci, exp))
+                row = slot.get(exp)
                 if row is None:
-                    row = slots[ci, exp] = [0] * m
-                for j in cols:
-                    row[j] = c
-    basis = _linalg.nullspace(list(slots.values()), ncols=m)
+                    row = slot[exp] = [0] * len(objects)
+                row[j] = c
+    basis = _linalg.nullspace([r for s in slots for r in s.values()], columns)
     return IdentitySpace(pattern, monomials, basis, len(basis))
 
 

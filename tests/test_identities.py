@@ -146,15 +146,45 @@ def test_every_bracketing_of_a_word_is_one_object_over_H():
 
 def test_identity_space_eliminates_the_30_distinct_columns_over_H(monkeypatch):
     widths = []
-    rref = _linalg.rref
+    echelon = _linalg._echelon
 
     def recording(rows):
         widths.append(len(rows[0]))
-        return rref(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(_linalg, "rref", recording)
+    monkeypatch.setattr(_linalg, "_echelon", recording)
     space = identity_space(quaternion_algebra(), (2, 2, 1))
     assert (len(space.monomials), widths) == (420, [30])
+
+
+@pytest.mark.parametrize(
+    "algebra,pattern,width",
+    [
+        (T, (6,), 42),
+        (T, (2, 2), 30),
+        (T, (3, 2), 140),
+        (T, (4, 1), 70),
+        (T, (2, 1, 1), 60),
+        (quaternion_algebra(), (3, 2), 40),
+        (quaternion_algebra(), (2, 2, 1), 120),
+    ],
+    ids=["T-6", "T-2,2", "T-3,2", "T-4,1", "T-2,1,1", "H-3,2", "H-2,2,1"],
+)
+def test_identity_space_writes_one_column_per_distinct_expansion(
+    monkeypatch, algebra, pattern, width
+):
+    """The matrix handed to ``nullspace`` has one column per distinct
+    expansion object, and the column map one entry per monomial."""
+    calls = []
+    nullspace = _linalg.nullspace
+
+    def recording(rows, columns):
+        calls.append((len(rows[0]), len(columns), sorted(set(columns))))
+        return nullspace(rows, columns)
+
+    monkeypatch.setattr(_linalg, "nullspace", recording)
+    space = identity_space(algebra, pattern)
+    assert calls == [(width, len(space.monomials), list(range(width)))]
 
 
 def test_integral_fraction_constants_expand_over_ints():

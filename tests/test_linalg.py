@@ -57,11 +57,15 @@ def test_rref_matches_sympy(rows):
     assert _linalg.rank(rows) == len(pivots)
 
 
+def _all_columns(rows):
+    return range(len(rows[0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
 def test_nullspace_vectors_are_annihilated(rows):
     ncols = len(rows[0])
-    basis = _linalg.nullspace(rows, ncols)
+    basis = _linalg.nullspace(rows, _all_columns(rows))
     assert len(basis) == ncols - _linalg.rank(rows)
     for vec in basis:
         assert _times(rows, vec) == [0] * len(rows)
@@ -74,12 +78,46 @@ def test_nullspace_matches_sympy(rows):
     that column set to 1 and the pivot columns solved."""
     oracle = [[Fraction(int(v.p), int(v.q)) for v in vec]
               for vec in _sympy(rows).nullspace()]
-    assert _linalg.nullspace(rows, len(rows[0])) == oracle
+    assert _linalg.nullspace(rows, _all_columns(rows)) == oracle
+
+
+@st.composite
+def _column_maps(draw):
+    """A matrix and a map onto its columns that repeats some and leaves
+    others out; the matrix may have no rows."""
+    rows = draw(st.one_of(_matrices(), st.just([])))
+    width = len(rows[0]) if rows else draw(st.integers(1, 6))
+    columns = draw(st.lists(st.integers(0, width - 1), max_size=12))
+    return rows, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_column_maps())
+def test_nullspace_of_a_column_map_matches_sympy(case):
+    """``nullspace(rows, columns)`` is the nullspace of the matrix whose
+    column j is column ``columns[j]`` of ``rows``."""
+    rows, columns = case
+    picked = sympy.zeros(0, len(columns)) if not rows else _sympy(
+        [[row[c] for c in columns] for row in rows])
+    oracle = [[Fraction(int(v.p), int(v.q)) for v in vec]
+              for vec in picked.nullspace()]
+    assert _linalg.nullspace(rows, columns) == oracle
+
+
+@pytest.mark.parametrize("rows, columns", [
+    ([[1, 2], [3, 4]], [0, 2]),
+    ([[1, 2], [3, 4]], [-1]),
+    ([[]], [0]),
+    ([], [-1]),
+], ids=["past-the-end", "negative", "no-columns", "negative-no-rows"])
+def test_nullspace_refuses_a_column_out_of_range(rows, columns):
+    with pytest.raises(ValueError, match="out of range"):
+        _linalg.nullspace(rows, columns)
 
 
 @pytest.mark.parametrize("rows", [[], [[0, 0, 0]], [[0, 0, 0], [0, 0, 0]]])
 def test_nullspace_of_a_zero_matrix_frees_every_column(rows):
-    assert _linalg.nullspace(rows, ncols=3) == [
+    assert _linalg.nullspace(rows, range(3)) == [
         [int(i == j) for i in range(3)] for j in range(3)
     ]
 
