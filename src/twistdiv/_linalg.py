@@ -25,7 +25,7 @@ from math import gcd, lcm
 def clear_denominators(row):
     """(D, D * row): the least common denominator D of the entries and
     the row scaled by it, as ints (D is 1 for a row of ints)."""
-    if all(type(x) is int for x in row):
+    if Fraction not in map(type, row):
         return 1, row
     den = lcm(*(x.denominator for x in row))
     return den, [x.numerator * (den // x.denominator) for x in row]

@@ -209,8 +209,7 @@ def criterion_5():
     from .norms import norm4_monomial_expressions
 
     ok = ok and verify_conjugate_identities(T)
-    names = tuple(f"x{i}" for i in range(4))
-    x = T.generic_element("x", names)
+    (x,) = T.generic_elements("x")
     exprs = norm4_monomial_expressions(x)
     first = exprs[0]
     ok = ok and all(
@@ -290,14 +289,13 @@ def criterion_7():
     heis = heisenberg_ideal_check(Tm)
     jordan_ok, jordan_ce = jordan_check(Tp)
     # residual must equal the closed form (x1^2+x3^2)[-(y1x1+y3x3), x1y2, 0, x3y2]
-    names = tuple(f"{p}{i}" for p in ("x", "y") for i in range(4))
-    v = MultiPoly.variables(names)
-    x1, x3, y1, y2, y3 = v[1], v[3], v[5], v[6], v[7]
+    x, y = T.generic_elements("x", "y")
+    (_, x1, _, x3), (_, y1, y2, y3) = x.coeffs, y.coeffs
     factor = x1 * x1 + x3 * x3
     closed = [
         -(y1 * x1 + y3 * x3) * factor,
         x1 * y2 * factor,
-        MultiPoly.zero(names),
+        MultiPoly.zero(factor.vars),
         x3 * y2 * factor,
     ]
     residual = jordan_residual(Tp)
@@ -360,9 +358,7 @@ def criterion_9():
     bad = pure_factor_defects(T, random.Random(SEED + 9), 100)
     # quaternion strict Schwarz equality, symbolically
     H = quaternion_algebra()
-    names = tuple(f"{pfx}{i}" for pfx in ("x", "y") for i in range(4))
-    x = H.generic_element("x", names)
-    y = H.generic_element("y", names)
+    x, y = H.generic_elements("x", "y")
 
     def norm2(v):
         return iterated_norm_power(SQUARED_NORM, v.coeffs)
@@ -391,12 +387,10 @@ def criterion_10():
             return False, f"homogeneity failed for j={j}, n={n}"
     total = 2 * per * len(combos)
     # M2 on (x0, x2, x1, x3) has fourth power equal to the quartic norm
-    names = tuple(f"x{i}" for i in range(4))
-    x0, x1, x2, x3 = MultiPoly.variables(names)
-    spec = IteratedNormSpec(2, 2)
-    power = iterated_norm_power(spec, [x0, x2, x1, x3])
-    T = tesseranion_algebra()
-    closed = quartic_norm4(T.generic_element("x", names))
+    (x,) = tesseranion_algebra().generic_elements("x")
+    x0, x1, x2, x3 = x.coeffs
+    power = iterated_norm_power(IteratedNormSpec(2, 2), [x0, x2, x1, x3])
+    closed = quartic_norm4(x)
     symbolic = (power - closed).is_zero
     return symbolic, f"{total} sampled checks; M2 symbolic match={symbolic}"
 

@@ -19,7 +19,7 @@ from .groups import (
     RIGHT_STANDARD,
     group_by_name,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, indeterminates
 
 
 class ModInt:
@@ -360,6 +360,12 @@ class TwistedAlgebra:
     """Algebra with product v_a * v_b = C(a,b) v_{ab}, extended bilinearly."""
 
     def __init__(self, constant, ring=RATIONALS):
+        if isinstance(ring, IntegersModP) and any(
+            not isinstance(v, int) or v % ring.p == 0
+            for row in constant.values
+            for v in row
+        ):
+            raise ValueError(f"a {ring.name} table needs int cells nonzero mod {ring.p}")
         self.constant = constant
         self.group = constant.group
         self.ring = ring
@@ -381,16 +387,12 @@ class TwistedAlgebra:
     def zero(self):
         return self.element([0] * self.group.order)
 
-    def generic_element(self, prefix, variables):
-        """Element whose components are polynomial indeterminates
-        prefix0..prefix{n-1} within the given ambient variable tuple."""
-        return AlgebraElement(
-            self,
-            [
-                MultiPoly.variable(f"{prefix}{g}", variables)
-                for g in range(self.group.order)
-            ],
-        )
+    def generic_elements(self, *prefixes):
+        """One element per prefix p, with component g the indeterminate
+        p{g}, all in the ring of ``indeterminates(prefixes, n)``."""
+        n = self.group.order
+        v = MultiPoly.variables(indeterminates(prefixes, n))
+        return [AlgebraElement(self, v[i:i + n]) for i in range(0, len(v), n)]
 
     # -- products --------------------------------------------------------
 

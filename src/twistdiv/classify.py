@@ -73,6 +73,7 @@ from .poly import (
     find_diagonal_sos,
     find_psd_sos,
     find_sign_change,
+    indeterminates,
     isolate_real_root,
     symbolic_det,
     verify_sos,
@@ -310,7 +311,7 @@ def _leibniz_table(group, left):
     sum(sign * prod(C[cells])) for any commutative cell values.
     """
     n = group.order
-    if n > 8:
+    if n > 8:  # the table has n! permutations: 40 320 at order 8
         raise ValueError("determinant of an order above 8")
     # (variable, cells) of matrix cell (row, column)
     entries = [[None] * n for _ in range(n)]
@@ -318,22 +319,21 @@ def _leibniz_table(group, left):
         for b, ab in enumerate(row):
             cell = (a * n + b,) if a and b else ()
             entries[ab][a if left else b] = (b if left else a, cell)
-    terms = {}  # packed exponent -> [(sign, cells), ...]
+    terms = {}  # exponent -> [(sign, cells), ...]
     # permutations come in lexicographic order, as do their Lehmer codes,
     # whose digit sum is the number of inversions
     codes = itertools.product(*map(range, range(n, 0, -1)))
     for perm, code in zip(itertools.permutations(range(n)), codes):
-        key, cells = 0, ()
+        exponent, cells = [0] * n, ()
         for row, col in zip(entries, perm):
             var, cell = row[col]
-            key += 1 << (4 * var)  # each exponent is at most n <= 8 < 16
+            exponent[var] += 1
             cells += cell
-        terms.setdefault(key, []).append((-1 if sum(code) & 1 else 1, cells))
-    prefix = "y" if left else "x"
-    return tuple(f"{prefix}{i}" for i in range(n)), tuple(
-        (tuple((key >> (4 * v)) & 15 for v in range(n)), tuple(products))
-        for key, products in terms.items()
-    )
+        terms.setdefault(tuple(exponent), []).append(
+            (-1 if sum(code) & 1 else 1, cells)
+        )
+    names = indeterminates(("y" if left else "x",), n)
+    return names, tuple((e, tuple(products)) for e, products in terms.items())
 
 
 def det_polynomial(constant, left=True):
@@ -431,8 +431,8 @@ def _det_expanded(constant, left=True):
     """det M^L in y (``left``) or det M^R in x, the same polynomial as
     ``det_polynomial``, by ``symbolic_det``'s minor expansion of the
     polynomial matrix that ``mult_matrix`` builds: no Leibniz table."""
-    prefix = "y" if left else "x"
-    v = MultiPoly.variables(f"{prefix}{i}" for i in range(constant.group.order))
+    names = indeterminates(("y" if left else "x",), constant.group.order)
+    v = MultiPoly.variables(names)
     return symbolic_det(mult_matrix(structure_entries(constant), v, left, 0))
 
 

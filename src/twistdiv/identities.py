@@ -24,7 +24,7 @@ from functools import cache
 from itertools import permutations
 
 from . import _linalg
-from .poly import MultiPoly, _is_zero, nonzero_point
+from .poly import MultiPoly, _is_zero, indeterminates, nonzero_point
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -162,9 +162,7 @@ class Expander:
         self.degree = degree
         self.width = max(degree, 1).bit_length()
         n = algebra.dimension
-        self.vars = tuple(
-            f"{VARIABLE_NAMES[v]}{i}" for v in range(nvars) for i in range(n)
-        )
+        self.vars = indeterminates(VARIABLE_NAMES[:nvars], n)
         # the components of each variable, by ``Leaf.var``
         self._leaves = [
             [{1 << ((v * n + i) * self.width): 1} for i in range(n)]
@@ -417,11 +415,7 @@ def verify_conjugate_identities(algebra):
     Over generic x, y: conj(x)*(x*y) = y*(x*conj(x)) and
     (y*x)*conj(x) = (x*conj(x))*y.
     """
-    names = tuple(f"x{i}" for i in range(algebra.group.order)) + tuple(
-        f"y{i}" for i in range(algebra.group.order)
-    )
-    x = algebra.generic_element("x", names)
-    y = algebra.generic_element("y", names)
+    x, y = algebra.generic_elements("x", "y")
     xbar = x.conj()
     defects = (
         (xbar * (x * y)) - (y * (x * xbar)),

@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def indeterminates(prefixes, n):
+    """The names of the components of generic elements of dimension n, one
+    element per prefix: p0, ..., p{n-1} for each prefix p, in order."""
+    return tuple(f"{p}{i}" for p in prefixes for i in range(n))
+
+
 class MultiPoly:
     """Sparse polynomial in named indeterminates over the rationals.
 
@@ -57,16 +63,13 @@ class MultiPoly:
         return cls(variables, {exp: value}, _normalize=False)
 
     @classmethod
-    def variable(cls, name, variables):
-        variables = tuple(variables)
-        i = variables.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exp: 1}, _normalize=False)
-
-    @classmethod
     def variables(cls, names):
         names = tuple(names)
-        return [cls.variable(n, names) for n in names]
+        k = len(names)
+        return [
+            cls(names, {(0,) * i + (1,) + (0,) * (k - 1 - i): 1}, _normalize=False)
+            for i in range(k)
+        ]
 
     # -- ring operations ------------------------------------------------
 

@@ -261,9 +261,7 @@ def chiral_inverse_check(algebra):
     whose left and right inverses both exist and differ: an integer point
     where diff_i det^L det^R is nonzero, read off by ``nonzero_point``.
     """
-    n = algebra.group.order
-    names = tuple(f"x{i}" for i in range(n))
-    x = algebra.generic_element("x", names)
+    (x,) = algebra.generic_elements("x")
     ml = algebra.mult_matrix_left(x)
     mr = algebra.mult_matrix_right(x)
     det_l = symbolic_det(ml)

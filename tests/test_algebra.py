@@ -53,9 +53,7 @@ def test_product_matches_component_formula_on_random():
 
 def test_product_matches_component_formula_symbolically():
     T = tesseranion_algebra()
-    names = tuple(f"{p}{i}" for p in ("x", "y") for i in range(4))
-    x = T.generic_element("x", names)
-    y = T.generic_element("y", names)
+    x, y = T.generic_elements("x", "y")
     got = (x * y).coeffs
     want = tes_product_oracle(list(x.coeffs), list(y.coeffs))
     assert all((a - b).is_zero for a, b in zip(got, want))
@@ -100,11 +98,10 @@ def test_mult_matrix_consistency():
 
 def test_complex_mult_matrices_closed_form():
     C = complex_algebra()
-    names = ("y0", "y1")
-    y = C.generic_element("y", names)
-    y0, y1 = MultiPoly.variables(names)
+    (y,) = C.generic_elements("y")
+    y0, y1 = MultiPoly.variables(("y0", "y1"))
     assert C.mult_matrix_left(y) == [[y0, -y1], [y1, y0]]
-    x = C.generic_element("y", names)
+    (x,) = C.generic_elements("y")
     assert C.mult_matrix_right(x) == [[y0, -y1], [y1, y0]]
 
 
@@ -159,10 +156,9 @@ def test_conjugation():
     w = T.element([0, 1, 0, 0])
     assert (w * w.conj()).coeffs == (0, 0, -1, 0)
     H = quaternion_algebra()
-    names = tuple(f"x{i}" for i in range(4))
-    hx = H.generic_element("x", names)
+    (hx,) = H.generic_elements("x")
     prod = hx * hx.conj()
-    x0, x1, x2, x3 = MultiPoly.variables(names)
+    x0, x1, x2, x3 = MultiPoly.variables(("x0", "x1", "x2", "x3"))
     norm = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
     assert (prod.coeffs[0] - norm).is_zero
     assert all(c.is_zero for c in prod.coeffs[1:])
@@ -179,9 +175,7 @@ def test_conjugation_unsupported_group():
 def test_conjugate_of_product_relation():
     """conj(x*y) is reproduced by the generator-sandwich expression."""
     T = tesseranion_algebra()
-    names = tuple(f"{p}{i}" for p in ("x", "y") for i in range(4))
-    x = T.generic_element("x", names)
-    y = T.generic_element("y", names)
+    x, y = T.generic_elements("x", "y")
     w = T.element([0, 1, 0, 0])
     w3 = T.element([0, 0, 0, 1])
     lhs = (x * y).conj()
@@ -364,6 +358,23 @@ def test_moduli_are_certified_by_miller_rabin():
         IntegersModP(318665857834031151167461)
     with pytest.raises(ValueError, match="too large"):
         IntegersModP(10**400 + 1)
+
+
+@pytest.mark.parametrize("cell", [Fraction(1, 2), Fraction(1, 7), Fraction(3), 7, -14])
+def test_mod_p_tables_need_int_cells_nonzero_mod_p(cell):
+    """Z_7 multiplies by int cells only, and a cell 0 mod 7 would make
+    v1 v1 = 0; each is refused where the algebra is built."""
+    constant = StructureConstant(group_by_name("Z2"), [[1, 1], [1, cell]])
+    assert TwistedAlgebra(constant).constant == constant
+    with pytest.raises(ValueError, match="mod-7 table needs int cells"):
+        TwistedAlgebra(constant, IntegersModP(7))
+
+
+@pytest.mark.parametrize("cell", [{"num": 1, "den": 2}, {"num": 1, "den": 7}, 7])
+def test_mod_p_json_documents_need_int_cells_nonzero_mod_p(cell):
+    doc = {"group": "Z2", "ring": "mod-7", "C": [[1, 1], [1, cell]]}
+    with pytest.raises(ValueError, match="mod-7 table needs int cells"):
+        TwistedAlgebra.from_json(doc)
 
 
 def test_json_round_trip_mod_p():

@@ -492,9 +492,7 @@ def _matrix_det(constant, left):
     """det M^L or det M^R as ``symbolic_det`` of the multiplication matrix
     of a generic element: the oracle for the Leibniz table."""
     algebra = TwistedAlgebra(constant)
-    prefix = "y" if left else "x"
-    names = tuple(f"{prefix}{i}" for i in range(constant.group.order))
-    v = algebra.generic_element(prefix, names)
+    (v,) = algebra.generic_elements("y" if left else "x")
     matrix = algebra.mult_matrix_left(v) if left else algebra.mult_matrix_right(v)
     return symbolic_det(matrix)
 

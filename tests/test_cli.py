@@ -482,6 +482,10 @@ _MALFORMED_DOCS = {
     "num_only": {"group": "Z2", "C": [[1, 1], [1, {"num": 1}]]},
     "string_entry": {"group": "Z2", "C": [[1, 1], [1, "-1"]]},
     "unknown_key": {"group": "Z2", "C": [[1, 1], [1, -1]], "rings": "rational"},
+    # Z_7 holds neither 1/2 nor a nonzero 7
+    "mod_p_fraction": {"group": "Z2", "ring": "mod-7",
+                       "C": [[1, 1], [1, {"num": 1, "den": 2}]]},
+    "mod_p_zero_cell": {"group": "Z2", "ring": "mod-7", "C": [[1, 1], [1, 7]]},
 }
 
 
@@ -512,13 +516,19 @@ _MALFORMED_DOCS = {
         ["norms", "--check", "schwarz", "--samples", "0"],
         ["norms", "--check", "triangle", "--samples", "100001"],
         ["norms", "--check", "triangle", "--samples", "1" + "0" * 21],
+        ["analyze", "--algebra", "{mod_p_fraction}"],
+        ["identities", "--algebra", "{mod_p_fraction}", "--pattern", "2,1"],
+        ["cohomology", "--algebra", "{mod_p_fraction}"],
+        ["analyze", "--algebra", "{mod_p_zero_cell}"],
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
          "not-object", "num-only-entry", "string-entry", "unknown-key",
          "pattern-9", "k-0", "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
          "unknown-criterion", "unknown-report", "unknown-check", "empty-only",
          "negative-samples", "zero-samples", "samples-over-ceiling",
-         "samples-10-to-the-21"],
+         "samples-10-to-the-21", "mod-p-fraction-analyze",
+         "mod-p-fraction-identities", "mod-p-fraction-cohomology",
+         "mod-p-zero-cell"],
 )
 def test_malformed_input_is_a_one_line_usage_error(capsys, tmp_path, argv):
     paths = {}

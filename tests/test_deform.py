@@ -12,6 +12,7 @@ import pytest
 import twistdiv
 from twistdiv.algebra import (
     RATIONALS,
+    AlgebraElement,
     TABLE_TESSERANION,
     TwistedAlgebra,
     tesseranion_algebra,
@@ -114,10 +115,11 @@ GENERIC_VARS = PARAM_NAMES + ("y0", "y1", "y2", "y3")
 
 def generic_det_ml():
     """det M^L with all six parameters and all four components symbolic."""
-    params = MultiPoly.variables(GENERIC_VARS)[: len(PARAM_NAMES)]
+    v = MultiPoly.variables(GENERIC_VARS)
+    params = v[: len(PARAM_NAMES)]
     constant = shaped_constant("Z4", dict(zip(PARAM_NAMES, params)), LEFT_STANDARD)
     algebra = TwistedAlgebra(constant, RATIONALS)
-    y = algebra.generic_element("y", GENERIC_VARS)
+    y = AlgebraElement(algebra, v[len(PARAM_NAMES) :])
     return symbolic_det(algebra.mult_matrix_left(y))
 
 
@@ -203,8 +205,7 @@ def test_constrained_one_zero_slices():
     det = generic_det_ml()
     from twistdiv.poly import MultiPoly
 
-    V = det.vars
-    y0, y1, y2, y3 = (MultiPoly.variable(n, V) for n in ("y0", "y1", "y2", "y3"))
+    y0, y1, y2, y3 = MultiPoly.variables(det.vars)[len(PARAM_NAMES) :]
     for eps in (1, -1):
         for om in (1, -1):
             bound = det.specialize({

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twistdiv import _linalg
 from twistdiv import identity_families as fam
 from twistdiv.algebra import (
+    IntegersModP,
     complex_algebra,
     quaternion_algebra,
     tensor_product,
@@ -33,7 +34,7 @@ from twistdiv.identities import (
     verify_conjugate_identities,
     verify_identity,
 )
-from twistdiv.poly import MultiPoly
+from twistdiv.poly import MultiPoly, indeterminates
 from twistdiv.structure import commutator_algebra
 
 T = tesseranion_algebra()
@@ -68,9 +69,24 @@ def test_expand_single_leaf_is_component_map():
 
 def test_expand_product_tree_matches_product_formula():
     comps = identity_residual(T, [(1, N(L(0), L(1)))])
-    ex = Expander(T, 2, 2)
-    prod = T.generic_element("x", ex.vars) * T.generic_element("y", ex.vars)
-    assert all((a - b).is_zero for a, b in zip(comps, prod.coeffs))
+    x, y = T.generic_elements("x", "y")
+    assert all((a - b).is_zero for a, b in zip(comps, (x * y).coeffs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_generic_indeterminates_follow_one_naming_rule(k):
+    prefixes = VARIABLE_NAMES[:k]
+    names = indeterminates(prefixes, 4)
+    assert names[:4] == ("x0", "x1", "x2", "x3")
+    assert Expander(T, k, 2).vars == names
+    elements = T.generic_elements(*prefixes)
+    assert [c for x in elements for c in x.coeffs] == MultiPoly.variables(names)
+
+
+def test_generic_elements_over_mod_p_keep_polynomial_components():
+    (x,) = tesseranion_algebra(IntegersModP(7)).generic_elements("x")
+    assert x.coeffs == tuple(MultiPoly.variables(("x0", "x1", "x2", "x3")))
+    assert all(type(c) is MultiPoly for c in (x * x).coeffs)
 
 
 ORACLE_ALGEBRAS = {
@@ -100,11 +116,9 @@ def _bracket_trees(draw):
 def _tensor_oracle(algebra, tree, nvars):
     """Nested ``tensor_product`` calls over generic ``MultiPoly`` elements."""
     n = algebra.dimension
-    names = tuple(f"{VARIABLE_NAMES[v]}{i}" for v in range(nvars) for i in range(n))
-    generic = [
-        [MultiPoly.variable(f"{VARIABLE_NAMES[v]}{i}", names) for i in range(n)]
-        for v in range(nvars)
-    ]
+    names = indeterminates(VARIABLE_NAMES[:nvars], n)
+    v = MultiPoly.variables(names)
+    generic = [v[i:i + n] for i in range(0, len(v), n)]
 
     def product(t):
         if isinstance(t, Leaf):
@@ -374,9 +388,7 @@ def test_conjugate_identities():
     assert verify_conjugate_identities(T)
     # associative case: conj(x) (x y) = (conj(x) x) y = (x conj(x)) y
     H = quaternion_algebra()
-    names = tuple(f"{p}{i}" for p in ("x", "y") for i in range(4))
-    x = H.generic_element("x", names)
-    y = H.generic_element("y", names)
+    x, y = H.generic_elements("x", "y")
     lhs = x.conj() * (x * y)
     rhs = y * (x * x.conj())
     # quaternion norm is central, so the same identity holds there too

@@ -34,8 +34,7 @@ def test_quartic_norm_examples():
 
 
 def test_five_expressions_agree_symbolically():
-    names = tuple(f"x{i}" for i in range(4))
-    x = T.generic_element("x", names)
+    (x,) = T.generic_elements("x")
     exprs = norm4_monomial_expressions(x)
     closed = quartic_norm4(x)
     for e in exprs:
@@ -144,12 +143,10 @@ def test_iterated_norm_values():
 
 def test_m2_fourth_power_is_quartic_norm():
     """M2 on the reordered components equals the algebra's quartic norm."""
-    names = tuple(f"x{i}" for i in range(4))
-    from twistdiv.poly import MultiPoly
-
-    x0, x1, x2, x3 = MultiPoly.variables(names)
+    (x,) = T.generic_elements("x")
+    x0, x1, x2, x3 = x.coeffs
     power = iterated_norm_power(IteratedNormSpec(2, 2), [x0, x2, x1, x3])
-    closed = quartic_norm4(T.generic_element("x", names))
+    closed = quartic_norm4(x)
     assert (power - closed).is_zero
 
 
@@ -242,17 +239,9 @@ def test_pure_even_universal_associativity():
     """Three placement laws hold symbolically for a pure even factor."""
     from twistdiv.poly import MultiPoly
 
-    names = tuple(f"{p}{i}" for p in ("x", "y", "z") for i in range(4))
-    xe = T.element(
-        [
-            MultiPoly.variable("x0", names),
-            MultiPoly.zero(names),
-            MultiPoly.variable("x2", names),
-            MultiPoly.zero(names),
-        ]
-    )
-    y = T.generic_element("y", names)
-    z = T.generic_element("z", names)
+    x, y, z = T.generic_elements("x", "y", "z")
+    zero = MultiPoly.zero(x[0].vars)
+    xe = T.element([x[0], zero, x[2], zero])
     for lhs, rhs in [
         (xe * (y * z), (xe * y) * z),
         (y * (xe * z), (y * xe) * z),

@@ -82,8 +82,8 @@ def test_multipoly_ring_laws_against_sympy(p, q, r):
 
 
 def test_variable_mismatch_raises():
-    a = MultiPoly.variable("a", ("a",))
-    b = MultiPoly.variable("b", ("b",))
+    a = MultiPoly.variables(("a",))[0]
+    b = MultiPoly.variables(("b",))[0]
     with pytest.raises(ValueError):
         _ = a + b
 

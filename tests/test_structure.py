@@ -16,7 +16,7 @@ from twistdiv.groups import group_by_name
 from twistdiv.identities import L as leaf
 from twistdiv.identities import N as node
 from twistdiv.identities import identity_residual
-from twistdiv.poly import MultiPoly
+from twistdiv.poly import MultiPoly, indeterminates
 from twistdiv.structure import (
     CHIRAL,
     DERIVED,
@@ -123,8 +123,8 @@ def unital_sign_algebras(draw):
 
 
 def _generic_lists(n, prefixes):
-    names = tuple(f"{p}{i}" for p in prefixes for i in range(n))
-    return [[MultiPoly.variable(f"{p}{i}", names) for i in range(n)] for p in prefixes]
+    v = MultiPoly.variables(indeterminates(prefixes, n))
+    return [v[i:i + n] for i in range(0, len(v), n)]
 
 
 def _jacobi_defect(Lm, i, j, k):
@@ -184,7 +184,7 @@ def test_jordan():
 
 
 def test_jordan_residual_closed_form():
-    names = tuple(f"{p}{i}" for p in ("x", "y") for i in range(4))
+    names = indeterminates(("x", "y"), 4)
     v = MultiPoly.variables(names)
     x1, x3, y1, y2, y3 = v[1], v[3], v[5], v[6], v[7]
     factor = x1 * x1 + x3 * x3
