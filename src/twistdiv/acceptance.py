@@ -32,6 +32,7 @@ from .classify import (
     det_polynomial,
     det_polynomials,
     non_isomorphism_fingerprint,
+    psd_certificate,
     verify_verdict,
 )
 from .deform import (
@@ -171,9 +172,11 @@ def criterion_3():
     ok = ok and all(
         verify_verdict(c.constant, w) for c, w in rep4.rejected + repk.rejected
     )
-    # the real-root candidate's determinant is provably PSD (SOS on file)
+    # the real-root candidate's determinant is provably PSD (an SOS
+    # certificate, which find_psd_sos returns only once it verifies)
     ok = ok and sum(
-        w.psd is not None for _, w in rep4.rejected if isinstance(w, RealRootRejection)
+        psd_certificate(c.constant) is not None
+        for c, w in rep4.rejected if isinstance(w, RealRootRejection)
     ) == 1
     return ok, (
         f"Z4: 62 sign-change + {root4} real-root certificate (PSD candidate), "

@@ -21,8 +21,9 @@ probe is evaluated); failing that, det M^L is restricted to rational
 lines until one has a real root, isolated with a Sturm certificate over
 the integers (the handful of sign arrays this rejects have positive
 *semi*definite determinants whose nontrivial real zeros are all
-irrational; a line witness carries the ``find_psd_sos`` evidence of its
-determinant); a table no route decides is left undetermined.  A
+irrational; the line witness is the whole verdict, and the PSD evidence
+for its determinant is computed only on request, by ``psd_certificate``);
+a table no route decides is left undetermined.  A
 positive-definite certificate and a zero witness exclude each other, so
 the order of the routes cannot change a verdict.  Tables with the same
 det M^L have the same zero-divisor answer, so within one ``classify``
@@ -54,7 +55,6 @@ determinants.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -76,7 +76,6 @@ from .poly import (
     indeterminates,
     isolate_real_root,
     symbolic_det,
-    verify_sos,
 )
 
 SHAPED = "shaped"
@@ -171,8 +170,8 @@ class RealRootRejection:
     runs over t and the others take the rational values in ``base`` (not
     all zero, so the line avoids the origin).  ``coefficients`` is the
     restricted determinant, which has a real root inside ``interval``.
-    ``psd`` is ``find_psd_sos``'s certificate that the determinant is
-    nonnegative everywhere, or None.
+    The witness carries no PSD evidence: ``psd_certificate`` gives the
+    determinant's certificate of nonnegativity to a caller that asks.
     """
 
     position: int
@@ -180,12 +179,11 @@ class RealRootRejection:
     coefficients: tuple
     interval: tuple
     root_count: int
-    psd: object = None
 
     @classmethod
     def on_line(cls, det_poly, position, base):
-        """The verified witness on this line, with no ``psd``, or None when
-        the restriction has no real root or the line is malformed."""
+        """The verified witness on this line, or None when the restriction
+        has no real root or the line is malformed."""
         coeffs = _restrict_to_line(det_poly, position, base)
         if coeffs is None or len(coeffs) <= 1:
             return None
@@ -197,10 +195,10 @@ class RealRootRejection:
         return witness if witness.verify(det_poly) else None
 
     def verify(self, det_poly):
-        """True iff the restriction to the line is ``coefficients``, it has
-        a root in the interval, and ``psd`` (if any) verifies on
-        ``det_poly``; False, not an error, for a malformed line, a constant
-        or zero restriction, or an interval with lo >= hi."""
+        """True iff the restriction to the line is ``coefficients`` and it
+        has a root in the interval; False, not an error, for a malformed
+        line, a constant or zero restriction, or an interval with
+        lo >= hi."""
         coeffs = _restrict_to_line(det_poly, self.position, self.base)
         if coeffs is None or [Fraction(c) for c in self.coefficients] != coeffs:
             return False
@@ -209,7 +207,6 @@ class RealRootRejection:
             len(coeffs) > 1
             and lo < hi
             and count_real_roots(coeffs, lo, hi) >= self.root_count >= 1
-            and (self.psd is None or verify_sos(det_poly, self.psd))
         )
 
     def to_json(self):
@@ -360,16 +357,24 @@ def det_polynomials(constant):
 
 def line_root_rejection(det_poly):
     """First rational-line restriction of the determinant with a real root,
-    annotated with ``find_psd_sos``'s certificate for the determinant."""
+    as ``RealRootRejection.on_line`` verified it.  The Sturm-certified root
+    decides the table; no PSD search runs here (see ``psd_certificate``)."""
     nvars = len(det_poly.vars)
     bases = list(itertools.product((1, 0, -1, 2), repeat=nvars - 1))
     for position in range(nvars):
         for base in bases:
             witness = RealRootRejection.on_line(det_poly, position, base)
             if witness is not None:
-                # find_psd_sos returns only certificates that verify
-                return dataclasses.replace(witness, psd=find_psd_sos(det_poly))
+                return witness
     return None
+
+
+def psd_certificate(constant):
+    """``find_psd_sos``'s certificate that det M^L of the table is
+    nonnegative everywhere, or None.  The one place PSD evidence is
+    computed: a line-root rejection does not carry it, and no route of
+    ``classify`` reads it."""
+    return find_psd_sos(det_polynomial(constant))
 
 
 def zero_divisor_witness(det_l):

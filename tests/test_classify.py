@@ -48,6 +48,7 @@ from twistdiv.groups import (
 from twistdiv.poly import (
     MultiPoly,
     SignChangeWitness,
+    SosCertificate,
     certifies_positive_definite,
     count_real_roots,
     symbolic_det,
@@ -128,10 +129,24 @@ def test_classify_z4_left():
     assert witness.verify(det_l)
 
 
-def test_raw_z4_searches_a_psd_certificate_per_line_root(monkeypatch):
-    """Raw Z4's 4 line roots lie on 4 distinct det M^L, so each is
-    searched, with one ``find_psd_sos`` call, and its certificate
-    verifies on that table's own det M^L."""
+# the classify-all runs: shaped Z2, Z2xZ2 and Z4, raw Z2xZ2 and Z4, each
+# in both conventions
+CLASSIFY_ALL = [
+    (group, convention, mode)
+    for group, mode in (("Z2", SHAPED), ("Z2xZ2", SHAPED), ("Z4", SHAPED),
+                        ("Z2xZ2", RAW), ("Z4", RAW))
+    for convention in CONVENTIONS
+]
+
+
+def test_classify_runs_no_psd_search_and_the_helper_certifies_each_line_root(
+    monkeypatch,
+):
+    """The 10 classify-all runs reject 10 tables by a line root and make
+    no ``find_psd_sos`` call: the Sturm-certified root decides each.
+    ``psd_certificate`` then looks the search up where classify does, and
+    its certificate is an exact SOS identity for each table's det M^L
+    that does not prove it positive definite (it has real zeros off 0)."""
     calls = []
     search = CLASSIFY.find_psd_sos
 
@@ -140,12 +155,19 @@ def test_raw_z4_searches_a_psd_certificate_per_line_root(monkeypatch):
         return search(p)
 
     monkeypatch.setattr(CLASSIFY, "find_psd_sos", counting)
-    rep = classify("Z4", LEFT_STANDARD, RAW)
-    roots = [(c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)]
-    assert len(calls) == 4 and len(roots) == 4
-    for cand, witness in roots:
-        det_l = det_polynomials(cand.constant)[0]
-        assert witness.psd is not None and verify_sos(det_l, witness.psd)
+    roots = [
+        cand
+        for run in CLASSIFY_ALL
+        for cand, w in classify(*run).rejected
+        if isinstance(w, RealRootRejection)
+    ]
+    assert len(roots) == 10 and calls == []
+    for cand in roots:
+        det_l = det_polynomial(cand.constant)
+        cert = CLASSIFY.psd_certificate(cand.constant)
+        assert cert is not None and verify_sos(det_l, cert)
+        assert not certifies_positive_definite(det_l, cert)
+    assert len(calls) == 10
 
 
 def test_line_root_verify_is_false_on_an_interval_without_a_root():
@@ -298,6 +320,37 @@ def test_sign_change_verify_rejects_changed_witnesses(raw_z4_sign_change, change
     assert changed.verify(det_l.evaluate) is False
 
 
+def test_sign_change_verify_rejects_a_positive_point_at_a_zero(raw_z4_sign_change):
+    """The witness's nonpositive point is a rational zero of det M^L off
+    the origin.  Recorded as the positive point too, with its true value
+    0, every value matches, but p(pos) > 0 fails."""
+    det_l, witness = raw_z4_sign_change
+    zero = witness.nonpositive_point
+    assert any(zero) and det_l.evaluate(zero) == witness.nonpositive_value == 0
+    changed = dataclasses.replace(
+        witness, positive_point=zero, positive_value=Fraction(0)
+    )
+    assert changed.verify(det_l.evaluate) is False
+
+
+@pytest.mark.parametrize("side", ["cert_left", "cert_right"])
+def test_survivor_verify_fails_with_one_bad_side(side):
+    """A survivor claims both determinants positive definite: with the
+    first weight of one side doubled, that side's sum no longer matches
+    while the other side still certifies, and verify must fail."""
+    cand, cert = classify("Z4", LEFT_STANDARD, SHAPED).survivors[0]
+    det_l, det_r = det_polynomials(cand.constant)
+    (weight, base), *rest = getattr(cert, side).parts
+    tampered = dataclasses.replace(
+        cert, **{side: SosCertificate(((2 * weight, base), *rest))}
+    )
+    assert (
+        certifies_positive_definite(det_l, tampered.cert_left),
+        certifies_positive_definite(det_r, tampered.cert_right),
+    ) == ((False, True) if side == "cert_left" else (True, False))
+    assert tampered.verify(det_l, det_r) is False
+
+
 def test_survivor_verify_checks_each_certificate_on_its_own_side():
     """cert_left is over y and cert_right over x, so swapping them fails."""
     rep = classify("Z4", LEFT_STANDARD, SHAPED)
@@ -354,14 +407,15 @@ def test_each_witness_writes_its_own_kind(raw_z4_sign_change):
 
 def test_psd_candidate_sos_identity():
     """The no-sign-change candidate's determinant is PSD with an exact
-    SOS decomposition, and its only rational zero is the origin on a
-    dense grid."""
+    SOS decomposition (``psd_certificate``), and its only rational zero
+    is the origin on a dense grid."""
     rep = classify("Z4", LEFT_STANDARD, SHAPED)
-    (cand, witness), = [
+    (cand, _), = [
         (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
     ]
     det_l, det_r = det_polynomials(cand.constant)
-    assert witness.psd is not None and verify_sos(det_l, witness.psd)
+    cert = CLASSIFY.psd_certificate(cand.constant)
+    assert cert is not None and verify_sos(det_l, cert)
     assert det_l.terms == det_r.terms  # same polynomial in renamed variables
     import itertools
 

@@ -176,6 +176,16 @@ def test_verify_sos_examples():
     assert not verify_sos(indefinite, SosCertificate(((Fraction(1), y0),)))
 
 
+def test_an_empty_certificate_proves_only_the_zero_polynomial():
+    """An empty sum of squares is 0: it certifies the zero polynomial and
+    no other, so it cannot pass as a certificate for y0^2."""
+    y0 = _ys()[0]
+    empty = SosCertificate(())
+    assert verify_sos(MultiPoly.zero(y0.vars), empty) is True
+    assert verify_sos(y0 * y0, empty) is False
+    assert certifies_positive_definite(y0 * y0, empty) is False
+
+
 @pytest.mark.parametrize("weight", [-1, 0], ids=["negative", "zero"])
 def test_a_weight_of_at_most_zero_is_refused_though_the_sum_matches(weight):
     """y0^2 + w y1^2 + y2^2 + y3^2 is exactly the polynomial of the parts,
