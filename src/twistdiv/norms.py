@@ -94,23 +94,20 @@ def pure_factor_defects(algebra, rng, samples):
     return bad
 
 
-def inverse_formulas(x):
-    """(LI, RI) from the conjugate closed forms; x must be nonzero.
+def _inverse_numerators(x):
+    """(conj(x*(x*conj x)), conj((x*conj x)*x)): |x|^4 times LI(x) and RI(x)."""
+    xbar = x.conj()
+    return (x * (x * xbar)).conj(), ((x * xbar) * x).conj()
 
-    LI(x) = conj(x*(x*conj x)) / |x|^4 and RI(x) = conj((x*conj x)*x) / |x|^4,
-    so that LI*x = 1 = x*RI exactly.
-    """
+
+def inverse_formulas(x):
+    """(LI, RI) = ``_inverse_numerators(x)`` / |x|^4, so that LI*x = 1 = x*RI
+    exactly; x must be nonzero."""
     if x.is_zero():
         raise ZeroDivisionError("zero element has no inverse")
     n4 = quartic_norm4(x)
-    xbar = x.conj()
-    li = (x * (x * xbar)).conj()
-    ri = ((x * xbar) * x).conj()
-    if isinstance(n4, (int, Fraction)):
-        inv = Fraction(1, 1) / Fraction(n4)
-    else:
-        inv = n4.inverse()
-    return li * inv, ri * inv
+    inv = Fraction(1) / n4 if isinstance(n4, (int, Fraction)) else n4.inverse()
+    return tuple(v * inv for v in _inverse_numerators(x))
 
 
 def generates_whole_algebra(x):
@@ -236,17 +233,6 @@ def triangle_sweep(rng, samples):
     return results
 
 
-def positive_homogeneity_check(spec, samples):
-    """M(a x)^(2^j) == a^(2^j) M(x)^(2^j), exactly, on (scalar, vector) pairs."""
-    k = 2**spec.j
-    for alpha, x in samples:
-        lhs = iterated_norm_power(spec, [Fraction(alpha) * Fraction(v) for v in x])
-        rhs = Fraction(alpha) ** k * iterated_norm_power(spec, x)
-        if lhs != rhs:
-            return False
-    return True
-
-
 # -- linear equation solving / encryption over Z_p -----------------------
 
 
@@ -254,34 +240,39 @@ class InvalidKey(ValueError):
     """Key rejected: |a|^4 vanishes mod p, so a is not invertible."""
 
 
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+
+
+def _solution_numerator(a, c, side):
+    """|a|^4 times the solution of a*x = c (left) or of y*a = c (right)."""
+    abar = a.conj()
+    if side == "left":
+        return (abar * c) * (a * abar).conj()
+    return (a * abar).conj() * (c * abar)
+
+
 def encrypt(key, message, p, side="left"):
     """Encode the message c as the solution x of a*x = c over Z_p.
 
-    side="left" solves a*x = c via x = |a|^-4 (conj(a)*c) * conj(a*conj(a));
-    side="right" solves y*b = d via y = |b|^-4 conj(b*conj(b)) * (d*conj(b)).
-    Raises InvalidKey when |key|^4 = 0 mod p.
+    side="left" solves a*x = c and side="right" solves y*b = d, each as
+    |key|^-4 times ``_solution_numerator``.  Raises InvalidKey when
+    |key|^4 = 0 mod p.
     """
+    _check_side(side)
     algebra = tesseranion_algebra(IntegersModP(p))
     a = algebra.element(key)
-    c = algebra.element(message)
     n4 = quartic_norm4(a)
     if n4 == 0:
         raise InvalidKey(f"|key|^4 = 0 mod {p}")
-    inv = n4.inverse()
-    abar = a.conj()
-    if side == "left":
-        x = (abar * c) * (a * abar).conj()
-    elif side == "right":
-        x = (a * abar).conj() * (c * abar)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return tuple(v.value for v in (x * inv).coeffs)
+    x = _solution_numerator(a, algebra.element(message), side)
+    return tuple(v.value for v in (x * n4.inverse()).coeffs)
 
 
 def decrypt(key, encoded, p, side="left"):
     """Recover c = a*x (or c = y*b for the right-sided scheme)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    _check_side(side)
     algebra = tesseranion_algebra(IntegersModP(p))
     a = algebra.element(key)
     x = algebra.element(encoded)

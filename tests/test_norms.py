@@ -15,7 +15,6 @@ from twistdiv.norms import (
     iterated_norm_power,
     norm4_monomial_expressions,
     nth_root_leq,
-    positive_homogeneity_check,
     pure_factor_defects,
     quartic_norm4,
     schwarz_defect4,
@@ -182,7 +181,10 @@ def test_triangle_and_homogeneity_sampled():
             tri.append((x, y))
             hom.append((Fraction(rng.randint(-5, 5)), x))
         assert triangle_check(spec, tri)
-        assert positive_homogeneity_check(spec, hom)
+        k = 2**j
+        for a, x in hom:
+            scaled = iterated_norm_power(spec, [a * v for v in x])
+            assert scaled == a**k * iterated_norm_power(spec, x)
     # x and -x: |x + (-x)| = 0 <= 2|x|
     spec = IteratedNormSpec(2, 2)
     assert triangle_check(spec, [([1, 2, 3, 4], [-1, -2, -3, -4])])
@@ -218,6 +220,9 @@ def test_decrypt_rejects_an_unknown_side():
     for side in ("bogus", "middle", "Left"):
         with pytest.raises(ValueError, match="side must be"):
             decrypt([1, 1, 0, 0], x, 257, side=side)
+    # the side is checked before the key, as in decrypt
+    with pytest.raises(ValueError, match="side must be"):
+        encrypt([4, 1, 0, 0], [1, 2, 3, 4], 257, side="up")
 
 
 def test_encryption_random_round_trips():
