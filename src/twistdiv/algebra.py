@@ -241,13 +241,19 @@ class StructureConstant:
 # "e_i * e_j has coefficient c on e_k"; a twisted group algebra has the
 # n^2 entries (a, b, ab, C(a, b)) of ``structure_entries``.  Every product
 # and multiplication matrix is read off these entries by
-# ``tensor_product`` and ``mult_matrix``.
+# ``tensor_product`` and ``mult_matrix``.  A constant enters a kernel
+# through ``_narrow``, so an integral one multiplies as an int.
+
+
+def _narrow(v):
+    """An integral ``Fraction`` as its int numerator; any other value as is."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def structure_entries(constant):
-    """The n^2 entries (a, b, ab, C(a, b)) of the table ``constant``."""
+    """The n^2 entries (a, b, ab, C(a, b)) of ``constant``, cells ``_narrow``ed."""
     return tuple(
-        (a, b, ab, c)
+        (a, b, ab, _narrow(c))
         for a, (row, cells) in enumerate(zip(constant.group.cayley, constant.values))
         for b, (ab, c) in enumerate(zip(row, cells))
     )
@@ -466,12 +472,8 @@ class TwistedAlgebra:
 
     def to_json(self):
         def scalar(v):
-            f = Fraction(v)
-            return (
-                f.numerator
-                if f.denominator == 1
-                else {"num": f.numerator, "den": f.denominator}
-            )
+            f = _narrow(Fraction(v))
+            return f if type(f) is int else {"num": f.numerator, "den": f.denominator}
 
         return {
             "group": self.group.name,

@@ -34,15 +34,15 @@ Both determinants are read off one Leibniz table per (group, side),
 built on first use (``_leibniz_table``): each entry of M^L(y) is one cell
 C(a, b) times one y_b, so each permutation's sign, monomial and cells
 depend on the group alone, and ``det_polynomial`` only multiplies out,
-in plain loops, the cells of the flat table at hand (sign cells and
-rational deformation cells alike).  ``verify_verdict`` reads no Leibniz
-table, so it shares neither the table nor the polynomial it checks: it
-re-checks a sign change on the numeric matrix M^L at its two points,
-built by ``algebra.mult_matrix`` at the point itself and reduced by the
-fraction-free ``_linalg.det``, which does the one clearing of
-denominators, row by row; it re-checks a line root or a survivor on
-determinants that ``symbolic_det`` expands from the polynomial matrices
-``algebra.mult_matrix`` builds.
+in plain loops, the cells of the flat table at hand (sign and rational
+deformation cells alike, an integral one as an int).  ``verify_verdict``
+reads no Leibniz table, so it shares neither the table nor the
+polynomial it checks: it re-checks a sign change on the numeric matrix
+M^L at its two points, built by ``algebra.mult_matrix`` at the point
+itself and reduced by the fraction-free ``_linalg.det``, which does the
+one clearing of denominators, row by row; it re-checks a line root or a
+survivor on determinants that ``symbolic_det`` expands from the
+polynomial matrices ``algebra.mult_matrix`` builds.
 
 Every zero divisor on a rational line, whether found by the line search
 or forced by an odd-order cyclic subgroup, is built by
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .algebra import StructureConstant, mult_matrix, structure_entries
+from .algebra import StructureConstant, _narrow, mult_matrix, structure_entries
 from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
@@ -335,9 +335,10 @@ def _leibniz_table(group, left):
 
 def det_polynomial(constant, left=True):
     """det M^L in y (``left``) or det M^R in x, as an exact polynomial,
-    read off the group's Leibniz table (``_leibniz_table``)."""
+    read off the group's Leibniz table (``_leibniz_table``); a coefficient
+    is a ``Fraction`` exactly when a product reads a non-integral cell."""
     names, table = _leibniz_table(constant.group, left)
-    flat = [v for row in constant.values for v in row]
+    flat = [_narrow(v) for row in constant.values for v in row]
     terms = {}
     for exponent, products in table:
         coeff = 0

@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .algebra import _narrow
+
 
 def _exact_div(a, b):
-    v = Fraction(a) / Fraction(b)
-    return int(v) if v.denominator == 1 else v
+    return _narrow(Fraction(a) / Fraction(b))
 
 
 class SignTable:

@@ -125,10 +125,9 @@ def enumerate_monomials(pattern):
 class Expander:
     """Caches symbolic expansions of bracket trees over one algebra.
 
-    The algebra needs a ``dimension`` and structure-tensor ``entries``;
-    an integral ``Fraction`` entry is stored as an int, so an algebra
-    with constants such as ``Fraction(2)`` expands over ints.  The
-    ambient polynomial ring has one indeterminate per (variable,
+    The algebra needs a ``dimension`` and structure-tensor ``entries``,
+    read as given: both algebra classes hold an integral constant as an
+    int.  The ambient polynomial ring has one indeterminate per (variable,
     component) pair, ordered x0.., y0.., z0..; a tree expands to one
     component per basis index.
 
@@ -155,10 +154,7 @@ class Expander:
     def __init__(self, algebra, nvars, degree):
         if nvars > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} distinct variables")
-        self.entries = tuple(
-            (i, j, k, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-            for i, j, k, c in algebra.entries
-        )
+        self.entries = algebra.entries
         self.degree = degree
         self.width = max(degree, 1).bit_length()
         n = algebra.dimension

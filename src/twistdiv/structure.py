@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .algebra import tensor_product
+from .algebra import _narrow, tensor_product
 from .identities import Leaf, Node, counterexample, identity_residual
 from .poly import _minors, nonzero_point, symbolic_det
 
@@ -23,14 +23,14 @@ class BilinearAlgebra:
     """Finite-dimensional algebra given by its structure tensor.
 
     The tensor is stored as sparse entries (i, j, k, c), c nonzero and
-    each (i, j, k) once, meaning "e_i * e_j has coefficient c on e_k";
-    products of coefficient vectors go through the same kernel as
-    twisted group algebras.
+    each (i, j, k) once, meaning "e_i * e_j has coefficient c on e_k",
+    an integral c as an int (``_narrow``); products of coefficient
+    vectors go through the same kernel as twisted group algebras.
     """
 
     def __init__(self, dimension, entries):
         self.dimension = dimension
-        self.entries = tuple(entries)
+        self.entries = tuple((i, j, k, _narrow(c)) for i, j, k, c in entries)
 
     def coefficients(self):
         """{(i, j, k): c} for the nonzero coefficients of e_i * e_j on e_k."""
@@ -55,7 +55,7 @@ def _symmetrized(algebra, sign):
         for key, v in (((i, j, k), c), ((j, i, k), sign * c)):
             coeffs[key] = coeffs.get(key, 0) + Fraction(v, 2)
     return BilinearAlgebra(
-        algebra.group.order,
+        algebra.dimension,
         [(i, j, k, c) for (i, j, k), c in coeffs.items() if c != 0],
     )
 

@@ -51,6 +51,7 @@ from twistdiv.poly import (
     SosCertificate,
     certifies_positive_definite,
     count_real_roots,
+    indeterminates,
     symbolic_det,
     verify_sos,
 )
@@ -601,6 +602,31 @@ def test_leibniz_determinants_match_on_rational_deformation_members():
     _assert_leibniz_matches_matrix(constants)
 
 
+def _raw_leibniz_det(constant, left):
+    """det M^L in y (``left``) or det M^R in x as the Leibniz sum over the
+    table's own cells, Fractions as they are, with no kernel: the
+    reference for ``det_polynomial``."""
+    group, n = constant.group, constant.group.order
+    v = MultiPoly.variables(indeterminates(("y" if left else "x",), n))
+    rows = [[None] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        # M^L(y) has C(a, b) y_b at (ab, a); M^R(x) has x_a C(a, b) at (ab, b)
+        cell = constant(a, b) * v[b if left else a]
+        rows[group.mul(a, b)][a if left else b] = cell
+    return _leibniz_det(rows)
+
+
+def test_det_polynomial_matches_the_raw_leibniz_sum_on_deformation_members():
+    """Families 1-8 at integral, half-integral, negative and large k: the
+    narrowed cells give the polynomial of the raw Fraction cells."""
+    for family in range(1, 9):
+        for k in (2, 3, Fraction(1, 2), -2, 10):
+            constant = family_constant(family, k).constant()
+            assert any(type(c) is Fraction for row in constant.values for c in row)
+            for left in (True, False):
+                assert det_polynomial(constant, left) == _raw_leibniz_det(constant, left)
+
+
 def test_sign_change_recheck_matches_the_determinant_polynomial():
     """The re-check's exact det M^L (``_linalg.det`` of the numeric
     matrix) equals det_polynomial evaluated at the same point, on seeded
@@ -625,8 +651,9 @@ def test_sign_change_recheck_matches_the_determinant_polynomial():
 def test_det_polynomial_keeps_int_and_fraction_coefficients():
     """Coefficients are ints on every raw sign table.  On a rational
     deformation member a coefficient is a Fraction exactly when one of
-    its Leibniz products reads a Fraction cell.  The Leibniz tests compare
-    with ==, which would not see the type drift."""
+    its Leibniz products reads a non-integral cell: at k = 1/2 the
+    Fraction cell 2 reads as an int.  The Leibniz tests compare with ==,
+    which would not see the type drift."""
     for group in ("Z2", "Z2xZ2", "Z4"):
         for convention in CONVENTIONS:
             for cand in enumerate_candidates(group, convention, RAW):
@@ -640,7 +667,7 @@ def test_det_polynomial_keeps_int_and_fraction_coefficients():
             det = det_polynomial(constant, left)
             expected = {
                 exponent: Fraction if any(
-                    type(flat[i]) is Fraction for _, idx in products for i in idx
+                    flat[i].denominator != 1 for _, idx in products for i in idx
                 ) else int
                 for exponent, products in table if exponent in det.terms
             }

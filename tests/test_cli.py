@@ -13,6 +13,7 @@ import sympy
 from twistdiv.algebra import StructureConstant, TwistedAlgebra
 import twistdiv
 from twistdiv.cli import main
+from twistdiv.deform import family_constant
 from twistdiv.groups import LEFT_STANDARD, group_by_name
 
 CLASSIFY_SCHEMA = {
@@ -260,6 +261,43 @@ def test_deform_witness_reports_are_byte_identical(capsys, family, k, digest):
         capsys, "deform", "--family", str(family), f"--k={k}", "--checks", "witness"
     )
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of reports whose inputs hold integral Fraction constants, which
+# the kernels multiply as ints: ``deform`` with every check at k = 2,
+# whose parameters print as Fractions beside ints, and ``analyze`` with
+# every report on the family-4 member at k = 2, read from its JSON
+# document, whose A^- and A^+ hold integral Fraction sums
+DEFORM_ALL_CHECKS_SHA256 = [
+    (1, "5cb6a8bf13ec011a0745525ab524fe6f9154a8605274e84e304468270ed596a5"),
+    (4, "26a9a45ba4ff316d42e7d658b30b58d5f4924208ee011f54e139fa0dcae113ba"),
+    (5, "bbbbd5b15454e31643c8a4ac953da3a00441528dc1c6b07f16b4d57e3f8dd052"),
+]
+
+
+@pytest.mark.parametrize("family, digest", DEFORM_ALL_CHECKS_SHA256)
+def test_deform_reports_with_every_check_are_byte_identical(capsys, family, digest):
+    code, out = run_cli(
+        capsys, "deform", "--family", str(family), "--k", "2",
+        "--checks", "neccons,witness,inverse-iso,commutator",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_analyze_report_on_a_deformation_member_is_byte_identical(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    algebra = TwistedAlgebra(family_constant(4, 2).constant())
+    Path("family4_k2.json").write_text(json.dumps(algebra.to_json()))
+    code, out = run_cli(
+        capsys, "analyze", "--algebra", "family4_k2.json",
+        "--report", "lie,jordan,series,inverses,properties,fingerprint",
+    )
+    assert code == 0
+    digest = "c9e94e0d69d5a538af5796f1760e42292f1adf9219f75d214937d586448544dc"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

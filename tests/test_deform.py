@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -234,6 +235,36 @@ def test_witness_searches_for_valid_members_come_up_empty():
         member = family_constant(fid, k)
         assert member.in_range
         assert witness_search(member.constant()) is None
+
+
+# sha256 of repr([(repr(witness_search), chirality kind, [repr(c) for c
+# in the chirality witness]) for k in (2, 3, 1/2, -2, 10)]) per family,
+# as computed by kernels that multiply the raw Fraction cells; repr tells
+# an int from a Fraction, so these pin value types as well as values
+NARROWED_KERNEL_SHA256 = {
+    1: "0be09fd89cd7992091960e02a8b7501e7dbed7a7e1ad6c3f427eb0c6e0ec7eb4",
+    2: "2e563c3d95878b8045e69270b5bab0f4feb1ef28efd6450732114799f71bc51d",
+    3: "2e563c3d95878b8045e69270b5bab0f4feb1ef28efd6450732114799f71bc51d",
+    4: "94bb31b11b82d0a96b0234b82f4727e19781feb005262f6525a7bb2ea2cef569",
+    5: "9748eb07e76583bf6902f98db9166405b21eca45376861a2b62e56425aa68c3f",
+    6: "90510b8f20a15b7c8ee69b1cda528e17601e62544eb5683d852cdd4cb201b091",
+    7: "8872f4a65473a019f92fb1c61da39ba17c2049c649a0ff9274f36793242bf16e",
+    8: "2d40cdde8dfffa72293a60fd5f2a26d5c59f281e312cd19754802b77961471e2",
+}
+
+
+@pytest.mark.parametrize("family", sorted(NARROWED_KERNEL_SHA256))
+def test_witness_and_chirality_match_the_raw_fraction_kernels(family):
+    """Integral cells enter the kernels as ints; the zero-divisor witness
+    and the chiral witness stay what the Fraction arithmetic gave."""
+    out = []
+    for k in (2, 3, Fraction(1, 2), -2, 10):
+        constant = family_constant(family, k).constant()
+        kind, element = chiral_inverse_check(TwistedAlgebra(constant))
+        coeffs = None if element is None else [repr(c) for c in element.coeffs]
+        out.append((repr(witness_search(constant)), kind, coeffs))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == NARROWED_KERNEL_SHA256[family]
 
 
 def test_out_of_range_member_still_constructible():

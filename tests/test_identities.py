@@ -93,7 +93,7 @@ ORACLE_ALGEBRAS = {
     "H": quaternion_algebra(),
     "T": T,
     "family5(k=7/2)": family_constant(5, Fraction(7, 2)).algebra(),
-    # integral Fraction constants, which the expander stores as ints
+    # integral Fraction cells, which every algebra stores as ints
     "family4(k=2)": family_constant(4, 2).algebra(),
     "T^-": commutator_algebra(T),
 }
@@ -202,8 +202,15 @@ def test_identity_space_writes_one_column_per_distinct_expansion(
 
 
 def test_integral_fraction_constants_expand_over_ints():
+    """The table keeps its Fraction cells; the entries of the algebra and
+    of its A^-, which the expander reads as given, hold the integral ones
+    as ints."""
     algebra = ORACLE_ALGEBRAS["family4(k=2)"]
-    assert any(type(c) is Fraction for *_, c in algebra.entries)
+    assert any(type(c) is Fraction for row in algebra.constant.values for c in row)
+    assert all(type(c) is int for *_, c in algebra.entries)
+    lie = commutator_algebra(algebra).entries
+    assert any(c.denominator == 1 for *_, c in lie)
+    assert all(type(c) is int for *_, c in lie if c.denominator == 1)
     expander = Expander(algebra, 2, 3)
     assert all(type(c) is int for *_, c in expander.entries)
     product = expander.expand(N(N(L(0), L(1)), L(0)))

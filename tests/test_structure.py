@@ -88,6 +88,14 @@ def test_commutative_algebra_equals_its_anticommutator():
             assert Cp.product(e(i, 2), e(j, 2)) == list(prod)
 
 
+def test_symmetrizing_a_bilinear_algebra():
+    """A^- and A^+ of T's A^-, which has no grading group: for an
+    antisymmetric product (xy - yx)/2 = xy and (xy + yx)/2 = 0."""
+    Tm = commutator_algebra(T)
+    assert commutator_algebra(Tm).coefficients() == Tm.coefficients()
+    assert anticommutator_algebra(Tm).entries == ()
+
+
 def test_jacobi():
     assert jacobi_check(commutator_algebra(T)) == (True, None)
     assert jacobi_check(commutator_algebra(H)) == (True, None)
