@@ -63,15 +63,15 @@ from .norms import (
     inverse_formulas,
     iterated_norm_power,
     norm4_monomial_expressions,
+    pure_factor_equality,
     quartic_norm4,
-    schwarz_defect4,
     schwarz_table,
+    triangle_claims,
 )
 from .poly import (
     MultiPoly,
     SignChangeWitness,
     count_real_roots,
-    indeterminates,
 )
 from .structure import (
     DERIVED,
@@ -356,22 +356,11 @@ def criterion_8():
     )
 
 
-def _pure_factor_identities(algebra):
-    """True iff the Schwarz defect is 0 in generic y with x pure even
-    (x1 = x3 = 0) or pure odd (x0 = x2 = 0), on either side of y."""
-    x, y = algebra.generic_elements("x", "y")
-    zero = MultiPoly.zero(y[0].vars)
-    even = algebra.element([x[0], zero, x[2], zero])
-    odd = algebra.element([zero, x[1], zero, x[3]])
-    pairs = [(even, y), (y, even), (odd, y), (y, odd)]
-    return all(schwarz_defect4(a, b).is_zero for a, b in pairs)
-
-
 def criterion_9():
     """Schwarz defects -16, 0, 8; pure factors give equality; H is normed."""
     T = tesseranion_algebra()
     vals = tuple(schwarz_table(T).values())
-    pure = _pure_factor_identities(T)
+    pure = pure_factor_equality(T)
     # quaternion strict Schwarz equality, symbolically
     H = quaternion_algebra()
     x, y = H.generic_elements("x", "y")
@@ -388,21 +377,13 @@ def criterion_9():
     )
 
 
-def _is_sum_of_squares(spec):
-    """True iff the spec's norm power is x0^2 + ... + x(m-1)^2 exactly."""
-    x = MultiPoly.variables(indeterminates(("x",), spec.length))
-    return iterated_norm_power(spec, x) == sum((v * v for v in x[1:]), x[0] * x[0])
-
-
 def criterion_10():
     """Iterated norms are norms, by induction on the level j.
 
-    M_1 is Euclidean: P_1 is the sum of squares (n = 1..3).  The
-    recursion P_j = P_(j-1)(u)^2 + P_(j-1)(r)^2 of ``iterated_norm_power``
-    makes M_j = l_(2^j)(M_(j-1)(u), M_(j-1)(r)); l_p is a norm monotone
-    on the nonnegative orthant, so by Minkowski M_j is a norm if M_(j-1)
-    is one, for j = 2..4."""
-    base = all(_is_sum_of_squares(IteratedNormSpec(1, n)) for n in range(1, 4))
+    The base, P_1 = sum of squares for n = 1..3, is read from
+    ``triangle_claims``, whose docstring gives the induction to j = 2..4."""
+    claims = triangle_claims()
+    base = all(claims[f"j=1,n={n}"] for n in range(1, 4))
     # M2 on (x0, x2, x1, x3) has fourth power equal to the quartic norm
     (x,) = tesseranion_algebra().generic_elements("x")
     x0, x1, x2, x3 = x.coeffs

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import cohomology as coh
 from .acceptance import run_acceptance
-from .algebra import TwistedAlgebra, algebra_by_name
+from .algebra import TABLE_TESSERANION, TwistedAlgebra, algebra_by_name
 from .classify import (
     RAW,
     SHAPED,
@@ -36,13 +36,14 @@ from .norms import (
     InvalidKey,
     decrypt,
     encrypt,
-    pure_factor_defects,
+    pure_factor_equality,
     schwarz_table,
-    triangle_sweep,
+    triangle_claims,
 )
 from .structure import (
     DERIVED,
     LOWER_CENTRAL,
+    Z4_COMMUTATOR_CLASSIFICATION,
     anticommutator_algebra,
     chiral_inverse_check,
     commutator_algebra,
@@ -52,11 +53,9 @@ from .structure import (
     series,
 )
 
-DEFAULT_SEED = 12345
-
 ANALYZE_REPORTS = ("lie", "jordan", "series", "inverses", "properties", "fingerprint")
 DEFORM_CHECKS = ("neccons", "witness", "inverse-iso", "commutator")
-MAX_SAMPLES = 100_000  # minutes of triangle sweep at about 1 ms a sample
+FAMILY_1_ONLY = "skipped: defined for family 1 only"
 
 
 def _emit(data):
@@ -217,9 +216,6 @@ def cmd_analyze(args):
         holds, ce = jordan_check(Jp)
         data["jordan"] = {"holds": holds, "counterexample": ce}
     if "series" in wanted:
-        from .algebra import TABLE_TESSERANION
-        from .structure import Z4_COMMUTATOR_CLASSIFICATION
-
         Lm = commutator_algebra(algebra)
         der = series(Lm, DERIVED)
         low = series(Lm, LOWER_CENTRAL)
@@ -247,24 +243,20 @@ def cmd_analyze(args):
 
 
 def cmd_norms(args):
-    import random
-
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        raise ValueError(f"--samples must be 1 to {MAX_SAMPLES}, got {args.samples}")
-    rng = random.Random(args.seed)
-    algebra = algebra_by_name("tes")
-    data = {"seed": args.seed}
     if args.check == "schwarz":
-        data["fourth_power_defects"] = {
-            pair: str(v) for pair, v in schwarz_table(algebra).items()
+        algebra = algebra_by_name("tes")
+        data = {
+            "fourth_power_defects": {
+                pair: str(v) for pair, v in schwarz_table(algebra).items()
+            },
+            "pure_factor_equality": pure_factor_equality(algebra),
         }
-        failures = pure_factor_defects(algebra, rng, args.samples)
-        data["pure_factor_nonzero_defects"] = failures
+        holds = data["pure_factor_equality"]
     else:
-        data["triangle"] = triangle_sweep(rng, args.samples)
-        failures = list(data["triangle"].values()).count(False)
+        data = {"triangle": triangle_claims()}
+        holds = all(data["triangle"].values())
     _emit(data)
-    return 0 if failures == 0 else 1
+    return 0 if holds else 1
 
 
 def cmd_deform(args):
@@ -293,17 +285,25 @@ def cmd_deform(args):
             else {"found": True, **witness.to_json()}
         )
         failures += 1 if witness is not None and member.in_range else 0
+    # the k <-> 1/k isomorphism and the bracket rescaling are family-1
+    # constructions
     if "inverse-iso" in checks:
-        try:
-            data["k_inverse_isomorphism"] = k_inverse_isomorphism(k)
-        except ValueError as exc:
-            data["k_inverse_isomorphism"] = f"skipped: {exc}"
+        if args.family != 1:
+            data["k_inverse_isomorphism"] = FAMILY_1_ONLY
+        else:
+            try:
+                data["k_inverse_isomorphism"] = k_inverse_isomorphism(k)
+            except ValueError as exc:
+                data["k_inverse_isomorphism"] = f"skipped: {exc}"
     if "commutator" in checks:
-        possible, matched = commutator_rescaling(k)
-        data["commutator_rescaling"] = {
-            "rational_rescaling_exists": possible,
-            "brackets_match": matched,
-        }
+        if args.family != 1:
+            data["commutator_rescaling"] = FAMILY_1_ONLY
+        else:
+            possible, matched = commutator_rescaling(k)
+            data["commutator_rescaling"] = {
+                "rational_rescaling_exists": possible,
+                "brackets_match": matched,
+            }
     _emit(data)
     return 0 if failures == 0 else 1
 
@@ -376,8 +376,6 @@ def build_parser():
 
     p = sub.add_parser("norms", help="Schwarz defects and iterated norms")
     p.add_argument("--check", required=True, choices=["schwarz", "triangle"])
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("deform", help="one-parameter deformation families")

@@ -133,10 +133,13 @@ def family_constant(family, k):
 
     Out-of-range k is still constructible (for witness experiments) but
     flagged; at k = 1 every family degenerates to the undeformed algebra.
+    k = 0 is refused: it would zero the scaled cells.
     """
     if family not in FAMILIES:
         raise ValueError("family id must be 1..8")
     k = Fraction(k)
+    if k == 0:
+        raise ValueError("k must be nonzero")
     scaled, in_range = FAMILIES[family]
     params = {
         name: v * k if name in scaled else Fraction(v)

@@ -3,9 +3,8 @@
 The Z4-graded survivor carries a quartic scalar |x|^4 =
 (x0^2 + x2^2)^2 + (x1^2 + x3^2)^2 whose fourth root is a genuine norm
 (positive homogeneous, triangle inequality) but fails the Schwarz
-equality.  Exactness policy: every comparison happens on the rational
-2^j-th powers, with integer-root enclosures for the few comparisons that
-genuinely need the root; floats are display only.
+equality.  Every claim about all inputs is decided exactly: by an
+identity in generic elements, or by induction on the norm level.
 
 The final section implements the linear-equation solver a*x = c in the
 mod-p algebra, which round-trips exactly and acts as an encryption
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import IntegersModP, tesseranion_algebra
-from .poly import integer_root, rational_root, symbolic_det
+from .poly import MultiPoly, indeterminates, symbolic_det
 
 
 def quartic_norm4(x):
@@ -75,23 +74,16 @@ def schwarz_table(algebra):
     }
 
 
-def pure_factor_defects(algebra, rng, samples):
-    """How many of ``samples`` seeded pairs have a nonzero defect.
-
-    Each pair has one pure factor (even or odd, integer components in
-    [-9, 9]) on a random side; the other factor's components are
-    rationals with numerators in [-9, 9] and denominators 1 to 3.
-    """
-    bad = 0
-    for _ in range(samples):
-        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        other = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
-        pure = [a, 0, b, 0] if rng.random() < 0.5 else [0, a, 0, b]
-        x, y = algebra.element(pure), algebra.element(other)
-        if rng.random() < 0.5:
-            x, y = y, x
-        bad += schwarz_defect4(x, y) != 0
-    return bad
+def pure_factor_equality(algebra):
+    """True iff the Schwarz defect of a 4-dimensional algebra is 0 in
+    generic y with x pure even (x1 = x3 = 0) or pure odd (x0 = x2 = 0),
+    on either side of y."""
+    x, y = algebra.generic_elements("x", "y")
+    zero = MultiPoly.zero(y[0].vars)
+    even = algebra.element([x[0], zero, x[2], zero])
+    odd = algebra.element([zero, x[1], zero, x[3]])
+    pairs = [(even, y), (y, even), (odd, y), (y, odd)]
+    return all(schwarz_defect4(a, b).is_zero for a, b in pairs)
 
 
 def _inverse_numerators(x):
@@ -159,78 +151,25 @@ def iterated_norm_power(spec, vec):
     )
 
 
-MAX_ROOT_SCALE = 256
+def _is_sum_of_squares(spec):
+    """True iff the spec's norm power is x0^2 + ... + x(m-1)^2 exactly."""
+    x = MultiPoly.variables(indeterminates(("x",), spec.length))
+    return iterated_norm_power(spec, x) == sum((v * v for v in x[1:]), x[0] * x[0])
 
 
-def nth_root_leq(a_power, parts_powers, k):
-    """Exact decision of a^(1/k) <= sum_i b_i^(1/k) for rationals >= 0.
+def triangle_claims():
+    """Triangle inequality of the level-j, width-n norm M_j for j = 1..4
+    and n = 1..3; {"j=<j>,n=<n>": holds}.
 
-    When every ratio b_i/b_0 is the k-th power of a rational r_i, the sum
-    is the single root (b_0 (sum_i r_i)^k)^(1/k) and the comparison is
-    exact.  Otherwise the k-th roots of positive rationals in different
-    classes modulo k-th powers are linearly independent over the
-    rationals (Mordell, 1953), so the sum is no k-th root of a rational and
-    no exact tie is possible: the scaled integer k-th root enclosures,
-    refined by doubling the scale, always separate.
+    M_1 is Euclidean when P_1 is the sum of squares, checked exactly.
+    The recursion P_j = P_(j-1)(u)^2 + P_(j-1)(r)^2 of
+    ``iterated_norm_power`` makes M_j = l_(2^j)(M_(j-1)(u), M_(j-1)(r));
+    l_p is a norm monotone on the nonnegative orthant, so by Minkowski
+    M_j is a norm if M_(j-1) is one, and each j >= 2 entry carries the
+    j = 1 verdict of its width.
     """
-    a = Fraction(a_power)
-    bs = [Fraction(b) for b in parts_powers if b != 0]
-    if a == 0:
-        return True
-    if not bs:
-        return False
-    ratios = [rational_root(b / bs[0], k) for b in bs]
-    if None not in ratios:
-        return a <= bs[0] * sum(ratios) ** k
-    scale = 16
-    while scale <= MAX_ROOT_SCALE:
-        shift = 1 << (k * scale)
-        a_lo = integer_root(a.numerator * shift // a.denominator, k)
-        a_hi = a_lo + 1
-        b_lo = sum(integer_root(b.numerator * shift // b.denominator, k) for b in bs)
-        b_hi = b_lo + len(bs)
-        if a_hi <= b_lo:
-            return True
-        if a_lo > b_hi:
-            return False
-        scale *= 2
-    raise ArithmeticError("root comparison undecided at maximum precision")
-
-
-def triangle_check(spec, samples):
-    """Triangle inequality on explicit sample pairs, decided exactly.
-
-    samples is an iterable of (x, y) tuples of rational sequences.
-    Returns True when M(x + y) <= M(x) + M(y) for every pair.
-    """
-    k = 2**spec.j
-    for x, y in samples:
-        s = [a + b for a, b in zip(x, y)]
-        lhs = iterated_norm_power(spec, s)
-        px = iterated_norm_power(spec, x)
-        py = iterated_norm_power(spec, y)
-        if not nth_root_leq(lhs, (px, py), k):
-            return False
-    return True
-
-
-def triangle_sweep(rng, samples):
-    """Triangle inequality of the level-j, width-n norm for j = 1..4 and
-    n = 1..3, each on ``samples`` seeded pairs of integer vectors with
-    components in [-9, 9]; {"j=<j>,n=<n>": holds}."""
-    results = {}
-    for j in range(1, 5):
-        for n in range(1, 4):
-            spec = IteratedNormSpec(j, n)
-            pairs = [
-                (
-                    [rng.randint(-9, 9) for _ in range(spec.length)],
-                    [rng.randint(-9, 9) for _ in range(spec.length)],
-                )
-                for _ in range(samples)
-            ]
-            results[f"j={j},n={n}"] = triangle_check(spec, pairs)
-    return results
+    base = {n: _is_sum_of_squares(IteratedNormSpec(1, n)) for n in range(1, 4)}
+    return {f"j={j},n={n}": base[n] for j in range(1, 5) for n in range(1, 4)}
 
 
 # -- linear equation solving / encryption over Z_p -----------------------

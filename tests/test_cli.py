@@ -271,8 +271,8 @@ def test_deform_witness_reports_are_byte_identical(capsys, family, k, digest):
 # document, whose A^- and A^+ hold integral Fraction sums
 DEFORM_ALL_CHECKS_SHA256 = [
     (1, "5cb6a8bf13ec011a0745525ab524fe6f9154a8605274e84e304468270ed596a5"),
-    (4, "26a9a45ba4ff316d42e7d658b30b58d5f4924208ee011f54e139fa0dcae113ba"),
-    (5, "bbbbd5b15454e31643c8a4ac953da3a00441528dc1c6b07f16b4d57e3f8dd052"),
+    (4, "4d481619cb0bbf7faf0e12ca365f6ad2c9b876409a49ae88ec993d6994c2e54a"),
+    (5, "fadabae71f64d20d70504914a8207e248bb720a509edd2086a222ae2f607644f"),
 ]
 
 
@@ -388,22 +388,21 @@ def test_analyze_the_reals(capsys, tmp_path):
 
 
 def test_norms_schwarz(capsys):
-    code, out = run_cli(capsys, "norms", "--check", "schwarz", "--samples", "20")
+    code, out = run_cli(capsys, "norms", "--check", "schwarz")
     assert code == 0
     data = json.loads(out)
     assert data["fourth_power_defects"] == {"(p,p)": "-16", "(p,q)": "0", "(s,t)": "8"}
-    assert data["pure_factor_nonzero_defects"] == 0
+    assert data["pure_factor_equality"] is True
 
 
-def test_norms_triangle_seeded_deterministic(capsys):
-    _, first = run_cli(
-        capsys, "norms", "--check", "triangle", "--samples", "5", "--seed", "7"
-    )
-    _, second = run_cli(
-        capsys, "norms", "--check", "triangle", "--samples", "5", "--seed", "7"
-    )
-    assert first == second
-    assert all(v is True for v in json.loads(first)["triangle"].values())
+@pytest.mark.parametrize(
+    "option", [["--samples", "5"], ["--seed", "7"]], ids=["samples", "seed"]
+)
+def test_norms_takes_no_sample_count_or_seed(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--check", "triangle", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 TRIANGLE_KEYS = [f"j={j},n={n}" for j in range(1, 5) for n in range(1, 4)]
@@ -413,16 +412,15 @@ TRIANGLE_KEYS = [f"j={j},n={n}" for j in range(1, 5) for n in range(1, 4)]
     "argv, expected",
     [
         (
-            ["--check", "schwarz", "--samples", "100"],
+            ["--check", "schwarz"],
             {
                 "fourth_power_defects": {"(p,p)": "-16", "(p,q)": "0", "(s,t)": "8"},
-                "pure_factor_nonzero_defects": 0,
-                "seed": 12345,
+                "pure_factor_equality": True,
             },
         ),
         (
-            ["--check", "triangle", "--samples", "200", "--seed", "7"],
-            {"seed": 7, "triangle": dict.fromkeys(TRIANGLE_KEYS, True)},
+            ["--check", "triangle"],
+            {"triangle": dict.fromkeys(TRIANGLE_KEYS, True)},
         ),
     ],
     ids=["schwarz", "triangle"],
@@ -444,6 +442,20 @@ def test_deform(capsys):
     assert data["witness_search"]["found"] is False
     assert data["k_inverse_isomorphism"] is True
     assert data["in_range"] is True
+
+
+def test_deform_reports_family_one_constructions_for_family_one_only(capsys):
+    """Family 5 at 4 is not isomorphic to family 5 at 1/4, and the bracket
+    rescaling is built on family 1: neither check applies."""
+    code, out = run_cli(
+        capsys, "deform", "--family", "5", "--k", "4",
+        "--checks", "inverse-iso,commutator",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["family"] == 5
+    assert data["k_inverse_isomorphism"] == "skipped: defined for family 1 only"
+    assert data["commutator_rescaling"] == "skipped: defined for family 1 only"
 
 
 def test_deform_commutator_at_k_minus_one(capsys):
@@ -541,6 +553,8 @@ _MALFORMED_DOCS = {
         ["identities", "--algebra", "tes", "--pattern", "9"],
         ["deform", "--family", "1", "--k", "0"],
         ["deform", "--family", "1", "--k", "1/0"],
+        ["deform", "--family", "1", "--k", "0", "--checks", "commutator"],
+        ["deform", "--family", "1", "--k", "0", "--checks", "inverse-iso"],
         ["encrypt", "--p", "4", "--key", "1,1,0,0", "--msg", "1,2,3,4"],
         ["encrypt", "--p", "7", "--key", "1,2", "--msg", "1,2,3,4"],
         ["analyze", "--algebra", "{directory}"],
@@ -550,10 +564,6 @@ _MALFORMED_DOCS = {
         ["analyze", "--algebra", "tes", "--report", "bogus"],
         ["deform", "--family", "1", "--k", "2", "--checks", "bogus"],
         ["accept", "--only", ""],
-        ["norms", "--check", "triangle", "--samples", "-3"],
-        ["norms", "--check", "schwarz", "--samples", "0"],
-        ["norms", "--check", "triangle", "--samples", "100001"],
-        ["norms", "--check", "triangle", "--samples", "1" + "0" * 21],
         ["analyze", "--algebra", "{mod_p_fraction}"],
         ["identities", "--algebra", "{mod_p_fraction}", "--pattern", "2,1"],
         ["cohomology", "--algebra", "{mod_p_fraction}"],
@@ -561,10 +571,10 @@ _MALFORMED_DOCS = {
     ],
     ids=["unknown-selector", "short-table", "not-json", "empty-object",
          "not-object", "num-only-entry", "string-entry", "unknown-key",
-         "pattern-9", "k-0", "k-1-over-0", "p-4", "short-key", "directory", "emit-missing-dir",
+         "pattern-9", "k-0", "k-1-over-0", "k-0-commutator",
+         "k-0-inverse-iso", "p-4", "short-key", "directory", "emit-missing-dir",
          "unknown-criterion", "unknown-report", "unknown-check", "empty-only",
-         "negative-samples", "zero-samples", "samples-over-ceiling",
-         "samples-10-to-the-21", "mod-p-fraction-analyze",
+         "mod-p-fraction-analyze",
          "mod-p-fraction-identities", "mod-p-fraction-cohomology",
          "mod-p-zero-cell"],
 )

@@ -104,6 +104,12 @@ def test_validity_ranges():
         assert not family_constant(fid, Fraction(-1, 7)).in_range
 
 
+def test_k_zero_builds_no_member():
+    for family in range(1, 9):
+        with pytest.raises(ValueError, match="k must be nonzero"):
+            family_constant(family, 0)
+
+
 def test_parametric_constant_validation():
     with pytest.raises(ValueError):
         parametric_constant({"alpha": 1})

@@ -59,6 +59,45 @@ def test_the_unused_import_rule_sees_a_dead_import():
     assert _unused_imports(tree) == {"MultiPoly": 2}
 
 
+def _import_faults(tree):
+    """(line, fault) of each import below module level and of each import
+    of ``random``: the package decides claims exactly and draws no
+    sample."""
+    top = {id(node) for node in tree.body}
+    faults = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if id(node) not in top:
+            faults.append((node.lineno, "nested"))
+        modules = (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import) else [node.module]
+        )
+        if "random" in modules:
+            faults.append((node.lineno, "random"))
+    return sorted(faults)
+
+
+def test_imports_sit_at_module_level_and_none_is_random():
+    found = [
+        f"{path.name}:{line} {fault}"
+        for path in SOURCES
+        for line, fault in _import_faults(
+            ast.parse(path.read_text(), filename=str(path))
+        )
+    ]
+    assert SOURCES and not found, found
+
+
+def test_the_import_rule_sees_a_nested_import():
+    tree = ast.parse(
+        "import os\n\ndef f():\n    from .poly import MultiPoly\n"
+        "    import random\n    return MultiPoly, random, os\n"
+    )
+    assert _import_faults(tree) == [(4, "nested"), (5, "nested"), (5, "random")]
+
+
 # Public functions and classes that no code in the package reads, each
 # with the reason it stays.
 KEPT_WITHOUT_A_CALLER = {
