@@ -10,7 +10,6 @@ inputs that spans the claim, or by induction on the code's own recursion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology as coh
@@ -91,13 +90,15 @@ from .structure import (
 SQUARED_NORM = IteratedNormSpec(1, 4)
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    description: str
-    passed: bool
-    detail: str
-    seconds: float
+    __slots__ = ("number", "description", "passed", "detail", "seconds")
+
+    def __init__(self, number, description, passed, detail, seconds):
+        self.number = number
+        self.description = description
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
 
 def criterion_1():

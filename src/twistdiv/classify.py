@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
@@ -128,10 +127,24 @@ def shaped_constant(group, params, convention):
     return constant if convention == written_in else constant.transpose()
 
 
-@dataclass(frozen=True)
+def _record_eq(self, other):
+    """``__eq__`` of a ``__slots__`` record: a record of the same class
+    whose fields, read in slot order, are equal."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return [getattr(self, f) for f in self.__slots__] == [
+        getattr(other, f) for f in self.__slots__
+    ]
+
+
 class CandidateConstant:
-    constant: StructureConstant
-    parameters: tuple  # ((name, value), ...) for shaped candidates, () for raw
+    __slots__ = ("constant", "parameters")
+
+    def __init__(self, constant, parameters):
+        self.constant = constant  # a StructureConstant
+        self.parameters = parameters  # ((name, value), ...) if shaped, () if raw
+
+    __eq__ = _record_eq
 
     @property
     def parameter_map(self):
@@ -162,7 +175,6 @@ def _restrict_to_line(det_poly, position, base):
     return _trim(coeffs)
 
 
-@dataclass(frozen=True)
 class RealRootRejection:
     """Zero divisor via a real root of the determinant on a rational line.
 
@@ -174,11 +186,23 @@ class RealRootRejection:
     determinant's certificate of nonnegativity to a caller that asks.
     """
 
-    position: int
-    base: tuple
-    coefficients: tuple
-    interval: tuple
-    root_count: int
+    __slots__ = ("position", "base", "coefficients", "interval", "root_count")
+
+    def __init__(self, position, base, coefficients, interval, root_count):
+        self.position = position
+        self.base = base
+        self.coefficients = coefficients
+        self.interval = interval
+        self.root_count = root_count
+
+    __eq__ = _record_eq
+
+    def __repr__(self):
+        return (
+            f"RealRootRejection(position={self.position!r}, base={self.base!r}, "
+            f"coefficients={self.coefficients!r}, interval={self.interval!r}, "
+            f"root_count={self.root_count!r})"
+        )
 
     @classmethod
     def on_line(cls, det_poly, position, base):
@@ -220,11 +244,15 @@ class RealRootRejection:
         }
 
 
-@dataclass(frozen=True)
 class SurvivorCertificate:
-    kind: str  # "positive-definite-sos" or "odd-dimension-unit"
-    cert_left: object
-    cert_right: object
+    __slots__ = ("kind", "cert_left", "cert_right")
+
+    def __init__(self, kind, cert_left, cert_right):
+        self.kind = kind  # "positive-definite-sos" or "odd-dimension-unit"
+        self.cert_left = cert_left
+        self.cert_right = cert_right
+
+    __eq__ = _record_eq
 
     def verify(self, det_l, det_r):
         """True iff the certificates prove det M^L and det M^R positive
@@ -241,15 +269,21 @@ class SurvivorCertificate:
         ) and certifies_positive_definite(det_r, self.cert_right)
 
 
-@dataclass
 class ClassificationReport:
-    group_name: str
-    convention: str
-    mode: str
-    candidates_examined: int
-    rejected: list  # (CandidateConstant, witness)
-    survivors: list  # (CandidateConstant, SurvivorCertificate)
-    undetermined: list  # CandidateConstant
+    __slots__ = ("group_name", "convention", "mode", "candidates_examined",
+                 "rejected", "survivors", "undetermined")
+
+    def __init__(self, group_name, convention, mode, candidates_examined,
+                 rejected, survivors, undetermined):
+        self.group_name = group_name
+        self.convention = convention
+        self.mode = mode
+        self.candidates_examined = candidates_examined
+        self.rejected = rejected  # [(CandidateConstant, witness)]
+        self.survivors = survivors  # [(CandidateConstant, SurvivorCertificate)]
+        self.undetermined = undetermined  # [CandidateConstant]
+
+    __eq__ = _record_eq
 
     def counts(self):
         return {
@@ -494,14 +528,18 @@ def classify(group, convention=LEFT_STANDARD, mode=SHAPED):
                                 rejected, survivors, undetermined)
 
 
-@dataclass(frozen=True)
 class Fingerprint:
     """Isomorphism-separating invariants of a 4-dimensional candidate."""
 
-    power_associative: bool
-    flexible: bool
-    commutative: bool
-    identity_dims: tuple  # ((pattern, dim), ...)
+    __slots__ = ("power_associative", "flexible", "commutative", "identity_dims")
+
+    def __init__(self, power_associative, flexible, commutative, identity_dims):
+        self.power_associative = power_associative
+        self.flexible = flexible
+        self.commutative = commutative
+        self.identity_dims = identity_dims  # ((pattern, dim), ...)
+
+    __eq__ = _record_eq
 
     def to_json(self):
         return {

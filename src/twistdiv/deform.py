@@ -27,7 +27,6 @@ validity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import RATIONALS, StructureConstant, TwistedAlgebra, tesseranion_algebra
@@ -110,12 +109,14 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
 class FamilyMember:
-    family: int
-    k: Fraction
-    parameters: tuple
-    in_range: bool
+    __slots__ = ("family", "k", "parameters", "in_range")
+
+    def __init__(self, family, k, parameters, in_range):
+        self.family = family
+        self.k = k  # a Fraction
+        self.parameters = parameters  # ((name, value), ...)
+        self.in_range = in_range
 
     @property
     def parameter_map(self):

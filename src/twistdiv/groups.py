@@ -12,7 +12,6 @@ data for extensibility even though only orders 1-4 are classified here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 LEFT_STANDARD = "left-standard"
 RIGHT_STANDARD = "right-standard"
@@ -209,7 +208,6 @@ def group_by_name(name):
     return _CACHE[name]
 
 
-@dataclass(frozen=True)
 class BasisWord:
     """Exponent word over the group's generators, under one convention.
 
@@ -218,8 +216,11 @@ class BasisWord:
     exponents tuple is (s_1, ..., s_m).
     """
 
-    exponents: tuple
-    convention: str
+    __slots__ = ("exponents", "convention")
+
+    def __init__(self, exponents, convention):
+        self.exponents = exponents
+        self.convention = convention
 
     def is_identity(self):
         return not any(self.exponents)

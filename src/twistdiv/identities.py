@@ -18,7 +18,6 @@ of ``structure`` alike.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -32,9 +31,11 @@ MAX_TOTAL_DEGREE = 6
 MAX_VARIABLES = 3
 
 
-@dataclass(frozen=True)
 class Leaf:
-    var: int
+    __slots__ = ("var",)
+
+    def __init__(self, var):
+        self.var = var
 
     def serialize(self):
         return VARIABLE_NAMES[self.var]
@@ -43,10 +44,12 @@ class Leaf:
         return (self.var,)
 
 
-@dataclass(frozen=True)
 class Node:
-    left: object
-    right: object
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
     def serialize(self):
         return f"({self.left.serialize()}{self.right.serialize()})"
@@ -263,12 +266,14 @@ def counterexample(residual, dimension):
     return tuple(point[i:i + dimension] for i in range(0, len(point), dimension))
 
 
-@dataclass
 class IdentitySpace:
-    pattern: tuple
-    monomials: list
-    nullspace_basis: list
-    dimension: int
+    __slots__ = ("pattern", "monomials", "nullspace_basis", "dimension")
+
+    def __init__(self, pattern, monomials, nullspace_basis, dimension):
+        self.pattern = pattern
+        self.monomials = monomials
+        self.nullspace_basis = nullspace_basis
+        self.dimension = dimension
 
     def to_json(self):
         return {
@@ -315,17 +320,23 @@ def identity_space(algebra, pattern):
 # -- loop/alternativity laws -------------------------------------------
 
 
-@dataclass
 class LoopProperties:
-    flexible: bool
-    power_associative: bool
-    alternative: bool
-    left_bol: bool
-    right_bol: bool
-    moufang: bool
-    commutative: bool
-    associative: bool
-    counterexamples: dict
+    __slots__ = (
+        "flexible", "power_associative", "alternative", "left_bol",
+        "right_bol", "moufang", "commutative", "associative", "counterexamples",
+    )
+
+    def __init__(self, flexible, power_associative, alternative, left_bol,
+                 right_bol, moufang, commutative, associative, counterexamples):
+        self.flexible = flexible
+        self.power_associative = power_associative
+        self.alternative = alternative
+        self.left_bol = left_bol
+        self.right_bol = right_bol
+        self.moufang = moufang
+        self.commutative = commutative
+        self.associative = associative
+        self.counterexamples = counterexamples  # law name -> breaking elements
 
     def to_json(self):
         data = {

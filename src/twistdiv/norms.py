@@ -17,7 +17,6 @@ norm construction to wider algebras is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import IntegersModP, tesseranion_algebra
@@ -112,16 +111,16 @@ def generates_whole_algebra(x):
 # -- iterated even-power norms ------------------------------------------
 
 
-@dataclass(frozen=True)
 class IteratedNormSpec:
     """Level j >= 1 over base tuples of width n; input length n * 2^(j-1)."""
 
-    j: int
-    n: int
+    __slots__ = ("j", "n")
 
-    def __post_init__(self):
-        if self.j < 1 or self.n < 1:
+    def __init__(self, j, n):
+        if j < 1 or n < 1:
             raise ValueError("level and width must be positive")
+        self.j = j
+        self.n = n
 
     @property
     def length(self):

@@ -329,11 +329,18 @@ def nonzero_point(p):
 # -- sum-of-squares certificates --------------------------------------
 
 
-@dataclass(frozen=True)
 class SosCertificate:
     """Positive combination of squares: sum(coeff * base**2)."""
 
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts  # ((coeff, base), ...)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
 
     def polynomial(self):
         total = None

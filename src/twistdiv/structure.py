@@ -10,7 +10,6 @@ the chirality of inverses in the original algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
@@ -131,12 +130,14 @@ LOWER_CENTRAL = "lower-central"
 Z4_COMMUTATOR_CLASSIFICATION = "M^14_a (a = -1), solvable, not nilpotent"
 
 
-@dataclass
 class SeriesResult:
-    kind: str
-    dimensions: list
-    terminates: bool
-    stabilizes: bool
+    __slots__ = ("kind", "dimensions", "terminates", "stabilizes")
+
+    def __init__(self, kind, dimensions, terminates, stabilizes):
+        self.kind = kind
+        self.dimensions = dimensions
+        self.terminates = terminates
+        self.stabilizes = stabilizes
 
     @property
     def solvable(self):

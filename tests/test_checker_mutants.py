@@ -12,7 +12,6 @@ reason; the gate also fails when a listed one is killed or gone.
 
 import ast
 import copy
-import dataclasses
 import inspect
 import sys
 import textwrap
@@ -178,8 +177,11 @@ def _cases():
     lo, hi = root.interval
     changed = root.coefficients[:-1] + (root.coefficients[-1] + 1,)
 
-    def root_with(**changes):
-        return dataclasses.replace(root, **changes)
+    def root_with(position=root.position, coefficients=root.coefficients,
+                  interval=root.interval, root_count=root.root_count):
+        return RealRootRejection(
+            position, root.base, coefficients, interval, root_count
+        )
 
     def psd(left, right):
         return SurvivorCertificate(survivor.kind, left, right)

@@ -29,6 +29,7 @@ from twistdiv.classify import (
     RAW,
     SHAPED,
     RealRootRejection,
+    SurvivorCertificate,
     classify,
     det_polynomial,
     det_polynomials,
@@ -181,7 +182,10 @@ def test_line_root_verify_is_false_on_an_interval_without_a_root():
     det_l = det_polynomials(cand.constant)[0]
     assert witness.coefficients == (4, 0, -4, 0, 1) and witness.verify(det_l)
     assert count_real_roots(list(witness.coefficients)) == 2
-    moved = dataclasses.replace(witness, interval=(Fraction(0), Fraction(1)))
+    moved = RealRootRejection(
+        witness.position, witness.base, witness.coefficients,
+        (Fraction(0), Fraction(1)), witness.root_count,
+    )
     assert moved.verify(det_l) is False
 
 
@@ -223,24 +227,31 @@ def test_line_root_verify_is_false_on_an_empty_interval(empty):
         (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
     ]
     det_l = det_polynomials(cand.constant)[0]
-    changed = dataclasses.replace(witness, interval=empty(*witness.interval))
+    changed = RealRootRejection(
+        witness.position, witness.base, witness.coefficients,
+        empty(*witness.interval), witness.root_count,
+    )
     assert changed.verify(det_l) is False
 
 
 @pytest.mark.parametrize(
-    "change",
-    [lambda w: {"base": w.base + (1,)}, lambda w: {"position": -1},
-     lambda w: {"base": w.base[:2]}, lambda w: {"position": 7}],
+    "line",
+    [lambda w: (w.position, w.base + (1,)), lambda w: (-1, w.base),
+     lambda w: (w.position, w.base[:2]), lambda w: (7, w.base)],
     ids=["4-entry-base", "position-minus-1", "2-entry-base", "position-7"],
 )
-def test_line_root_verify_rejects_malformed_witnesses(change):
+def test_line_root_verify_rejects_malformed_witnesses(line):
     rep = classify("Z4", LEFT_STANDARD, SHAPED)
     (cand, witness), = [
         (c, w) for c, w in rep.rejected if isinstance(w, RealRootRejection)
     ]
     det_l, _ = det_polynomials(cand.constant)
     assert witness.verify(det_l)
-    assert dataclasses.replace(witness, **change(witness)).verify(det_l) is False
+    position, base = line(witness)
+    malformed = RealRootRejection(
+        position, base, witness.coefficients, witness.interval, witness.root_count
+    )
+    assert malformed.verify(det_l) is False
 
 
 def _restrict_by_specialize(det_poly, position, base):
@@ -342,8 +353,11 @@ def test_survivor_verify_fails_with_one_bad_side(side):
     cand, cert = classify("Z4", LEFT_STANDARD, SHAPED).survivors[0]
     det_l, det_r = det_polynomials(cand.constant)
     (weight, base), *rest = getattr(cert, side).parts
-    tampered = dataclasses.replace(
-        cert, **{side: SosCertificate(((2 * weight, base), *rest))}
+    doubled = SosCertificate(((2 * weight, base), *rest))
+    tampered = SurvivorCertificate(
+        cert.kind,
+        doubled if side == "cert_left" else cert.cert_left,
+        doubled if side == "cert_right" else cert.cert_right,
     )
     assert (
         certifies_positive_definite(det_l, tampered.cert_left),
@@ -358,9 +372,7 @@ def test_survivor_verify_checks_each_certificate_on_its_own_side():
     cand, cert = rep.survivors[0]
     det_l, det_r = det_polynomials(cand.constant)
     assert cert.verify(det_l, det_r)
-    swapped = dataclasses.replace(
-        cert, cert_left=cert.cert_right, cert_right=cert.cert_left
-    )
+    swapped = SurvivorCertificate(cert.kind, cert.cert_right, cert.cert_left)
     assert swapped.verify(det_l, det_r) is False
 
 
@@ -390,7 +402,9 @@ def test_verify_verdict_rejects_a_changed_verdict_of_each_kind():
     changed_sign = dataclasses.replace(sign, positive_value=sign.positive_value + 1)
     assert verify_verdict(sign_cand.constant, changed_sign) is False
     coefficients = (root.coefficients[0] + 1,) + root.coefficients[1:]
-    changed_root = dataclasses.replace(root, coefficients=coefficients)
+    changed_root = RealRootRejection(
+        root.position, root.base, coefficients, root.interval, root.root_count
+    )
     assert verify_verdict(root_cand.constant, changed_root) is False
     # the survivor's certificates do not prove a rejected table definite
     assert verify_verdict(sign_cand.constant, survivor) is False

@@ -136,8 +136,9 @@ def test_iterated_norm_values():
     assert iterated_norm_power(IteratedNormSpec(2, 2), [1, 0, 1, 0]) == 2
     with pytest.raises(ValueError):
         iterated_norm_power(IteratedNormSpec(2, 2), [1, 2, 3])
-    with pytest.raises(ValueError):
-        IteratedNormSpec(0, 2)
+    for j, n in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="level and width must be positive"):
+            IteratedNormSpec(j, n)
 
 
 def test_m2_fourth_power_is_quartic_norm():

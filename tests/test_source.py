@@ -153,3 +153,51 @@ def test_the_caller_rule_sees_a_dead_function():
         "b": ast.parse("from . import a\n\nclass Unused:\n    x = a.used()\n"),
     }
     assert _unread_public_names(trees) == {"a.dead", "b.Unused"}
+
+
+# Classes that stay ``@dataclass`` records, each with the reason.  A
+# dataclass decoration ``exec``s generated methods at import, about
+# 0.5-0.9 ms per class, so every other record is a plain ``__slots__``
+# class with only the methods its callers use.
+DATACLASSES_KEPT = {
+    "poly.SignChangeWitness": "bench/test_bench.py tampers a witness with "
+    "`dataclasses.replace`",
+}
+
+
+def _dataclass_names(tree):
+    """Names of the classes in ``tree`` decorated with ``dataclass``, bare,
+    called or read off the ``dataclasses`` module."""
+    def is_dataclass(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return (isinstance(node, ast.Name) and node.id == "dataclass") or (
+            isinstance(node, ast.Attribute) and node.attr == "dataclass"
+        )
+
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(is_dataclass(d) for d in node.decorator_list)
+    }
+
+
+def test_only_the_kept_records_are_dataclasses():
+    found = {
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in _dataclass_names(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == set(DATACLASSES_KEPT), found
+
+
+def test_the_dataclass_rule_sees_a_new_dataclass():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass\nclass A:\n    x: int\n\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+        "@dataclasses.dataclass(slots=True)\nclass C:\n    x: int\n\n"
+        "class D:\n    __slots__ = ('x',)\n"
+    )
+    assert _dataclass_names(tree) == {"A", "B", "C"}
