@@ -6,6 +6,10 @@ identities, cohomological functions, norms, inverses, deformations and
 mod-p arithmetic -- all in exact arithmetic.
 """
 
+# poly first: it is the largest module, and when it is compiled from source
+# its compile is the import's memory peak, which is lower while no other
+# module of the package is loaded yet
+from .poly import MultiPoly, SosCertificate, symbolic_det
 from .algebra import (
     AlgebraElement,
     IntegersModP,
@@ -19,7 +23,6 @@ from .algebra import (
 )
 from .classify import classify, enumerate_candidates, non_isomorphism_fingerprint
 from .groups import FiniteGroup, group_by_name, standard_basis_words
-from .poly import MultiPoly, SosCertificate, symbolic_det
 
 __all__ = [
     "AlgebraElement",

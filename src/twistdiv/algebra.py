@@ -181,19 +181,20 @@ class StructureConstant:
     identity row/column must be all ones.
     """
 
+    __slots__ = ("group", "convention", "values")
+
     def __init__(self, group, values, convention=LEFT_STANDARD):
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown basis convention {convention!r}")
         self.group = group
         self.convention = convention
         n = group.order
-        vals = tuple(tuple(row) for row in values)
-        if len(vals) != n or any(len(r) != n for r in vals):
+        vals = tuple(map(tuple, values))
+        if len(vals) != n or set(map(len, vals)) != {n}:
             raise ValueError("structure constant array has wrong shape")
-        for g in range(n):
-            if vals[0][g] != 1 or vals[g][0] != 1:
-                raise ValueError("structure constant is not unital")
-        if any(v == 0 for row in vals for v in row):
+        if vals[0].count(1) != n or [row[0] for row in vals].count(1) != n:
+            raise ValueError("structure constant is not unital")
+        if any(0 in row for row in vals):
             raise ValueError("structure constant entries must be nonzero")
         self.values = vals
 

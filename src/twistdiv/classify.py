@@ -10,20 +10,20 @@ is either
 
 Each table is decided by exact routes, in this order: a survivor is
 certified when both determinants have only even exponents and positive
-coefficients, with a pure even power of every variable, which makes
-each a positive-definite sum of squares of monomials (det M^R is built
-only once det M^L has passed, since no other route reads it); otherwise
-the structured probes look for a rational sign-change pair for det M^L
-(``find_sign_change``: each probe is evaluated over the integers on the
-nonzero coordinates of each term, and a probe slice on which det M^L is
-a one-signed sum of even monomials has one sign, so at most its first
-probe is evaluated); failing that, det M^L is restricted to rational
-lines until one has a real root, isolated with a Sturm certificate over
-the integers (the handful of sign arrays this rejects have positive
-*semi*definite determinants whose nontrivial real zeros are all
-irrational; the line witness is the whole verdict, and the PSD evidence
-for its determinant is computed only on request, by ``psd_certificate``);
-a table no route decides is left undetermined.  A
+coefficients, with a pure even power of every variable, which makes each
+a positive-definite sum of squares of monomials (det M^R is built only
+once det M^L has passed, since no other route reads it); otherwise the
+structured probes look for a rational sign-change pair for det M^L
+(``find_sign_change``: each probe is drawn as ints on its slice's
+support and evaluated on the terms that live there, and a probe slice on
+which det M^L is a one-signed sum of even monomials has one sign, so at
+most its first probe is evaluated); failing that, det M^L is restricted
+to rational lines until one has a real root, isolated with a Sturm
+certificate over the integers (the handful of sign arrays this rejects
+have positive *semi*definite determinants whose nontrivial real zeros
+are all irrational; the line witness is the whole verdict, and the PSD
+evidence for its determinant is computed only on request, by
+``psd_certificate``); a table no route decides is left undetermined.  A
 positive-definite certificate and a zero witness exclude each other, so
 the order of the routes cannot change a verdict.  Tables with the same
 det M^L have the same zero-divisor answer, so within one ``classify``
@@ -60,7 +60,7 @@ import itertools
 from fractions import Fraction
 
 from . import _linalg
-from .algebra import StructureConstant, _narrow, mult_matrix, structure_entries
+from .algebra import StructureConstant, mult_matrix, structure_entries
 from .groups import LEFT_STANDARD, RIGHT_STANDARD, group_by_name
 from .identities import identity_space, loop_property_suite
 from .poly import (
@@ -123,8 +123,9 @@ def shaped_constant(group, params, convention):
         group = group_by_name(group)
     written_in, rows = _shape(group.name)
     values = [[params[c] if isinstance(c, str) else c for c in row] for row in rows]
-    constant = StructureConstant(group, values, written_in)
-    return constant if convention == written_in else constant.transpose()
+    if convention != written_in:  # the mirrored table is the transpose
+        values = [*zip(*values)]
+    return StructureConstant(group, values, convention)
 
 
 def _record_eq(self, other):
@@ -372,7 +373,11 @@ def det_polynomial(constant, left=True):
     read off the group's Leibniz table (``_leibniz_table``); a coefficient
     is a ``Fraction`` exactly when a product reads a non-integral cell."""
     names, table = _leibniz_table(constant.group, left)
-    flat = [_narrow(v) for row in constant.values for v in row]
+    # each cell as ``algebra._narrow`` gives it, inline
+    flat = [
+        v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        for row in constant.values for v in row
+    ]
     terms = {}
     for exponent, products in table:
         coeff = 0

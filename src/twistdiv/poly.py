@@ -15,6 +15,7 @@ float.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -580,13 +581,19 @@ class SignChangeWitness:
         }
 
 
-_SLICE_VALUES_2 = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
-_SLICE_VALUES_1 = (1, -1, 2, -2)
+# Each slice's probe values by the slice's denominator D, with the same
+# values times D: D is 2 on pair slices, whose values include +-1/2, and
+# 1 on triple and full slices.
+_SLICE_VALUES = {
+    2: ((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3),
+        (2, -2, 4, -4, 1, -1, 6, -6)),
+    1: ((1, -1, 2, -2),) * 2,
+}
 
 
 def _probe_slices(nvars):
-    """(support bitmask, lazy points) for each slice of the structured
-    probes, in their order; a slice is the set of probes with one support.
+    """(support indices, D) for each slice of the structured probes, in
+    their order; a slice is the set of probes with one support.
 
     The triples' zero sets in lexicographic order are the triples in
     reverse lexicographic order.
@@ -594,18 +601,24 @@ def _probe_slices(nvars):
     supports = [*itertools.combinations(range(nvars), 2)]
     supports += reversed([*itertools.combinations(range(nvars), 3)])
     if nvars > 3:
-        supports.append(range(nvars))
+        supports.append(tuple(range(nvars)))
     for nonzero in supports:
-        yield sum(1 << i for i in nonzero), _slice_points(nvars, nonzero)
+        yield nonzero, 2 if len(nonzero) == 2 else 1
 
 
-def _slice_points(nvars, nonzero):
-    values = _SLICE_VALUES_2 if len(nonzero) == 2 else _SLICE_VALUES_1
+def _slice_draws(nonzero, den):
+    """The slice's probes on its support coordinates alone, drawn lazily
+    in C: (values, D * values) per probe, the second as ints."""
+    values, scaled = _SLICE_VALUES[den]
+    return zip(itertools.product(values, repeat=len(nonzero)),
+               itertools.product(scaled, repeat=len(nonzero)))
+
+
+def _full_point(nvars, nonzero, values):
     point = [0] * nvars
-    for vals in itertools.product(values, repeat=len(nonzero)):
-        for i, v in zip(nonzero, vals):
-            point[i] = v
-        yield tuple(point)
+    for i, v in zip(nonzero, values):
+        point[i] = v
+    return tuple(point)
 
 
 def structured_probes(nvars):
@@ -618,8 +631,18 @@ def structured_probes(nvars):
     and no point repeats; at ``nvars`` = 3 the last stage would repeat the
     second, so it runs only for ``nvars`` > 3.
     """
-    for _, points in _probe_slices(nvars):
-        yield from points
+    for nonzero, den in _probe_slices(nvars):
+        for values, _ in _slice_draws(nonzero, den):
+            yield _full_point(nvars, nonzero, values)
+
+
+@functools.cache
+def _layout(e):
+    """(support bitmask, nonzero (index, exponent) pairs, |e|, whether
+    every exponent is even) of the exponent tuple ``e``, kept for the life
+    of the process: ``classify``'s searches share a few dozen exponents."""
+    pairs = tuple((i, k) for i, k in enumerate(e) if k)
+    return sum(1 << i for i, _ in pairs), pairs, sum(e), not any(k & 1 for k in e)
 
 
 def find_sign_change(p):
@@ -639,47 +662,48 @@ def find_sign_change(p):
     of the slice is skipped.  The kept points and values are those of the
     full walk.
 
-    Each probe is evaluated over the integers on the nonzero coordinates
-    of each term: with L the lcm of p's coefficient denominators, D that
-    of the probe's (1 for an all-int probe, which is taken as it stands)
-    and d = deg p,
+    Each probe is drawn on the slice's support alone, as ints: with L the
+    lcm of p's coefficient denominators, D the slice's denominator (2 on
+    pair slices, whose values include +-1/2, and 1 elsewhere) and
+    d = deg p,
 
-        p(x) = (L D^d)^-1 * sum (L c) D^(d - |e|) (D x)^e,
+        p(x) = (L D^d)^-1 * sum (L c D^(d - |e|)) (D x)^e,
 
-    whose sum is an integer of the sign of p(x).  The one division is
-    made only for the two points kept.
+    whose sum is an integer of the sign of p(x); L c D^(d - |e|) is folded
+    once per slice and term.  The one division, and the full point, are
+    made only for the two points kept.  Each term's layout (support,
+    nonzero exponents, |e|, evenness) is read once per exponent tuple by
+    ``_layout``.
     """
     if not p.vars:
         raise ValueError("polynomial must have at least one indeterminate")
-    degree = max(p.degree(), 0)
+    nvars = len(p.vars)
     lcm = math.lcm(*[c.denominator for c in p.terms.values()])
-    # (support bitmask, e, L c, nonzero (index, exponent) pairs, d - |e|)
-    # per term; e is p's own tuple and the pairs a list, since a tuple built
-    # from a generator is shrunk and, once freed, kept in CPython's free
-    # list of its final size, which raised peak memory.
-    scaled = [
-        (sum(1 << i for i, _ in pairs), e, int(c * lcm), pairs, degree - sum(e))
-        for e, c in p.terms.items()
-        for pairs in [[(i, k) for i, k in enumerate(e) if k]]
-    ]
+    # (support bitmask, pairs, |e|, all even, L c) per term
+    terms = [(*_layout(e), int(c * lcm)) for e, c in p.terms.items()]
+    degree = max([t[2] for t in terms], default=0)
     kept = {}  # total > 0 -> (point, value) of the first probe of that sign
-    for support, points in _probe_slices(len(p.vars)):
-        terms = [t for t in scaled if t[0] | support == support]
-        sign = _even_sign([(e, c) for _, e, c, _, _ in terms])
-        if sign is not None:
-            points = () if (sign > 0) in kept else (next(points),)
-        for pt in points:
-            den, xs = 1, pt
-            if Fraction in map(type, pt):
-                den = math.lcm(*[x.denominator for x in pt])
-                xs = [x.numerator * (den // x.denominator) for x in pt]
+    for nonzero, den in _probe_slices(nvars):
+        support = sum(1 << i for i in nonzero)
+        on = [t for t in terms if t[0] | support == support]
+        draws = _slice_draws(nonzero, den)
+        if all(t[3] for t in on) and len({t[4] > 0 for t in on}) < 2:
+            # one sign on the whole slice, > 0 iff some coefficient is
+            if any(t[4] > 0 for t in on) in kept:
+                continue
+            draws = (next(draws),)
+        local = {i: j for j, i in enumerate(nonzero)}
+        scaled = [(c * den ** (degree - size), [(local[i], k) for i, k in pairs])
+                  for _, pairs, size, _, c in on]
+        for values, xs in draws:
             total = 0
-            for _, _, c, pairs, deficit in terms:
-                for i, k in pairs:
-                    c *= xs[i] ** k
-                total += c * den**deficit
+            for c, pairs in scaled:
+                for j, k in pairs:
+                    c *= xs[j] ** k
+                total += c
             if (total > 0) not in kept:
-                kept[total > 0] = pt, Fraction(total, lcm * den**degree)
+                kept[total > 0] = (_full_point(nvars, nonzero, values),
+                                   Fraction(total, lcm * den**degree))
                 if len(kept) == 2:
                     (pos, pos_value), (nonpos, nonpos_value) = kept[True], kept[False]
                     return SignChangeWitness(pos, nonpos, pos_value, nonpos_value)

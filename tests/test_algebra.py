@@ -288,12 +288,35 @@ def test_matrices_and_inverses_reject_foreign_elements(foreign, method):
 
 def test_structure_constant_validation():
     G = group_by_name("Z2")
-    with pytest.raises(ValueError):
-        StructureConstant(G, [[1, 2], [1, 1]])  # not unital? 2 in identity row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not unital"):
+        StructureConstant(G, [[1, 2], [1, 1]])  # 2 in the identity row
+    with pytest.raises(ValueError, match="is not unital"):
+        StructureConstant(G, [[1, 1], [-1, 1]])  # -1 in the identity column
+    with pytest.raises(ValueError, match="entries must be nonzero"):
         StructureConstant(G, [[1, 1], [1, 0]])  # zero entry
-    with pytest.raises(ValueError):
-        StructureConstant(G, [[1, 1]], LEFT_STANDARD)  # wrong shape
+    with pytest.raises(ValueError, match="entries must be nonzero"):
+        StructureConstant(G, [[1, 1], [1, Fraction(0)]])
+    with pytest.raises(ValueError, match="has wrong shape"):
+        StructureConstant(G, [[1, 1]], LEFT_STANDARD)  # too few rows
+    with pytest.raises(ValueError, match="has wrong shape"):
+        StructureConstant(G, [[1, 1], [1, 1, 1]])  # a ragged row
+    with pytest.raises(ValueError, match="has wrong shape"):
+        StructureConstant(G, [[1, 1], [1]])  # a short row
+    with pytest.raises(ValueError, match="unknown basis convention"):
+        StructureConstant(G, [[1, 1], [1, 1]], "up")
+    # a unit cell is compared to 1, so Fraction(1) is unital
+    assert StructureConstant(G, [[Fraction(1), 1], [1, -1]]).values == (
+        (1, 1), (1, -1))
+
+
+def test_a_structure_constant_has_only_its_three_fields():
+    """``__slots__``: no per-table ``__dict__``, so an unknown attribute
+    is refused."""
+    constant = StructureConstant(group_by_name("Z2"), [[1, 1], [1, -1]])
+    assert not hasattr(constant, "__dict__")
+    assert (constant.group.name, constant.convention) == ("Z2", LEFT_STANDARD)
+    with pytest.raises(AttributeError):
+        constant.label = "C"
 
 
 def test_mod_int_arithmetic():

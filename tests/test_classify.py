@@ -89,6 +89,48 @@ def test_shaped_candidates_have_table_shape():
         assert v[1][2] == 1
 
 
+@pytest.mark.parametrize("group", sorted(CLASSIFY.SHAPES))
+def test_a_mirrored_shaped_table_is_the_transpose_of_the_written_one(group):
+    """For every shape and parameter assignment, ``shaped_constant`` in
+    the other convention equals the written table's ``transpose()`` in
+    values, value types and convention."""
+    written_in, _ = CLASSIFY.SHAPES[group]
+    other = RIGHT_STANDARD if written_in == LEFT_STANDARD else LEFT_STANDARD
+    names = CLASSIFY.shape_parameters(group)
+    for signs in itertools.product((1, -1), repeat=len(names)):
+        params = dict(zip(names, signs))
+        written = CLASSIFY.shaped_constant(group, params, written_in)
+        mirrored = CLASSIFY.shaped_constant(group, params, other)
+        expected = written.transpose()
+        assert written.convention == written_in
+        assert mirrored.convention == expected.convention == other
+        assert mirrored.values == expected.values
+        assert repr(mirrored.values) == repr(expected.values)
+
+
+# The benchmark's classify-all pass: shaped Z2, Z2xZ2, Z4 and raw Z2xZ2,
+# Z4, each in both conventions.
+CLASSIFY_ALL = [(group, convention, mode)
+                for group, mode in [("Z2", SHAPED), ("Z2xZ2", SHAPED),
+                                    ("Z4", SHAPED), ("Z2xZ2", RAW), ("Z4", RAW)]
+                for convention in CONVENTIONS]
+
+
+def test_a_classify_all_pass_builds_one_constant_per_candidate(monkeypatch):
+    """2 + 32 + 64 + 512 + 512 candidates per convention: a mirrored
+    shaped table is written directly, not built and then transposed."""
+    built = []
+    init = StructureConstant.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructureConstant, "__init__", counting)
+    examined = sum(classify(*run).candidates_examined for run in CLASSIFY_ALL)
+    assert examined == len(built) == 2244
+
+
 def test_classify_z2():
     rep = classify("Z2", LEFT_STANDARD, SHAPED)
     assert rep.counts() == {
@@ -750,10 +792,13 @@ def test_det_polynomial_refuses_an_order_above_eight(left):
 
 
 def test_no_leibniz_table_is_built_at_import():
+    """Neither the Leibniz tables nor the search's exponent layouts are
+    read at import."""
     script = (
         "import importlib, twistdiv.acceptance, twistdiv.cli\n"
         "table = importlib.import_module('twistdiv.classify')._leibniz_table\n"
-        "print(table.cache_info().currsize)\n"
+        "layout = importlib.import_module('twistdiv.poly')._layout\n"
+        "print(table.cache_info().currsize, layout.cache_info().currsize)\n"
     )
     src = str(Path(twistdiv.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -765,7 +810,7 @@ def test_no_leibniz_table_is_built_at_import():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "0\n"
+    assert result.stdout == "0 0\n"
 
 
 def _leibniz_det(m):
@@ -865,16 +910,16 @@ def test_no_survivor_check_on_a_det_m_l_with_a_witness(
 def test_probe_draws_per_classify_call_are_pinned(monkeypatch, convention, draws):
     """The probe walk draws the same points as before the per-support
     kernel, per call of shaped Z2, Z2xZ2, Z4 and raw Z2xZ2, Z4: every draw
-    from ``poly._slice_points`` is counted."""
+    from ``poly._slice_draws`` is counted."""
     drawn = []
-    slice_points = POLY._slice_points
+    slice_draws = POLY._slice_draws
 
     def counted(*args):
-        for point in slice_points(*args):
-            drawn.append(point)
-            yield point
+        for draw in slice_draws(*args):
+            drawn.append(draw)
+            yield draw
 
-    monkeypatch.setattr(POLY, "_slice_points", counted)
+    monkeypatch.setattr(POLY, "_slice_draws", counted)
     runs = [("Z2", SHAPED), ("Z2xZ2", SHAPED), ("Z4", SHAPED),
             ("Z2xZ2", RAW), ("Z4", RAW)]
     counts = []

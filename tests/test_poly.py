@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -332,9 +333,10 @@ def _reference_sign_change(p):
 
 @st.composite
 def _probe_polys(draw):
-    """Polynomials in 2-5 variables: homogeneous or not, with int or
-    Fraction coefficients, and constants and 0."""
-    nvars = draw(st.integers(2, 5))
+    """Polynomials in 1-5 variables: homogeneous or not, with int or
+    Fraction coefficients, and constants and 0.  One variable has no
+    probe slice, so the search finds nothing."""
+    nvars = draw(st.integers(1, 5))
     names = tuple(f"y{i}" for i in range(nvars))
     coeff = st.one_of(
         st.integers(-9, 9),
@@ -457,22 +459,47 @@ def test_sign_change_search_matches_the_reference_on_raw_determinants():
 def test_order_eight_norm_power_has_no_sign_change(monkeypatch):
     """(y0^2 + ... + y7^2)^4 is positive on all 70 912 probes of 8
     variables.  Every slice is positive-definite, so the search draws one
-    probe, where walking them all took about 20 s."""
+    probe, where walking them all took about 20 s.  Each draw from
+    ``poly._slice_draws`` is recorded as the full point it stands for."""
     ys = MultiPoly.variables(tuple(f"y{i}" for i in range(8)))
     norm = ys[0] * ys[0]
     for v in ys[1:]:
         norm = norm + v * v
     drawn = []
-    slice_points = POLY._slice_points
+    slice_draws = POLY._slice_draws
 
-    def counted(*args):
-        for point in slice_points(*args):
-            drawn.append(point)
-            yield point
+    def counted(nonzero, den):
+        for values, scaled in slice_draws(nonzero, den):
+            point = [0] * 8
+            for i, v in zip(nonzero, values):
+                point[i] = v
+            drawn.append(tuple(point))
+            yield values, scaled
 
-    monkeypatch.setattr(POLY, "_slice_points", counted)
+    monkeypatch.setattr(POLY, "_slice_draws", counted)
     assert find_sign_change(norm**4) is None
     assert drawn == [(1, 1, 0, 0, 0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_each_slice_draws_its_values_and_their_int_multiples(nvars):
+    """On every slice the second draw is D times the first, as ints, and
+    D clears every value: 2 on pair slices, 1 on the others."""
+    for nonzero, den in POLY._probe_slices(nvars):
+        assert den == (2 if len(nonzero) == 2 else 1)
+        for values, scaled in POLY._slice_draws(nonzero, den):
+            assert len(values) == len(scaled) == len(nonzero)
+            assert all(type(x) is int for x in scaled)
+            assert scaled == tuple(den * v for v in values)
+
+
+def test_layout_reads_an_exponent_once():
+    POLY._layout.cache_clear()
+    assert POLY._layout((2, 0, 1, 0)) == (0b101, ((0, 2), (2, 1)), 3, False)
+    assert POLY._layout((0, 4, 0, 2)) == (0b1010, ((1, 4), (3, 2)), 6, True)
+    assert POLY._layout((0, 0)) == (0, (), 0, True)
+    assert POLY._layout((2, 0, 1, 0)) == (0b101, ((0, 2), (2, 1)), 3, False)
+    assert POLY._layout.cache_info()[:2] == (1, 3)  # (hits, misses)
 
 
 def test_structured_probes_exclude_origin():
@@ -502,6 +529,23 @@ def test_structured_probes_pinned_order(n, length):
     for index, point in firsts.items():
         if index < length:
             assert points[index] == point
+
+
+# sha256 of repr(list(structured_probes(n))), taken from the generator that
+# drew full points, so they pin the probe order apart from ``_slice_draws``;
+# the repr pins each value and its type (1/2 a Fraction, 2 an int).
+PROBE_DIGESTS = {
+    2: "ae8f36115dbcb2767368747a5d208ffd147ab6c60cf40179b20840faf30158bf",
+    3: "5e402a8e080a7219148b216e87a09f274c607ec76be637f377aed06c5c67d33d",
+    4: "535f2568652d2c1329a6114526a0ba394254a9394c9a6609231ee9ccef56c9b4",
+    5: "5dd276c6b2fa90ceb21d02c28dc77ad02932631dd0fa17f0ef829c4f0a7361a2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PROBE_DIGESTS))
+def test_structured_probes_digest_is_pinned(n):
+    text = repr(list(structured_probes(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PROBE_DIGESTS[n]
 
 
 def test_real_root_decisions():

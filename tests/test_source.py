@@ -201,3 +201,56 @@ def test_the_dataclass_rule_sees_a_new_dataclass():
         "class D:\n    __slots__ = ('x',)\n"
     )
     assert _dataclass_names(tree) == {"A", "B", "C"}
+
+
+# Functions whose results a ``functools`` cache keeps for the life of the
+# process, each with the reason the cache stays.  Every other result is
+# dropped when its call returns.
+CACHES_KEPT = {
+    "classify._leibniz_table": "one determinant table per (group, side), "
+    "read by every det_polynomial call; n! permutations to list at order n",
+    "identities._shapes": "the binary tree shapes of each size, listed "
+    "recursively from the smaller sizes",
+    "poly._layout": "the layout of each exponent tuple for the sign-change "
+    "search; classify's searches share a few dozen exponents per side",
+}
+
+CACHE_DECORATORS = ("cache", "lru_cache")
+
+
+def _cache_uses(tree):
+    """(line, name) of each use of ``functools.cache`` or ``lru_cache`` in
+    ``tree``, bare, called or read off the module: ``name`` is the
+    function it decorates, or None for a use that decorates none."""
+    decorating = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                decorating[id(d.func if isinstance(d, ast.Call) else d)] = node.name
+    return sorted(
+        (node.lineno, decorating.get(id(node)))
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in CACHE_DECORATORS)
+        or (isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS)
+    )
+
+
+def test_every_cache_is_kept_for_a_reason():
+    found = {
+        f"{path.stem}.{name}" if name else f"{path.stem}:{line}"
+        for path in SOURCES
+        for line, name in _cache_uses(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == set(CACHES_KEPT), found
+
+
+def test_the_cache_rule_sees_an_unlisted_cache():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@cache\ndef a(n):\n    return n\n\n"
+        "@functools.lru_cache(maxsize=8)\ndef b(n):\n    return n\n\n"
+        "@functools.cache\ndef c(n):\n    return n\n\n"
+        "d = functools.cache(len)\n\n"
+        "def e(n):\n    return n\n"
+    )
+    assert _cache_uses(tree) == [(4, "a"), (8, "b"), (12, "c"), (16, None)]
